@@ -17,41 +17,21 @@
 //	paperbench -parallel 8 -json out.json
 //	paperbench -classes heterogeneous,comp-homogeneous -schedulers LS,SLJFWC
 //
-// With -bench-json the command instead times the repository's headline
-// sweeps (the Figure-1 serial and parallel benchmarks and the scenario
-// study) via testing.Benchmark, then load-tests the schedd streaming
-// service (a real HTTP daemon over the live runtime, one run per serving
-// policy, measuring sustained jobs/sec and p50/p95/p99 wall latency),
-// and writes the machine-readable perf artifact, so CI can track the
-// performance trajectory across PRs:
-//
-//	paperbench -bench-json BENCH_PR3.json -platforms 4 -tasks 300
+// Performance is measured by the repository benchmark (bash bench/run.sh),
+// not by this command.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"math"
-	"net/http/httptest"
-	"runtime"
-	"strconv"
 	"strings"
-	"sync"
-	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/live"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sched"
-	"repro/internal/schedd"
-	"repro/internal/sim"
-	"repro/pkg/schedclient"
 )
 
 func main() {
@@ -68,11 +48,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable report of every artifact to this file")
 	classesFlag := flag.String("classes", "", "comma-separated platform-class filter for the class-parameterized artifacts (default: all four)")
 	schedulersFlag := flag.String("schedulers", "", "comma-separated scheduler filter for the figure sweeps (default: the full registry)")
-	benchJSON := flag.String("bench-json", "", "time the headline sweeps instead and write the ns/op perf artifact to this file")
-	streamWorkers := flag.Int("stream-workers", 0,
-		"parallel NDJSON decode workers for the firehose bench's concurrent legs (0: service default — GOMAXPROCS capped at 8)")
-	producersFlag := flag.String("producers", "1,2,4",
-		"comma-separated producer counts for the firehose bench's concurrent-ingest sweep")
 	flag.Parse()
 
 	classes, err := parseClasses(*classesFlag)
@@ -89,20 +64,6 @@ func main() {
 		Seed:       *seed,
 		Workers:    *parallel,
 		Schedulers: splitList(*schedulersFlag),
-	}
-
-	if *benchJSON != "" {
-		producerCounts, err := parseProducers(*producersFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeBenchArtifact(*benchJSON, cfg, firehoseOpts{
-			StreamWorkers: *streamWorkers,
-			Producers:     producerCounts,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	type artifact struct {
@@ -281,861 +242,6 @@ func main() {
 		log.Printf("wrote %d result(s) to %s (workers=%d, wall=%.2fs; everything outside \"meta\" is worker-count independent)",
 			len(report.Results), *jsonOut, report.Meta.Workers, report.Meta.WallSeconds)
 	}
-}
-
-// BenchEntry is one timed sweep in the perf artifact. Since PR 4 the
-// allocation columns are recorded too: the committed BENCH_PR4.json is
-// the first point of the perf trajectory, and the hot-path overhaul's
-// headline is as much allocs/op as ns/op.
-type BenchEntry struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// LiveEntry is one schedd load-generation run in the perf artifact: a
-// real HTTP daemon (internal/schedd over the goroutine runtime) under a
-// concurrent submission burst, reporting sustained completion throughput
-// and wall-clock latency percentiles.
-type LiveEntry struct {
-	Policy       string  `json:"policy"`
-	Jobs         int     `json:"jobs"`
-	Producers    int     `json:"producers"`
-	ClockScale   float64 `json:"clock_scale"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	JobsPerSec   float64 `json:"jobs_per_sec"`
-	P50LatencyMs float64 `json:"p50_latency_ms"`
-	P95LatencyMs float64 `json:"p95_latency_ms"`
-	P99LatencyMs float64 `json:"p99_latency_ms"`
-}
-
-// ClusterEntry is one sharded-schedd load-generation run: the same HTTP
-// load generator against a k-shard cluster on one fixed port-bound
-// platform, sweeping shard count × placement. The single master's
-// outbound port is the structural bottleneck, so jobs/sec should scale
-// near-linearly in shards — the shards=4 : shards=1 ratio is the
-// headline CI gates on (≥ 2×).
-type ClusterEntry struct {
-	Shards       int     `json:"shards"`
-	Placement    string  `json:"placement"`
-	Partition    string  `json:"partition"`
-	Jobs         int     `json:"jobs"`
-	Producers    int     `json:"producers"`
-	ClockScale   float64 `json:"clock_scale"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	JobsPerSec   float64 `json:"jobs_per_sec"`
-	P50LatencyMs float64 `json:"p50_latency_ms"`
-	P95LatencyMs float64 `json:"p95_latency_ms"`
-	P99LatencyMs float64 `json:"p99_latency_ms"`
-}
-
-// StealEntry is one work-stealing load-generation run: the HTTP load
-// generator against a 4-shard cluster whose placement is pinned — every
-// job lands on shard 0, the adversarial worst case for sharding — swept
-// over the steal policies. With "none" the cluster collapses to one
-// master's port; an active rebalancer migrates the backlog to the idle
-// shards, and the jobs/sec ratio against the none baseline is the
-// headline CI gates on (≥ 1.5×).
-type StealEntry struct {
-	Shards          int     `json:"shards"`
-	Placement       string  `json:"placement"`
-	Steal           string  `json:"steal"`
-	IntervalSeconds float64 `json:"interval_seconds"`
-	Jobs            int     `json:"jobs"`
-	JobsMoved       int64   `json:"jobs_moved"`
-	Producers       int     `json:"producers"`
-	ClockScale      float64 `json:"clock_scale"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	JobsPerSec      float64 `json:"jobs_per_sec"`
-	P50LatencyMs    float64 `json:"p50_latency_ms"`
-	P95LatencyMs    float64 `json:"p95_latency_ms"`
-	P99LatencyMs    float64 `json:"p99_latency_ms"`
-}
-
-// ObsEntry is the PR-7 instrumentation-overhead stanza: the metrics
-// kernel's record-path costs (which must stay allocation-free) and the
-// bare-vs-instrumented cost of the full schedd admission lifecycle.
-// The committed artifact pins the observability contract: recording a
-// metric is atomics only (0 allocs/op), and turning the whole
-// observability layer on (metrics registry + latency histograms +
-// decision audit) costs the ingest path less than 5% ns/op.
-type ObsEntry struct {
-	// Record-path ns/op of the metrics kernel primitives.
-	CounterNsPerOp   float64 `json:"counter_ns_per_op"`
-	HistogramNsPerOp float64 `json:"histogram_ns_per_op"`
-	AuditNsPerOp     float64 `json:"audit_ns_per_op"`
-	// RecordAllocsPerOp is the MAXIMUM allocs/op over the three record
-	// paths; the zero-allocation contract requires it to be exactly 0.
-	RecordAllocsPerOp int64 `json:"record_allocs_per_op"`
-	// Ingest lifecycle (200 jobs through POST /jobs plus a full drain),
-	// bare (metrics and audit off) vs instrumented (service defaults:
-	// metrics on, audit ring 256). Minimum ns/op over repeated runs, so
-	// the ratio compares best-case to best-case.
-	BareIngestNsPerOp         float64 `json:"bare_ingest_ns_per_op"`
-	InstrumentedIngestNsPerOp float64 `json:"instrumented_ingest_ns_per_op"`
-	// IngestOverheadRatio = instrumented / bare; the CI gate holds it
-	// under 1.05.
-	IngestOverheadRatio float64 `json:"ingest_overhead_ratio"`
-}
-
-// FirehoseLeg is one side of the PR-9 throughput comparison: jobs
-// driven through the 4-shard virtual-clock cluster and the wall window
-// from first submission through a full drain.
-type FirehoseLeg struct {
-	Jobs        int     `json:"jobs"`
-	WallSeconds float64 `json:"wall_seconds"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-}
-
-// FirehoseProducerLeg is one point of the PR-10 concurrent-ingest
-// sweep: Producers concurrent stream connections (each its own NDJSON
-// session) into a service decoding with StreamWorkers parse workers per
-// connection, driving Jobs jobs end to end (submission through drain).
-type FirehoseProducerLeg struct {
-	Producers     int     `json:"producers"`
-	StreamWorkers int     `json:"stream_workers"`
-	Jobs          int     `json:"jobs"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	JobsPerSec    float64 `json:"jobs_per_sec"`
-}
-
-// FirehoseEntry is the firehose stanza: the streaming bulk-ingest
-// endpoint (POST /v1/jobs:stream over the virtual-clock firehose
-// cluster) against the per-job POST /v1/jobs baseline at equal shard
-// count, plus the admission path's steady-state allocation cost and the
-// PR-10 concurrency trajectory (serial single-producer decode vs a
-// producer sweep over the lock-free router). The committed artifact
-// pins the headlines: the stream drives ≥1M jobs and beats per-job POST
-// by ≥5× (CI gates ≥3×) at ≤1 alloc per admitted job, and on a
-// multi-core runner the concurrent path beats the serial PR-9 path by
-// ≥1.5× (CI-gated via ConcurrentSpeedupX at GOMAXPROCS ≥ 4).
-type FirehoseEntry struct {
-	Shards int `json:"shards"`
-	// Stream is the NDJSON bulk-ingest leg (1M+ jobs, one producer,
-	// service-default decode workers).
-	Stream FirehoseLeg `json:"stream"`
-	// PerJob is the baseline: one POST /v1/jobs per job on the identical
-	// cluster (a smaller population — per-request HTTP overhead makes 1M
-	// individual POSTs pointless to wait out; jobs/sec is the comparison).
-	PerJob FirehoseLeg `json:"per_job"`
-	// SpeedupX = Stream.JobsPerSec / PerJob.JobsPerSec.
-	SpeedupX float64 `json:"speedup_x"`
-	// IngestAllocsPerJob is the admission path's steady-state heap cost
-	// (placement + global-ID bookkeeping + intake enqueue), measured on an
-	// unstarted firehose cluster so nothing but admission runs.
-	IngestAllocsPerJob float64 `json:"ingest_allocs_per_job"`
-	// Serial is the PR-9 reference leg: one producer through the serial
-	// single-goroutine decoder (StreamWorkers < 0) — the path the
-	// concurrent spine is measured against, on this same machine. Unlike
-	// Stream/PerJob, Serial and ProducerSweep time ADMISSION only (first
-	// line sent through last ack received, with the intake bound lifted
-	// above the leg's population so execution never throttles ingest):
-	// the full lifecycle is dominated by the virtual-clock kernel
-	// executing the jobs, identical in every leg, which would bury the
-	// ingest-path comparison these legs exist to make.
-	Serial FirehoseLeg `json:"serial"`
-	// ProducerSweep records admission jobs/s vs producer count with the
-	// parallel decoder on (the -producers × -stream-workers sweep).
-	ProducerSweep []FirehoseProducerLeg `json:"producer_sweep"`
-	// ConcurrentSpeedupX is the best ProducerSweep leg's jobs/s over
-	// Serial's. GOMAXPROCS (recorded at the artifact's top level) gives
-	// the honest context: on a single-core host the ratio hovers near 1
-	// by construction; the CI gate runs on a ≥4-vCPU runner.
-	ConcurrentSpeedupX float64 `json:"concurrent_speedup_x"`
-}
-
-// firehoseOpts carries the -stream-workers and -producers flags into
-// the firehose bench.
-type firehoseOpts struct {
-	StreamWorkers int
-	Producers     []int
-}
-
-// parseProducers parses the -producers flag: a comma-separated list of
-// positive producer counts.
-func parseProducers(s string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("-producers entry %q: want a positive integer", tok)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-producers %q names no producer counts", s)
-	}
-	return out, nil
-}
-
-// BenchArtifact is the machine-readable perf record CI uploads
-// (BENCH_PR2.json): wall-clock costs of the headline sweeps at the
-// configured scale, plus enough environment to compare runs honestly.
-// Unlike the result reports, ns/op is inherently machine-dependent — the
-// artifact tracks the trajectory, it is not part of the determinism
-// contract.
-type BenchArtifact struct {
-	GoVersion  string       `json:"go_version"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Platforms  int          `json:"platforms"`
-	Tasks      int          `json:"tasks"`
-	M          int          `json:"m"`
-	Benchmarks []BenchEntry `json:"benchmarks"`
-	// Live holds the schedd service load benchmarks (jobs/sec and latency
-	// percentiles per serving policy).
-	Live []LiveEntry `json:"live"`
-	// Cluster holds the sharded-serving ingest sweep (jobs/sec per shard
-	// count × placement on one fixed port-bound platform).
-	Cluster []ClusterEntry `json:"cluster"`
-	// Steal holds the work-stealing sweep (jobs/sec per steal policy
-	// under adversarially pinned placement).
-	Steal []StealEntry `json:"steal"`
-	// Obs holds the instrumentation-overhead measurements (PR 7).
-	Obs *ObsEntry `json:"obs"`
-	// Firehose holds the PR-9 bulk-ingest throughput comparison.
-	Firehose *FirehoseEntry `json:"firehose"`
-}
-
-// writeBenchArtifact times the Figure-1 sweep on a one-worker pool and a
-// GOMAXPROCS-wide pool (the serial/parallel scaling headline) and the
-// scenario study, via testing.Benchmark, and writes the artifact.
-func writeBenchArtifact(path string, cfg experiment.Config, fh firehoseOpts) error {
-	serial := cfg
-	serial.Workers = 1
-	wide := cfg
-	wide.Workers = 0
-	benches := []struct {
-		name string
-		fn   func()
-	}{
-		{"Figure1Serial", func() { experiment.Figure1(core.Heterogeneous, serial) }},
-		{"Figure1Parallel", func() { experiment.Figure1(core.Heterogeneous, wide) }},
-		{"ScenarioStudy", func() { experiment.ScenarioStudy(wide) }},
-	}
-	art := BenchArtifact{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Platforms:  cfg.Platforms,
-		Tasks:      cfg.Tasks,
-		M:          cfg.M,
-	}
-	for _, bench := range benches {
-		fn := bench.fn
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn()
-			}
-		})
-		art.Benchmarks = append(art.Benchmarks, BenchEntry{
-			Name:        bench.name,
-			Iterations:  res.N,
-			NsPerOp:     float64(res.NsPerOp()),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
-		log.Printf("bench %s: %d iterations, %.0f ns/op, %d allocs/op",
-			bench.name, res.N, float64(res.NsPerOp()), res.AllocsPerOp())
-	}
-	for _, policy := range []string{"LS", "SRPT", "SO-LS"} {
-		entry, err := liveLoadBench(policy)
-		if err != nil {
-			return fmt.Errorf("live load bench %s: %w", policy, err)
-		}
-		art.Live = append(art.Live, entry)
-		log.Printf("live %s: %d jobs in %.2fs wall → %.0f jobs/s, p95 %.2f ms, p99 %.2f ms",
-			entry.Policy, entry.Jobs, entry.WallSeconds, entry.JobsPerSec, entry.P95LatencyMs, entry.P99LatencyMs)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, placement := range []string{cluster.PlacementRoundRobin, cluster.PlacementLeastLoaded} {
-			entry, err := clusterLoadBench(shards, placement)
-			if err != nil {
-				return fmt.Errorf("cluster load bench shards=%d %s: %w", shards, placement, err)
-			}
-			art.Cluster = append(art.Cluster, entry)
-			log.Printf("cluster shards=%d %s: %d jobs in %.2fs wall → %.0f jobs/s, p95 %.2f ms",
-				entry.Shards, entry.Placement, entry.Jobs, entry.WallSeconds, entry.JobsPerSec, entry.P95LatencyMs)
-		}
-	}
-	for _, steal := range cluster.StealPolicyNames() {
-		entry, err := stealLoadBench(steal)
-		if err != nil {
-			return fmt.Errorf("steal load bench %s: %w", steal, err)
-		}
-		art.Steal = append(art.Steal, entry)
-		log.Printf("steal %s (pinned, %d shards): %d jobs (%d moved) in %.2fs wall → %.0f jobs/s",
-			entry.Steal, entry.Shards, entry.Jobs, entry.JobsMoved, entry.WallSeconds, entry.JobsPerSec)
-	}
-	obsEntry, err := obsBench()
-	if err != nil {
-		return fmt.Errorf("obs bench: %w", err)
-	}
-	art.Obs = &obsEntry
-	log.Printf("obs: record counter %.1f ns, histogram %.1f ns, audit %.1f ns (%d allocs); ingest overhead ×%.3f",
-		obsEntry.CounterNsPerOp, obsEntry.HistogramNsPerOp, obsEntry.AuditNsPerOp,
-		obsEntry.RecordAllocsPerOp, obsEntry.IngestOverheadRatio)
-	fhEntry, err := firehoseBench(fh)
-	if err != nil {
-		return fmt.Errorf("firehose bench: %w", err)
-	}
-	art.Firehose = &fhEntry
-	log.Printf("firehose (%d shards): stream %d jobs in %.2fs → %.0f jobs/s; per-job %d jobs → %.0f jobs/s; speedup ×%.1f, %.3f allocs/job",
-		fhEntry.Shards, fhEntry.Stream.Jobs, fhEntry.Stream.WallSeconds, fhEntry.Stream.JobsPerSec,
-		fhEntry.PerJob.Jobs, fhEntry.PerJob.JobsPerSec, fhEntry.SpeedupX, fhEntry.IngestAllocsPerJob)
-	log.Printf("firehose concurrency: serial %.0f jobs/s, best sweep %.0f jobs/s → ×%.2f at GOMAXPROCS=%d",
-		fhEntry.Serial.JobsPerSec, fhEntry.Serial.JobsPerSec*fhEntry.ConcurrentSpeedupX,
-		fhEntry.ConcurrentSpeedupX, art.GOMAXPROCS)
-	if err := runner.WriteJSON(path, art); err != nil {
-		return err
-	}
-	log.Printf("wrote perf artifact to %s", path)
-	return nil
-}
-
-// obsBench measures the observability layer's costs: the metrics
-// kernel's record primitives in isolation (the zero-allocation
-// contract), and the full admission lifecycle with the layer off vs on
-// (the <5% ingest-overhead contract).
-func obsBench() (ObsEntry, error) {
-	reg := obs.NewRegistry()
-	counter := reg.Counter("paperbench_events_total", "bench counter", "")
-	hist := reg.Histogram("paperbench_latency_seconds", "bench histogram", "", obs.LatencyBuckets())
-	ring := obs.NewAuditRing(256, 4)
-	scores := []float64{1, 2, 3, 4}
-	record := func(fn func(i int)) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn(i)
-			}
-		})
-	}
-	counterRes := record(func(int) { counter.Inc() })
-	histRes := record(func(i int) { hist.Observe(float64(i%1000) * 0.001) })
-	auditRes := record(func(i int) {
-		ring.Record(obs.Decision{Kind: obs.DecisionPlace, Job: i, To: i & 3, Scores: scores})
-	})
-	allocs := counterRes.AllocsPerOp()
-	for _, r := range []testing.BenchmarkResult{histRes, auditRes} {
-		if r.AllocsPerOp() > allocs {
-			allocs = r.AllocsPerOp()
-		}
-	}
-
-	// Ingest lifecycle: the BenchmarkScheddIngest workload (4 batched
-	// POST /jobs requests, 200 jobs, full drain) against the paper's
-	// five-slave heterogeneous testbed on a compressed clock. Minimum
-	// ns/op over repeated benchmark runs, per variant.
-	ingest := func(instrumented bool) (float64, error) {
-		cfg := schedd.Config{
-			Platform:   core.NewPlatform([]float64{0.1, 0.25, 0.5, 0.75, 1}, []float64{0.5, 2, 4, 6, 8}),
-			Policy:     "LS",
-			ClockScale: 50000,
-		}
-		if !instrumented {
-			cfg.DisableMetrics = true
-			cfg.AuditDepth = -1
-		}
-		var benchErr error
-		best := 0.0
-		for run := 0; run < 3; run++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					srv, err := schedd.New(cfg)
-					if err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-					for batch := 0; batch < 4; batch++ {
-						req := httptest.NewRequest("POST", "/jobs", strings.NewReader(`{"count":50}`))
-						rec := httptest.NewRecorder()
-						srv.Handler().ServeHTTP(rec, req)
-						if rec.Code != 202 {
-							benchErr = fmt.Errorf("POST /jobs: %d %s", rec.Code, rec.Body.String())
-							b.FailNow()
-						}
-					}
-					if err := srv.Drain(); err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-				}
-			})
-			if benchErr != nil {
-				return 0, benchErr
-			}
-			if ns := float64(res.NsPerOp()); run == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	bare, err := ingest(false)
-	if err != nil {
-		return ObsEntry{}, fmt.Errorf("bare ingest: %w", err)
-	}
-	instrumented, err := ingest(true)
-	if err != nil {
-		return ObsEntry{}, fmt.Errorf("instrumented ingest: %w", err)
-	}
-	return ObsEntry{
-		CounterNsPerOp:            float64(counterRes.NsPerOp()),
-		HistogramNsPerOp:          float64(histRes.NsPerOp()),
-		AuditNsPerOp:              float64(auditRes.NsPerOp()),
-		RecordAllocsPerOp:         allocs,
-		BareIngestNsPerOp:         bare,
-		InstrumentedIngestNsPerOp: instrumented,
-		IngestOverheadRatio:       instrumented / bare,
-	}, nil
-}
-
-// firehoseBench runs the streamed-ingest throughput comparisons. Every
-// leg uses the identical service configuration — a 4-shard
-// virtual-clock cluster over the eight-slave heterogeneous platform,
-// least-loaded placement, service-default observability. The Stream and
-// PerJob legs time the full lifecycle (first submission through drain)
-// and differ only in how jobs arrive: one NDJSON stream of batched
-// lines versus one HTTP round trip per job (the PR-9 comparison). The
-// Serial and ProducerSweep legs time admission only — the wall window
-// closes at the last ack, the intake bound is lifted above the leg's
-// population, and the lines are small — because the lifecycle is
-// dominated by the virtual kernel executing the jobs, identical in
-// every leg, and the serial-versus-concurrent comparison is about the
-// decode → placement → intake path the PR-10 spine parallelised.
-func firehoseBench(opts firehoseOpts) (FirehoseEntry, error) {
-	const (
-		shards     = 4
-		streamJobs = 1_000_000
-		sweepJobs  = 1_000_000
-		perLine    = 1000
-		sweepLine  = 50
-		perJobJobs = 20_000
-	)
-	platform := core.NewPlatform(
-		[]float64{0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.1, 0.2},
-		[]float64{0.4, 0.8, 0.4, 0.8, 0.4, 0.8, 0.4, 0.8})
-	newService := func(streamWorkers, queueDepth int) (*schedd.Server, *httptest.Server, *schedclient.Client, error) {
-		srv, err := schedd.New(schedd.Config{
-			Platform:         platform,
-			Policy:           "LS",
-			Shards:           shards,
-			Placement:        cluster.PlacementLeastLoaded,
-			Partition:        core.PartitionBalanced,
-			VirtualClock:     true,
-			StreamWorkers:    streamWorkers,
-			IngestQueueDepth: queueDepth,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ts := httptest.NewServer(srv.Handler())
-		return srv, ts, schedclient.New(ts.URL), nil
-	}
-	run := func(jobs, streamWorkers int, pump func(*schedclient.Client) error) (FirehoseLeg, error) {
-		srv, ts, cli, err := newService(streamWorkers, 0)
-		if err != nil {
-			return FirehoseLeg{}, err
-		}
-		defer ts.Close()
-		start := time.Now()
-		if err := pump(cli); err != nil {
-			return FirehoseLeg{}, err
-		}
-		if err := srv.Drain(); err != nil {
-			return FirehoseLeg{}, err
-		}
-		wall := time.Since(start).Seconds()
-		if c := srv.Counts(); c.Completed != jobs || c.Submitted != jobs {
-			return FirehoseLeg{}, fmt.Errorf("completed %d / submitted %d of %d jobs", c.Completed, c.Submitted, jobs)
-		}
-		return FirehoseLeg{Jobs: jobs, WallSeconds: wall, JobsPerSec: float64(jobs) / wall}, nil
-	}
-	// streamPump drives one bulk-ingest session with total jobs split
-	// across producers concurrent connections, perLineN jobs per NDJSON
-	// line.
-	streamPump := func(total, producers, perLineN int) func(*schedclient.Client) error {
-		return func(cli *schedclient.Client) error {
-			per := total / producers
-			var wg sync.WaitGroup
-			errs := make(chan error, producers)
-			for p := 0; p < producers; p++ {
-				share := per
-				if p == producers-1 {
-					share = total - per*(producers-1)
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					st, err := cli.StreamJobs(context.Background())
-					if err != nil {
-						errs <- err
-						return
-					}
-					for sent := 0; sent < share; sent += perLineN {
-						n := min(perLineN, share-sent)
-						if err := st.Send(schedd.SubmitRequest{Count: n}); err != nil {
-							errs <- err
-							return
-						}
-					}
-					sum, err := st.Close()
-					if err != nil {
-						errs <- err
-						return
-					}
-					if sum.Jobs != share {
-						errs <- fmt.Errorf("stream acked %d of %d jobs", sum.Jobs, share)
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			return <-errs
-		}
-	}
-
-	// runIngest times admission only: the wall window closes when the
-	// last ack arrives, before the drain. The intake bound is lifted
-	// above the leg's population so the kernel's execution rate never
-	// throttles the producers, and the sweepLine-sized lines keep the
-	// per-line decode/ack work non-trivial. The drain still runs and the
-	// counts are still verified — they are just outside the window.
-	runIngest := func(jobs, streamWorkers, producers int) (FirehoseLeg, error) {
-		srv, ts, cli, err := newService(streamWorkers, jobs)
-		if err != nil {
-			return FirehoseLeg{}, err
-		}
-		defer ts.Close()
-		start := time.Now()
-		if err := streamPump(jobs, producers, sweepLine)(cli); err != nil {
-			return FirehoseLeg{}, err
-		}
-		wall := time.Since(start).Seconds()
-		if err := srv.Drain(); err != nil {
-			return FirehoseLeg{}, err
-		}
-		if c := srv.Counts(); c.Completed != jobs || c.Submitted != jobs {
-			return FirehoseLeg{}, fmt.Errorf("completed %d / submitted %d of %d jobs", c.Completed, c.Submitted, jobs)
-		}
-		return FirehoseLeg{Jobs: jobs, WallSeconds: wall, JobsPerSec: float64(jobs) / wall}, nil
-	}
-
-	stream, err := run(streamJobs, opts.StreamWorkers, streamPump(streamJobs, 1, perLine))
-	if err != nil {
-		return FirehoseEntry{}, fmt.Errorf("stream leg: %w", err)
-	}
-
-	// The PR-9 reference: the same single-producer stream through the
-	// serial decoder (StreamWorkers < 0) — what admission looked like
-	// before the concurrent spine, measured on this machine.
-	serial, err := runIngest(sweepJobs, -1, 1)
-	if err != nil {
-		return FirehoseEntry{}, fmt.Errorf("serial leg: %w", err)
-	}
-
-	var sweep []FirehoseProducerLeg
-	best := 0.0
-	for _, producers := range opts.Producers {
-		leg, err := runIngest(sweepJobs, opts.StreamWorkers, producers)
-		if err != nil {
-			return FirehoseEntry{}, fmt.Errorf("sweep leg (%d producers): %w", producers, err)
-		}
-		sweep = append(sweep, FirehoseProducerLeg{
-			Producers:     producers,
-			StreamWorkers: opts.StreamWorkers,
-			Jobs:          leg.Jobs,
-			WallSeconds:   leg.WallSeconds,
-			JobsPerSec:    leg.JobsPerSec,
-		})
-		best = math.Max(best, leg.JobsPerSec)
-		log.Printf("firehose sweep: %d producers → %.0f jobs/s", producers, leg.JobsPerSec)
-	}
-
-	// The baseline keeps the same modest client concurrency the other
-	// load benches use; each of the 4 producers runs a serial
-	// one-job-per-POST loop.
-	perJob, err := run(perJobJobs, opts.StreamWorkers, func(cli *schedclient.Client) error {
-		const producers = 4
-		var wg sync.WaitGroup
-		errs := make(chan error, producers)
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perJobJobs/producers; i++ {
-					if _, err := cli.SubmitBatch(1); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		return <-errs
-	})
-	if err != nil {
-		return FirehoseEntry{}, fmt.Errorf("per-job leg: %w", err)
-	}
-
-	return FirehoseEntry{
-		Shards:             shards,
-		Stream:             stream,
-		PerJob:             perJob,
-		SpeedupX:           stream.JobsPerSec / perJob.JobsPerSec,
-		IngestAllocsPerJob: firehoseAllocsPerJob(),
-		Serial:             serial,
-		ProducerSweep:      sweep,
-		ConcurrentSpeedupX: best / serial.JobsPerSec,
-	}, nil
-}
-
-// firehoseAllocsPerJob measures the admission path's steady-state heap
-// cost: SubmitRange batches into an unstarted firehose cluster (the
-// intake holds everything, nothing drains), allocs/op divided by the
-// jobs routed per op. Construction happens outside the timer, so the
-// number is the marginal cost per admitted job — the ≤1 contract CI
-// gates.
-func firehoseAllocsPerJob() float64 {
-	const (
-		batches  = 10
-		perBatch = 1000
-	)
-	pl := core.NewPlatform(
-		[]float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
-		[]float64{0.5, 1, 1.5, 2, 0.5, 1, 1.5, 2})
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			r, err := cluster.New(cluster.Config{
-				Platform:     pl,
-				NewScheduler: func() sim.Scheduler { return sched.New("LS") },
-				Shards:       4,
-				Placement:    cluster.PlacementLeastLoaded,
-				Partition:    core.PartitionBalanced,
-				World:        func(int) live.World { return live.NewRealTime(50000) },
-				Firehose:     &cluster.FirehoseConfig{QueueDepth: 2 * batches * perBatch},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			for batch := 0; batch < batches; batch++ {
-				if _, err := r.SubmitRange(live.JobSpec{}, perBatch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	return float64(res.AllocsPerOp()) / (batches * perBatch)
-}
-
-// loadBench is the shared HTTP load generator: it stands up the real
-// service on a loopback listener, slams it with concurrent batched
-// submissions, drains, and reports the wall window plus the service's
-// own stats (the GET /stats data, the single source of latency numbers).
-//
-// With settle, the generator polls the service until every job has
-// completed BEFORE initiating the drain, so the wall window measures
-// serving, not shutdown. The distinction matters only when the two
-// differ: Drain stops the rebalancer before the shards, so a
-// drain-as-completion-barrier window would never let stealing touch a
-// burst that arrives faster than one rebalancer tick — exactly the
-// adversarial load the steal benchmark creates. The non-steal entries
-// keep the drain barrier for comparability with the PR-5 artifact.
-func loadBench(cfg schedd.Config, producers, batches, perBatch int, settle bool) (wall float64, svc schedd.StatsResponse, err error) {
-	jobs := producers * batches * perBatch
-	srv, err := schedd.New(cfg)
-	if err != nil {
-		return 0, svc, err
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cli := schedclient.New(ts.URL)
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, producers)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := 0; b < batches; b++ {
-				if _, err := cli.SubmitBatch(perBatch); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return 0, svc, err
-		}
-	}
-	if settle {
-		deadline := time.Now().Add(30 * time.Second)
-		for srv.Counts().Completed < jobs {
-			if time.Now().After(deadline) {
-				return 0, svc, fmt.Errorf("timed out settling %d jobs (completed %d)", jobs, srv.Counts().Completed)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		wall = time.Since(start).Seconds()
-	}
-	if err := srv.Drain(); err != nil {
-		return 0, svc, err
-	}
-	if !settle {
-		wall = time.Since(start).Seconds()
-	}
-
-	svc = srv.Stats()
-	if svc.Jobs.Completed != jobs {
-		return wall, svc, fmt.Errorf("completed %d of %d jobs", svc.Jobs.Completed, jobs)
-	}
-	if svc.LatencySeconds == nil {
-		return wall, svc, fmt.Errorf("no latency stats after %d jobs", jobs)
-	}
-	return wall, svc, nil
-}
-
-// liveLoadBench is the single-runtime (per-policy) load benchmark.
-func liveLoadBench(policy string) (LiveEntry, error) {
-	const (
-		producers  = 4
-		batches    = 5
-		perBatch   = 25
-		clockScale = 2000
-	)
-	wall, svc, err := loadBench(schedd.Config{
-		// The paper's five-slave heterogeneous testbed shape, in paper
-		// seconds; the scaled clock compresses it to milliseconds.
-		Platform:   core.NewPlatform([]float64{0.1, 0.25, 0.5, 0.75, 1}, []float64{0.5, 2, 4, 6, 8}),
-		Policy:     policy,
-		ClockScale: clockScale,
-	}, producers, batches, perBatch, false)
-	if err != nil {
-		return LiveEntry{}, err
-	}
-	jobs := producers * batches * perBatch
-	return LiveEntry{
-		Policy:       policy,
-		Jobs:         jobs,
-		Producers:    producers,
-		ClockScale:   clockScale,
-		WallSeconds:  wall,
-		JobsPerSec:   float64(jobs) / wall,
-		P50LatencyMs: svc.LatencySeconds.P50 * 1000,
-		P95LatencyMs: svc.LatencySeconds.P95 * 1000,
-		P99LatencyMs: svc.LatencySeconds.P99 * 1000,
-	}, nil
-}
-
-// clusterLoadBench is the sharded-serving ingest benchmark: a fixed
-// eight-slave comm-heavy platform (identical 1 s links, so the single
-// master's port caps it at ~1 job per model second no matter the
-// compute) partitioned across k masters. Every extra shard brings its
-// own port, so completion throughput — hence sustained jobs/sec through
-// the drain — scales near-linearly in k.
-func clusterLoadBench(shards int, placement string) (ClusterEntry, error) {
-	const (
-		producers  = 4
-		batches    = 4
-		perBatch   = 25
-		clockScale = 2000
-	)
-	wall, svc, err := loadBench(schedd.Config{
-		Platform: core.NewPlatform(
-			[]float64{1, 1, 1, 1, 1, 1, 1, 1},
-			[]float64{1, 2, 3, 4, 1, 2, 3, 4}),
-		Policy:     "LS",
-		Shards:     shards,
-		Placement:  placement,
-		Partition:  core.PartitionBalanced,
-		ClockScale: clockScale,
-	}, producers, batches, perBatch, false)
-	if err != nil {
-		return ClusterEntry{}, err
-	}
-	jobs := producers * batches * perBatch
-	return ClusterEntry{
-		Shards:       shards,
-		Placement:    placement,
-		Partition:    string(core.PartitionBalanced),
-		Jobs:         jobs,
-		Producers:    producers,
-		ClockScale:   clockScale,
-		WallSeconds:  wall,
-		JobsPerSec:   float64(jobs) / wall,
-		P50LatencyMs: svc.LatencySeconds.P50 * 1000,
-		P95LatencyMs: svc.LatencySeconds.P95 * 1000,
-		P99LatencyMs: svc.LatencySeconds.P99 * 1000,
-	}, nil
-}
-
-// stealLoadBench is the work-stealing benchmark: the clusterLoadBench
-// platform partitioned across 4 masters, but with pinned placement —
-// every submission lands on shard 0 — so with stealing off the cluster
-// degenerates to one port and with it on, the rebalancer must migrate
-// roughly three quarters of the backlog outward to recover the
-// multi-port throughput.
-func stealLoadBench(steal string) (StealEntry, error) {
-	const (
-		shards     = 4
-		producers  = 4
-		batches    = 4
-		perBatch   = 25
-		clockScale = 2000
-		interval   = 2 * time.Millisecond
-	)
-	wall, svc, err := loadBench(schedd.Config{
-		Platform: core.NewPlatform(
-			[]float64{1, 1, 1, 1, 1, 1, 1, 1},
-			[]float64{1, 2, 3, 4, 1, 2, 3, 4}),
-		Policy:        "LS",
-		Shards:        shards,
-		Placement:     cluster.PlacementPinned,
-		Partition:     core.PartitionBalanced,
-		ClockScale:    clockScale,
-		Steal:         steal,
-		StealInterval: interval,
-	}, producers, batches, perBatch, true)
-	if err != nil {
-		return StealEntry{}, err
-	}
-	jobs := producers * batches * perBatch
-	entry := StealEntry{
-		Shards:          shards,
-		Placement:       cluster.PlacementPinned,
-		Steal:           steal,
-		IntervalSeconds: interval.Seconds(),
-		Jobs:            jobs,
-		Producers:       producers,
-		ClockScale:      clockScale,
-		WallSeconds:     wall,
-		JobsPerSec:      float64(jobs) / wall,
-		P50LatencyMs:    svc.LatencySeconds.P50 * 1000,
-		P95LatencyMs:    svc.LatencySeconds.P95 * 1000,
-		P99LatencyMs:    svc.LatencySeconds.P99 * 1000,
-	}
-	if svc.Steal != nil {
-		entry.JobsMoved = svc.Steal.JobsMoved
-	}
-	return entry, nil
 }
 
 // validateSchedulers rejects unknown names up front, so a typo yields a

@@ -7,8 +7,7 @@
 // shard by the -placement policy, multiplying the paper's structural
 // one-port bottleneck by the shard count.
 //
-// Endpoints (versioned under /v1; the unversioned legacy paths still
-// answer identically but carry a Deprecation header):
+// Endpoints (the API is versioned under /v1; the infra probes are not):
 //
 //	POST /v1/jobs             {"count":8,"comm_scale":1,"comp_scale":1} → {"ids":[...]}
 //	POST /v1/jobs:stream      NDJSON bulk ingest: one SubmitRequest per line,
@@ -38,9 +37,7 @@
 // -virtual goes further: every shard runs on a deterministic virtual
 // clock behind the cluster's firehose intake (pure-throughput mode —
 // ingest is bounded by placement and admission cost alone), with
-// -ingest-queue bounding the enqueued-but-unadmitted backlog and
-// -stream-workers sizing the per-connection parallel NDJSON decode
-// stage (negative selects the serial decoder).
+// -ingest-queue bounding the enqueued-but-unadmitted backlog.
 //
 // Observability: -metrics (default true) serves the Prometheus text
 // exposition and /debug/vars; -audit-depth sizes the decision-audit
@@ -107,8 +104,6 @@ func main() {
 		"pure-throughput mode: deterministic virtual clocks behind the firehose intake (forces -clock-scale 1, incompatible with -steal)")
 	ingestQueue := flag.Int("ingest-queue", 0,
 		"bound on the enqueued-but-unadmitted job backlog behind POST /v1/jobs:stream (0: 65536)")
-	streamWorkers := flag.Int("stream-workers", 0,
-		"parallel NDJSON decode workers per jobs:stream connection (0: GOMAXPROCS capped at 8; negative: serial decoder)")
 	maxBatch := flag.Int("max-batch", 10000, "largest count accepted by one POST /v1/jobs and by one jobs:stream line")
 	steal := flag.String("steal", cluster.StealNone,
 		"cross-shard work-stealing policy: "+strings.Join(cluster.StealPolicyNames(), ", "))
@@ -119,8 +114,8 @@ func main() {
 	mutexProfile := flag.Int("mutexprofile", 0,
 		"mutex/block profile sampling rate for /debug/pprof/{mutex,block} (0 off; requires -pprof; 1 samples every contention event)")
 	auditDepth := flag.Int("audit-depth", 256,
-		"decision-audit ring depth behind GET /decisions (0 disables auditing)")
-	record := flag.Bool("record", true, "run the flight recorder (GET /flight; export with schedctl)")
+		"decision-audit ring depth behind GET /v1/decisions (0 disables auditing)")
+	record := flag.Bool("record", true, "run the flight recorder (GET /v1/flight; export with schedctl)")
 	recordDir := flag.String("record-dir", "", "persist flight segments to this directory (empty: memory-only)")
 	recordSegBytes := flag.Int("record-segment-bytes", 0, "flight segment size in bytes (0: 1 MiB)")
 	recordSegments := flag.Int("record-segments", 0, "flight segments retained (0: 8)")
@@ -188,7 +183,6 @@ func main() {
 		MaxBatch:           *maxBatch,
 		VirtualClock:       *virtual,
 		IngestQueueDepth:   *ingestQueue,
-		StreamWorkers:      *streamWorkers,
 		Steal:              *steal,
 		StealInterval:      *stealInterval,
 		DisableMetrics:     !*metrics,
@@ -210,7 +204,7 @@ func main() {
 	if err != nil {
 		fatal("listen failed", "addr", *addr, "err", err)
 	}
-	httpServer := &http.Server{Handler: srv.Handler()}
+	httpServer := newHTTPServer(srv.Handler())
 	logger.Info("serving",
 		"policy", *policy,
 		"addr", fmt.Sprintf("http://%s", ln.Addr()),
@@ -253,6 +247,23 @@ func main() {
 		fatal("shutdown failed", "err", err)
 	}
 	logger.Info("bye")
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to finish its
+// request header and an idle keep-alive connection is closed after
+// idleTimeout. There is deliberately no read or write timeout: POST
+// /v1/jobs:stream and GET /v1/watch are long-lived by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // buildLogger assembles the process logger from the -log-level and

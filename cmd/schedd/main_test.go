@@ -1,9 +1,13 @@
 package main
 
 import (
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -126,5 +130,43 @@ func TestBuildPlatform(t *testing.T) {
 	}
 	if _, err := buildPlatform("", "hyper-homogeneous", 4, 7); err == nil {
 		t.Fatal("unknown class accepted")
+	}
+}
+
+// TestServerClosesUnfinishedHeader pins the daemon's connection timeouts:
+// a client that never finishes its request header is disconnected, while
+// nothing bounds a request body or a response (jobs:stream and /v1/watch
+// are long-lived). The header timeout is shortened on the built server
+// so the test does not wait out the production ten seconds.
+func TestServerClosesUnfinishedHeader(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts = header %v idle %v, want %v and %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("server bounds whole requests (read %v, write %v): streams must stay open", srv.ReadTimeout, srv.WriteTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/jobs HTTP/1.1\r\nHost: x\r\nX-Never-Finished: ")); err != nil {
+		t.Fatal(err)
+	}
+	// The server answers the stalled header with at most an error
+	// response and then closes: the read must reach EOF, not the deadline.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection with an unfinished header was not closed: %v", err)
 	}
 }

@@ -143,7 +143,7 @@ func main() {
 			panic(err)
 		}
 		// Cluster makespan: the slowest shard's span, from the merged
-		// trace view the service exposes on GET /stats. Like the service,
+		// trace view the service exposes on GET /v1/stats. Like the service,
 		// rebase each shard's records to its first release — the wall
 		// clock was already ticking before the burst arrived.
 		var reports []trace.Report
@@ -225,7 +225,7 @@ func main() {
 			steal, wall, pinnedBase/wall, reb.Moved(), reb.Passes())
 	}
 	fmt.Println("\n(the same rebalancer runs inside schedd: -steal threshold|het-aware")
-	fmt.Println(" -steal-interval 5ms; /stats reports passes and jobs moved per shard)")
+	fmt.Println(" -steal-interval 5ms; /v1/stats reports passes and jobs moved per shard)")
 
 	// --- Part 4: scraping /metrics during a steal storm. ---
 	// The full service this time: the schedd HTTP surface over the same
@@ -249,7 +249,7 @@ func main() {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if _, err := http.Post(ts.URL+"/jobs", "application/json",
+	if _, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"count":200}`)); err != nil {
 		panic(err)
 	}
@@ -297,7 +297,7 @@ func main() {
 			panic(err)
 		}
 	}
-	decode("/decisions?n=200", &dec)
+	decode("/v1/decisions?limit=200", &dec)
 	steals, migrations := 0, 0
 	for _, d := range dec.Decisions {
 		switch d.Kind {
@@ -329,7 +329,7 @@ func main() {
 			b.Service.Mean*1000, b.Service.Max*1000)
 	}
 	fmt.Println("\n(queue-wait dwarfing service is the pinned bottleneck made visible —")
-	fmt.Println(" the same numbers stream from GET /stats on any running schedd)")
+	fmt.Println(" the same numbers stream from GET /v1/stats on any running schedd)")
 
 	// --- Part 5: the flight recorder — record the storm, replay it. ---
 	// The same pinned steal storm, but this time the daemon journals
@@ -363,7 +363,7 @@ func main() {
 	}
 	ts5 := httptest.NewServer(srv5.Handler())
 	defer ts5.Close()
-	if _, err := http.Post(ts5.URL+"/jobs", "application/json",
+	if _, err := http.Post(ts5.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"count":80}`)); err != nil {
 		panic(err)
 	}
@@ -381,7 +381,7 @@ func main() {
 			panic(err)
 		}
 	}
-	decode5("/slo", &slo)
+	decode5("/v1/slo", &slo)
 	for _, st := range slo.Objectives {
 		status := "ok"
 		if !st.OK {

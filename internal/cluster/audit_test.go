@@ -58,30 +58,38 @@ func TestAuditRecordsPlacementsWithScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One decision per batch, whatever entry point submitted it: Job is
+	// the batch's first ID, Planned/N its size, and the scores are every
+	// shard's ranking as of the top of the batch.
 	decisions := r.Audit().Recent(0)
-	if len(decisions) != 3 {
-		t.Fatalf("audit holds %d decisions, want 3", len(decisions))
+	if len(decisions) != 1 {
+		t.Fatalf("audit holds %d decisions for one batch, want 1", len(decisions))
 	}
-	// Newest first; job IDs match the batch, every decision scored both
-	// shards and the chosen one had the (weakly) lowest score.
-	for k, d := range decisions {
-		if d.Kind != obs.DecisionPlace || d.Policy != PlacementLeastLoaded || d.From != -1 {
-			t.Fatalf("decision %d = %+v", k, d)
+	d := decisions[0]
+	if d.Kind != obs.DecisionPlace || d.Policy != PlacementLeastLoaded || d.From != -1 {
+		t.Fatalf("decision = %+v", d)
+	}
+	if d.Job != ids[0] || d.Planned != len(ids) || d.N != len(ids) {
+		t.Fatalf("decision audits job %d planned %d n %d, want the batch %v", d.Job, d.Planned, d.N, ids)
+	}
+	if len(d.Scores) != 2 {
+		t.Fatalf("scores = %v, want one per shard", d.Scores)
+	}
+	for _, s := range d.Scores {
+		if d.Scores[d.To] > s {
+			t.Fatalf("first job went to shard %d with scores %v", d.To, d.Scores)
 		}
-		if d.Job != ids[len(ids)-1-k] {
-			t.Fatalf("decision %d audits job %d, want %d", k, d.Job, ids[len(ids)-1-k])
-		}
-		if len(d.Scores) != 2 {
-			t.Fatalf("decision %d scores = %v, want one per shard", k, d.Scores)
-		}
-		for _, s := range d.Scores {
-			if d.Scores[d.To] > s {
-				t.Fatalf("decision %d chose shard %d with scores %v", k, d.To, d.Scores)
-			}
-		}
-		if d.Wall == 0 {
-			t.Fatalf("decision %d has no wall timestamp", k)
-		}
+	}
+	if d.Wall == 0 {
+		t.Fatal("decision has no wall timestamp")
+	}
+	// A single Submit is a batch of one and audits the same shape.
+	gid, err := r.Submit(live.JobSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := r.Audit().Recent(1)[0]; d.Job != gid || d.Planned != 1 || d.N != 1 || len(d.Scores) != 2 {
+		t.Fatalf("single-job decision = %+v, want job %d as a batch of one", d, gid)
 	}
 }
 

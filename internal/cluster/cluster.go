@@ -8,10 +8,9 @@
 // single master transmits at most one task per link-time, no matter how
 // many slaves it owns. Sharding multiplies the port: k masters serve k
 // disjoint slave sets concurrently, so ingest throughput on port-bound
-// platforms scales near-linearly with k (cmd/paperbench measures this
-// sweep into BENCH_PR5.json). The cost is scheduling myopia: each master
-// optimizes its slice in isolation, which experiment.ShardingStudy
-// quantifies against the monolithic scheduler.
+// platforms scales near-linearly with k. The cost is scheduling myopia:
+// each master optimizes its slice in isolation, which
+// experiment.ShardingStudy quantifies against the monolithic scheduler.
 //
 // With Shards = 1 the cluster is exactly the single-runtime stack of
 // internal/live — same runtime, same admission path — and the
@@ -34,7 +33,7 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrDraining is returned by Submit/SubmitBatch once Drain has begun.
+// ErrDraining is returned by every Submit* entry point once Drain has begun.
 var ErrDraining = errors.New("cluster: draining; no new jobs accepted")
 
 // Config describes one sharded cluster.
@@ -163,13 +162,12 @@ func (s *Shard) Result() live.Result { return s.rt.Result() }
 
 // Router is a running sharded cluster: the shards plus the placement
 // state and the global job-ID table. The table (idx) is lock-free for
-// readers — Job, ShardOf and Jobs never take a mutex. Writers split by
-// mode: the direct (non-firehose) submission path and migration
-// serialize on mu; the firehose path serializes only the placement
-// decision on the narrow placeMu and fans the rest out over per-shard
-// intake locks, so concurrent producers targeting different shards
-// never contend. The per-shard runtimes do their own (finer-grained)
-// locking.
+// readers — Job, ShardOf and Jobs never take a mutex. Every submission
+// and every migration serializes its routing decision on the one lock
+// mu; in firehose mode the lock covers nothing but that decision and the
+// rest fans out over per-shard intake locks, so concurrent producers
+// targeting different shards only meet at placement. The per-shard
+// runtimes do their own (finer-grained) locking.
 type Router struct {
 	shards    []*Shard
 	placement Placement
@@ -179,13 +177,22 @@ type Router struct {
 	// (index.go): gid → (shard, runtime-local ID), plus the global-ID
 	// allocator. Reads are lock-free.
 	idx jobIndex
-	// draining flips once under both submission locks; readers
-	// (Draining, the firehose fast path) load it lock-free.
+	// draining flips once under mu; readers load it lock-free.
 	draining atomic.Bool
 
+	// mu is the submission lock. It guards the placement policy's state
+	// and everything below up to shardBuf.
 	mu      sync.Mutex
-	local2g [][]int // per shard: local job ID → global ID, -1 gaps
-	staged  []int   // scratch: per-shard count of the batch being placed
+	local2g [][]int // per shard: local job ID → global ID, -1 gaps (direct mode only)
+	// loads is the load snapshot placement scores against and loadsLeft
+	// the jobs it still covers before the next refresh (see refreshLoads).
+	loads     []live.Load
+	loadsLeft int
+	// scoreBuf is the audit's per-batch score buffer (nil without
+	// auditing, so unaudited ingest computes no scores).
+	scoreBuf []float64
+	// shardBuf holds a batch bucketed by shard for direct delivery.
+	shardBuf []live.JobSpec
 
 	// migrations counts in-flight Migrate calls. A migration registers
 	// itself under mu while not draining; Drain flips the flag and then
@@ -196,58 +203,53 @@ type Router struct {
 	stolen     atomic.Int64 // total jobs migrated by Migrate
 
 	// audit is the bounded decision ring (nil — recording a no-op —
-	// unless Config.AuditDepth > 0); scoreBuf is its preallocated
-	// per-Pick score buffer, guarded by mu like the rest of placement.
-	audit    *obs.AuditRing
-	scoreBuf []float64
+	// unless Config.AuditDepth > 0).
+	audit *obs.AuditRing
 	// onMigrate, if set (before Start; see OnMigrate), observes each
 	// successful migration's realized size and wall latency.
 	onMigrate func(moved int, latencySeconds float64)
 
-	// Batched-admission scratch, all guarded by mu: loadsBuf backs
-	// loadsInto, outBuf holds PickBatch's placements, shardBufs gathers
-	// each shard's slice of a batch for direct admission, shardBase and
-	// shardCursor map placement order back to runtime-local IDs.
-	loadsBuf    []live.Load
-	outBuf      []int
-	shardBufs   [][]live.JobSpec
-	shardBase   []int
-	shardCursor []int
-
-	// Firehose state (nil/unused without Config.Firehose). placeMu is
-	// the concurrent ingest path's only cluster-wide lock, and it covers
-	// nothing but the placement decision: the draining check, the
-	// epoch-cached load snapshot, one PickBatch, the audit record and
-	// the global-ID allocation. Local-ID prediction and slab fills
-	// happen after it, under per-shard intake locks (intake.appendRun).
-	// enqueues counts batches between that decision and their last slab
+	// Firehose state (nil/unused without Config.Firehose). enqueues
+	// counts batches between their placement decision and their last slab
 	// flush; Drain waits it out before closing the intake so the final
 	// take sees every slab. The drivers run each shard's Wait so the
-	// worlds execute while producers feed, and fhJoin collects them
-	// once.
-	fh          *intake
-	placeMu     sync.Mutex
-	enqueues    sync.WaitGroup
-	fhStaged    []int       // per-shard count of the batch being placed
-	fhScores    []float64   // audit score scratch (nil without auditing)
-	fhLoads     []live.Load // epoch-cached load snapshot (see refreshLoads)
-	fhLoadsLeft int         // jobs until the cache refreshes (one slab window)
-	fhBatchPool sync.Pool   // *fhBatch scratch carried past placeMu
-	fhStart     sync.Once
-	fhJoin      sync.Once
-	fhErrs      chan error
-	fhErr       error
+	// worlds execute while producers feed, and fhJoin collects them once.
+	fh       *intake
+	enqueues sync.WaitGroup
+	fhStart  sync.Once
+	fhJoin   sync.Once
+	fhErrs   chan error
+	fhErr    error
 }
 
-// fhBatch is one firehose batch's scratch: the placement vector and the
-// per-shard bookkeeping a producer carries from the placement critical
-// section into the per-shard append stage. Pooled so the steady-state
-// ingest path allocates nothing.
-type fhBatch struct {
+// batch is one submission's scratch: the placement vector and the
+// per-shard bookkeeping that travels from the placement decision to
+// delivery and publication.
+type batch struct {
 	out    []int // placement per job, batch order
 	counts []int // per shard: jobs this batch placed there
-	bases  []int // per shard: the batch's runtime-local ID base
-	cursor []int // per shard: scratch for index publication
+	bases  []int // per shard: the next runtime-local ID of the batch's run there
+}
+
+// batchPool recycles batch scratch — a firehose submission carries it
+// past the router lock — so the steady-state ingest path allocates
+// nothing. It is shared by every router: getBatch resizes on checkout.
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// getBatch checks out scratch for a count-job batch over k shards, with
+// counts zeroed.
+func getBatch(k, count int) *batch {
+	b := batchPool.Get().(*batch)
+	if cap(b.counts) < k {
+		b.counts, b.bases = make([]int, k), make([]int, k)
+	}
+	b.counts, b.bases = b.counts[:k], b.bases[:k]
+	clear(b.counts)
+	if cap(b.out) < count {
+		b.out = make([]int, count)
+	}
+	b.out = b.out[:count]
+	return b
 }
 
 // New partitions the platform, builds one live runtime per shard and
@@ -284,33 +286,17 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	r := &Router{
-		placement:   placement,
-		partition:   strategy,
-		staged:      make([]int, k),
-		local2g:     make([][]int, k),
-		loadsBuf:    make([]live.Load, k),
-		shardBufs:   make([][]live.JobSpec, k),
-		shardBase:   make([]int, k),
-		shardCursor: make([]int, k),
+		placement: placement,
+		partition: strategy,
+		local2g:   make([][]int, k),
+		loads:     make([]live.Load, k),
 	}
 	if cfg.Firehose != nil {
 		r.fh = newIntake(*cfg.Firehose, k)
-		r.fhStaged = make([]int, k)
-		r.fhLoads = make([]live.Load, k)
-		r.fhBatchPool.New = func() any {
-			return &fhBatch{
-				counts: make([]int, k),
-				bases:  make([]int, k),
-				cursor: make([]int, k),
-			}
-		}
 	}
 	if cfg.AuditDepth > 0 {
 		r.audit = obs.NewAuditRing(cfg.AuditDepth, k)
 		r.scoreBuf = make([]float64, k)
-		if r.fh != nil {
-			r.fhScores = make([]float64, k)
-		}
 	}
 	for i, part := range parts {
 		tracker := live.NewTracker()
@@ -395,156 +381,100 @@ func (r *Router) Jobs() int {
 
 // Submit places one job and returns its global ID.
 func (r *Router) Submit(spec live.JobSpec) (int, error) {
-	ids, err := r.SubmitBatch(spec, 1)
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
+	return r.submit(nil, spec, 1)
 }
 
 // SubmitBatch places count identical jobs and returns their global IDs
-// in placement order. Placement decisions are made per job (so
-// least-loaded and het-aware spread a batch), but each shard receives
-// its slice of the batch as a single batched admission — one runtime
-// critical section per shard per batch, preserving the PR-4 ingest
-// contract.
+// in placement order — the consecutive range SubmitRange would return,
+// expanded.
 func (r *Router) SubmitBatch(spec live.JobSpec, count int) ([]int, error) {
-	if count <= 0 {
-		return nil, nil
+	base, err := r.submit(nil, spec, count)
+	if err != nil || count <= 0 {
+		return nil, err
 	}
-	if r.fh != nil {
-		// Firehose mode: every admission goes through the intake (the
-		// drain source must stay each shard's sole submitter), and the
-		// batched path guarantees consecutive global IDs.
-		base, err := r.submitBatched(nil, spec, count)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]int, count)
-		for i := range ids {
-			ids[i] = base + i
-		}
-		return ids, nil
+	ids := make([]int, count)
+	for i := range ids {
+		ids[i] = base + i
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.draining.Load() {
-		return nil, ErrDraining
-	}
-	for i := range r.staged {
-		r.staged[i] = 0
-	}
-	// One Load snapshot per shard per batch: placement sees consistent
-	// loads plus its own staged decisions, and the routing hot path does
-	// k mutex round-trips per batch instead of k per job.
-	loads := r.Loads()
-	// When auditing, one wall timestamp per batch (not per job) and the
-	// global ID base every decision in this batch counts up from.
-	var wall int64
-	gidBase := r.idx.alloc(count)
-	if r.audit != nil {
-		wall = time.Now().UnixNano()
-	}
-	placements := make([]int, count)
-	for i := range placements {
-		if r.scoreBuf != nil {
-			for j := range r.scoreBuf {
-				r.scoreBuf[j] = math.NaN()
-			}
-		}
-		s := r.placement.Pick(r.shards, loads, r.staged, spec, r.scoreBuf)
-		if s < 0 || s >= len(r.shards) {
-			panic(fmt.Sprintf("cluster: placement %s picked shard %d of %d", r.placement.Name(), s, len(r.shards)))
-		}
-		placements[i] = s
-		r.staged[s]++
-		if r.audit != nil {
-			r.audit.Record(obs.Decision{
-				Wall:   wall,
-				Kind:   obs.DecisionPlace,
-				Policy: r.placement.Name(),
-				Job:    gidBase + i,
-				From:   -1,
-				To:     s,
-				Scores: sanitizeScores(r.scoreBuf, s),
-			})
-		}
-	}
-	locals := make([][]int, len(r.shards))
-	for s, n := range r.staged {
-		if n > 0 {
-			locals[s] = r.shards[s].rt.SubmitBatch(spec, n)
-		}
-	}
-	gids := make([]int, count)
-	cursor := make([]int, len(r.shards))
-	for i, s := range placements {
-		local := locals[s][cursor[s]]
-		gids[i] = gidBase + i
-		r.idx.set(gids[i], s, local)
-		r.indexLocal(s, local, gids[i])
-		cursor[s]++
-	}
-	return gids, nil
+	return ids, nil
 }
 
-// SubmitRange places count identical jobs through the batched admission
-// path and returns the first global ID; the batch occupies the
-// consecutive range [base, base+count). One PickBatch call scores the
-// whole batch, one decision is audited for it, and nothing per-job is
-// allocated — the firehose's jobs-in-IDs-out contract.
+// SubmitRange places count identical jobs and returns the first global
+// ID; the batch occupies the consecutive range [base, base+count).
+// Nothing per-job is allocated — the firehose's jobs-in-IDs-out contract.
 func (r *Router) SubmitRange(spec live.JobSpec, count int) (int, error) {
+	return r.submit(nil, spec, count)
+}
+
+// SubmitSpecs places a batch of heterogeneous jobs and returns the first
+// global ID (the batch occupies [base, base+len(specs))). The caller
+// keeps ownership of specs; any IDs in them are ignored.
+func (r *Router) SubmitSpecs(specs []live.JobSpec) (int, error) {
+	return r.submit(specs, live.JobSpec{}, len(specs))
+}
+
+// submit is the one admission path behind every exported entry point: a
+// batch of count jobs — specs when non-nil, else count copies of spec; a
+// single job is a batch of one. The stages, in order:
+//
+//  1. reserve (firehose only) — block on the intake's depth bound,
+//     before any lock, so backpressure never stalls lookups or other
+//     producers.
+//  2. decide, under mu — the draining check, the load snapshot, one
+//     PickBatch, the atomic global-ID range allocation and one audited
+//     decision for the whole batch. Because every batch allocates its
+//     ID range inside the critical section that ordered its placement,
+//     ID order is exactly arrival order — the sequencer contract the
+//     stream endpoint's acks rely on.
+//  3. deliver — the only mode-dependent step. Direct: still under mu,
+//     each touched shard's runtime admits its slice of the batch in one
+//     critical section. Firehose: after mu, one intake-lock hold per
+//     touched shard reserves the shard's next runtime-local IDs and
+//     appends the slice to its queue (intake.appendRun); producers whose
+//     batches land on disjoint shards run this stage in parallel.
+//  4. publish — the global table entries are stored (lock-free) and the
+//     batch's base returns to the caller. A concurrent Job lookup
+//     between allocation and publication sees "queued", never "unknown".
+func (r *Router) submit(specs []live.JobSpec, spec live.JobSpec, count int) (int, error) {
 	if count <= 0 {
 		return 0, nil
 	}
-	return r.submitBatched(nil, spec, count)
-}
-
-// SubmitSpecs places a batch of heterogeneous jobs through the batched
-// admission path and returns the first global ID (the batch occupies
-// [base, base+len(specs))). The caller keeps ownership of specs; any
-// IDs in them are ignored.
-func (r *Router) SubmitSpecs(specs []live.JobSpec) (int, error) {
-	if len(specs) == 0 {
-		return 0, nil
-	}
-	return r.submitBatched(specs, live.JobSpec{}, len(specs))
-}
-
-// submitBatched is the shared batched-admission core behind SubmitRange
-// and SubmitSpecs (and SubmitBatch in firehose mode): one PickBatch per
-// batch, one audited decision amortized over the batch, global IDs
-// assigned consecutively. In firehose mode the batch goes through the
-// concurrent intake path (submitFirehose); otherwise each shard
-// receives its slice of the batch as one direct batched admission under
-// the router lock.
-func (r *Router) submitBatched(specs []live.JobSpec, spec live.JobSpec, count int) (int, error) {
 	if r.fh != nil {
-		return r.submitFirehose(specs, spec, count)
+		if err := r.fh.reserve(count); err != nil {
+			return 0, err
+		}
 	}
+	b := getBatch(len(r.shards), count)
+	defer batchPool.Put(b)
+	if specs != nil {
+		spec = specs[0]
+	}
+
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.draining.Load() {
+		r.mu.Unlock()
+		if r.fh != nil {
+			r.fh.release(count)
+		}
 		return 0, ErrDraining
 	}
-	for i := range r.staged {
-		r.staged[i] = 0
+	if r.loadsLeft <= 0 {
+		r.refreshLoads()
 	}
-	loads := r.loadsInto()
-	if cap(r.outBuf) < count {
-		r.outBuf = make([]int, count)
+	r.loadsLeft -= count
+	for j := range r.scoreBuf {
+		r.scoreBuf[j] = math.NaN()
 	}
-	out := r.outBuf[:count]
-	if r.scoreBuf != nil {
-		for j := range r.scoreBuf {
-			r.scoreBuf[j] = math.NaN()
-		}
+	r.placement.PickBatch(r.shards, r.loads, b.counts, spec, count, b.out, r.scoreBuf)
+	if b.out[0] < 0 || b.out[0] >= len(r.shards) {
+		panic(fmt.Sprintf("cluster: placement %s picked shard %d of %d", r.placement.Name(), b.out[0], len(r.shards)))
 	}
-	if specs != nil {
-		spec = specs[0]
-	}
-	r.placement.PickBatch(r.shards, loads, r.staged, spec, count, out, r.scoreBuf)
 	base := r.idx.alloc(count)
+	for s, n := range b.counts {
+		// Keep the snapshot causal inside its window: later batches see
+		// this batch's placements without re-reading loads.
+		r.loads[s].Submitted += n
+	}
 	if r.audit != nil {
 		r.audit.Record(obs.Decision{
 			Wall:    time.Now().UnixNano(),
@@ -552,221 +482,115 @@ func (r *Router) submitBatched(specs []live.JobSpec, spec live.JobSpec, count in
 			Policy:  r.placement.Name(),
 			Job:     base,
 			From:    -1,
-			To:      out[0],
+			To:      b.out[0],
 			Planned: count,
 			N:       count,
-			Scores:  sanitizeBatchScores(r.scoreBuf),
+			Scores:  sanitizeScores(r.scoreBuf),
 		})
 	}
-	if out[0] < 0 || out[0] >= len(r.shards) {
-		panic(fmt.Sprintf("cluster: placement %s batch-picked shard %d of %d", r.placement.Name(), out[0], len(r.shards)))
+	if r.fh == nil {
+		r.deliverDirect(b, specs, spec)
+		r.publish(b, base)
+		r.mu.Unlock()
+		return base, nil
 	}
-	for s, n := range r.staged {
-		if n > 0 {
-			if cap(r.shardBufs[s]) < n {
-				r.shardBufs[s] = make([]live.JobSpec, 0, max(n, 256))
-			}
-			r.shardBufs[s] = r.shardBufs[s][:0]
-		}
-	}
-	for i := 0; i < count; i++ {
-		s := out[i]
-		sp := spec
-		if specs != nil {
-			sp = specs[i]
-		}
-		r.shardBufs[s] = append(r.shardBufs[s], sp)
-	}
-	for s, n := range r.staged {
-		r.shardCursor[s] = 0
-		if n > 0 {
-			r.shardBase[s] = r.shards[s].rt.SubmitSpecs(r.shardBufs[s])
-		}
-	}
-	for i := 0; i < count; i++ {
-		s := out[i]
-		local := r.shardBase[s] + r.shardCursor[s]
-		r.shardCursor[s]++
-		r.idx.set(base+i, s, local)
-		r.indexLocal(s, local, base+i)
-	}
-	return base, nil
-}
-
-// submitFirehose is the concurrent intake path: the only cluster-wide
-// serialization a batch pays is the placement decision itself. The
-// stages, in order:
-//
-//  1. reserve — block on the intake's depth bound, before any lock, so
-//     backpressure never stalls lookups or other producers.
-//  2. placeMu — the draining check, an epoch-cached load snapshot
-//     (refreshed once per slab window, not re-read per batch), one
-//     PickBatch, the audit record and the atomic global-ID range
-//     allocation. Because every batch allocates its ID range inside
-//     the same critical section that ordered its placement, ID order
-//     is exactly arrival order — the sequencer contract the stream
-//     endpoint's acks rely on.
-//  3. per-shard appendRun — for each shard the batch touches, one
-//     intake-lock hold reserves the shard's next runtime-local IDs and
-//     appends the batch's specs in batch order. Reserving and
-//     appending under the same shard lock is what keeps the drain
-//     loop's local-ID prediction exact: a shard's queue order is its
-//     local-ID order by construction, whatever the interleaving of
-//     producers across shards.
-//  4. publish — the global table entries are stored (lock-free) and
-//     the batch's base returns to the caller. A concurrent Job lookup
-//     between allocation and publication sees "queued", never
-//     "unknown".
-func (r *Router) submitFirehose(specs []live.JobSpec, spec live.JobSpec, count int) (int, error) {
-	if err := r.fh.reserve(count); err != nil {
-		return 0, err
-	}
-	b := r.fhBatchPool.Get().(*fhBatch)
-	if cap(b.out) < count {
-		b.out = make([]int, count)
-	}
-	out := b.out[:count]
-	if specs != nil {
-		spec = specs[0]
-	}
-
-	r.placeMu.Lock()
-	if r.draining.Load() {
-		r.placeMu.Unlock()
-		r.fhBatchPool.Put(b)
-		r.fh.release(count)
-		return 0, ErrDraining
-	}
-	// Registering under placeMu while not draining is what lets Drain
-	// wait out every in-flight append before closing the intake.
+	// Registering under mu while not draining is what lets Drain wait out
+	// every in-flight append before closing the intake.
 	r.enqueues.Add(1)
-	if r.fhLoadsLeft <= 0 {
-		r.refreshLoadsLocked()
-	}
-	r.fhLoadsLeft -= count
-	for i := range r.fhStaged {
-		r.fhStaged[i] = 0
-	}
-	if r.fhScores != nil {
-		for j := range r.fhScores {
-			r.fhScores[j] = math.NaN()
-		}
-	}
-	r.placement.PickBatch(r.shards, r.fhLoads, r.fhStaged, spec, count, out, r.fhScores)
-	if out[0] < 0 || out[0] >= len(r.shards) {
-		panic(fmt.Sprintf("cluster: placement %s batch-picked shard %d of %d", r.placement.Name(), out[0], len(r.shards)))
-	}
-	base := r.idx.alloc(count)
-	for s, n := range r.fhStaged {
-		b.counts[s] = n
-		// Keep the cached snapshot causal inside its window: later
-		// batches see this batch's placements without re-reading loads.
-		if n > 0 {
-			r.fhLoads[s].Submitted += n
-		}
-	}
-	if r.audit != nil {
-		r.audit.Record(obs.Decision{
-			Wall:    time.Now().UnixNano(),
-			Kind:    obs.DecisionPlace,
-			Policy:  r.placement.Name(),
-			Job:     base,
-			From:    -1,
-			To:      out[0],
-			Planned: count,
-			N:       count,
-			Scores:  sanitizeBatchScores(r.fhScores),
-		})
-	}
-	r.placeMu.Unlock()
-
-	// Per-shard stage: one intake-lock hold per touched shard reserves
-	// its local-ID run and appends this batch's specs in batch order.
-	// Producers whose batches land on disjoint shards run this stage
-	// fully in parallel.
+	r.mu.Unlock()
 	for s, n := range b.counts {
 		if n > 0 {
-			b.bases[s] = r.fh.appendRun(s, n, out, specs, spec)
+			b.bases[s] = r.fh.appendRun(s, n, b.out, specs, spec)
 		}
 	}
-	// Publish the global table entries (lock-free stores). The i-th job
-	// of the batch placed on shard s is the batch's cursor[s]-th job
-	// there, so its runtime-local ID is the shard's reserved base plus
-	// that cursor — the same arithmetic the drain loop's sole-submitter
-	// invariant pins.
-	for i := range b.cursor {
-		b.cursor[i] = 0
-	}
-	for i, s := range out {
-		r.idx.set(base+i, s, b.bases[s]+b.cursor[s])
-		b.cursor[s]++
-	}
+	r.publish(b, base)
 	r.enqueues.Done()
-	r.fhBatchPool.Put(b)
 	return base, nil
 }
 
-// refreshLoadsLocked re-reads every shard's load into the epoch cache
-// and folds in the intake backlog, arming the cache for one slab window
-// of placements. Between refreshes, placement scores against the cache
-// plus its own accumulated decisions — the snapshot drifts by at most
+// deliverDirect admits a placed batch straight into the shard runtimes:
+// each touched shard receives its slice, in batch order, as one
+// SubmitSpecs critical section. The batch is bucketed by shard in one
+// pass, b.bases serving as each shard's write cursor into shardBuf
+// until the runtime's base replaces it. Caller holds r.mu.
+func (r *Router) deliverDirect(b *batch, specs []live.JobSpec, spec live.JobSpec) {
+	if cap(r.shardBuf) < len(b.out) {
+		r.shardBuf = make([]live.JobSpec, len(b.out))
+	}
+	buf := r.shardBuf[:len(b.out)]
+	off := 0
+	for s, n := range b.counts {
+		b.bases[s] = off
+		off += n
+	}
+	for i, s := range b.out {
+		if specs != nil {
+			spec = specs[i]
+		}
+		buf[b.bases[s]] = spec
+		b.bases[s]++
+	}
+	for s, n := range b.counts {
+		if n > 0 {
+			end := b.bases[s]
+			b.bases[s] = r.shards[s].rt.SubmitSpecs(buf[end-n : end])
+		}
+	}
+}
+
+// publish stores a delivered batch's global table entries. The i-th job
+// of the batch placed on shard s is the next job of the batch's run
+// there, so its runtime-local ID is the shard's base advanced once per
+// job — the same arithmetic the drain loop's sole-submitter invariant
+// pins. In direct mode (caller holds r.mu) it also records the reverse
+// mapping Migrate needs.
+func (r *Router) publish(b *batch, base int) {
+	for i, s := range b.out {
+		local := b.bases[s]
+		b.bases[s]++
+		r.idx.set(base+i, s, local)
+		if r.fh == nil {
+			r.indexLocal(s, local, base+i)
+		}
+	}
+}
+
+// refreshLoads re-reads every shard's load into the snapshot placement
+// scores against. Direct submissions refresh per batch. Firehose
+// submissions fold in the intake backlog and arm the snapshot for one
+// slab window of placements: between refreshes placement scores against
+// the snapshot plus its own accumulated decisions, drifting by at most
 // one window from the runtimes' ground truth, which load-sensitive
-// policies tolerate by design (they already raced completions under the
-// old always-fresh snapshot). Caller holds placeMu.
-func (r *Router) refreshLoadsLocked() {
+// policies tolerate by design (they race completions either way).
+// Caller holds r.mu.
+func (r *Router) refreshLoads() {
 	for i, s := range r.shards {
-		r.fhLoads[i] = s.rt.Load()
-		r.fhLoads[i].Submitted += int(r.fh.shards[i].queued.Load())
+		r.loads[i] = s.rt.Load()
 	}
-	r.fhLoadsLeft = r.fh.slabSize
+	r.loadsLeft = 0
+	if r.fh != nil {
+		for i := range r.loads {
+			r.loads[i].Submitted += int(r.fh.shards[i].queued.Load())
+		}
+		r.loadsLeft = r.fh.slabSize
+	}
 }
 
-// loadsInto snapshots every shard's progress into the router's scratch
-// (the placement path's Loads without the allocation). Caller holds
-// r.mu; firehose batches use the epoch-cached snapshot instead (see
-// refreshLoadsLocked).
-func (r *Router) loadsInto() []live.Load {
-	for i, s := range r.shards {
-		r.loadsBuf[i] = s.rt.Load()
-	}
-	return r.loadsBuf
-}
-
-// sanitizeBatchScores prepares a PickBatch score snapshot for the
-// audit: nil when the policy ranked nothing (the buffer is still all
-// NaN sentinels), otherwise remaining NaN slots (shards the policy
-// skipped as dead) become -1, as in sanitizeScores.
-func sanitizeBatchScores(scores []float64) []float64 {
-	if scores == nil {
-		return nil
-	}
-	any := false
+// sanitizeScores prepares a PickBatch score snapshot for the audit: nil
+// when the policy ranked nothing (round-robin, pinned: the buffer is
+// still all NaN sentinels), otherwise remaining NaN slots (shards the
+// policy skipped as dead) become -1 — an impossible value for the
+// non-negative real scores, and JSON-representable where NaN is not. The
+// buffer is reused per batch; the audit ring copies it on Record.
+func sanitizeScores(scores []float64) []float64 {
+	ranked := false
 	for _, v := range scores {
 		if !math.IsNaN(v) {
-			any = true
+			ranked = true
 			break
 		}
 	}
-	if !any {
-		return nil
-	}
-	for i, v := range scores {
-		if math.IsNaN(v) {
-			scores[i] = -1
-		}
-	}
-	return scores
-}
-
-// sanitizeScores prepares a Pick score buffer for the audit: a policy
-// that ranks nothing (round-robin, pinned) leaves the chosen shard's
-// slot at the NaN sentinel, so the decision carries no scores at all;
-// otherwise any shard the policy skipped (declared dead) has its NaN
-// replaced by -1 — an impossible value for the non-negative real scores,
-// and JSON-representable where NaN is not. The buffer is reused per
-// Pick; the audit ring copies it on Record.
-func sanitizeScores(scores []float64, chosen int) []float64 {
-	if scores == nil || math.IsNaN(scores[chosen]) {
+	if !ranked {
 		return nil
 	}
 	for i, v := range scores {
@@ -1004,14 +828,10 @@ func (r *Router) Migrate(from, to, n int) int {
 // drained and returns the first shard error, if any. Safe to call more
 // than once.
 func (r *Router) Drain() error {
-	// Flip the flag under both submission locks: a direct submission
-	// holding mu (or a firehose batch inside its placement section)
-	// completes first, and everything after sees the flag. The two locks
-	// are never held together anywhere else, so the nesting is safe.
+	// Flip the flag under the submission lock: a submission inside its
+	// critical section completes first, and everything after sees the flag.
 	r.mu.Lock()
-	r.placeMu.Lock()
 	r.draining.Store(true)
-	r.placeMu.Unlock()
 	r.mu.Unlock()
 	// Migrations registered before the flag flipped may still be
 	// re-homing stolen jobs; new ones can no longer begin. Wait them out
@@ -1020,7 +840,7 @@ func (r *Router) Drain() error {
 	// submitted to a master that already exited.
 	r.migrations.Wait()
 	if r.fh != nil {
-		// Wait out in-flight firehose batches (registered under placeMu
+		// Wait out in-flight firehose batches (registered under mu
 		// before the flag flipped): every one of their slab flushes
 		// happens-before the close below, so the drain sources' final
 		// post-close take observes every enqueued job. Producers still

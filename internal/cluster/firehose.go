@@ -2,7 +2,7 @@ package cluster
 
 // Firehose intake: the pure-throughput admission path. Producers never
 // touch a shard runtime directly — they place a whole batch under the
-// router's narrow placement lock, then append the specs to per-shard
+// router's submission lock, then append the specs to per-shard
 // MPSC queues built from pooled slabs under per-shard intake locks
 // (appendRun), and return. Producers whose batches land on disjoint
 // shards only meet at the placement decision; the append stage runs in
@@ -45,27 +45,23 @@ type FirehoseConfig struct {
 	// SlabSize is the number of jobs per pooled admission slab; 0 means
 	// 512. A drained slab is one runtime critical section.
 	SlabSize int
-	// PollModelSeconds is the drain source's re-check cadence, in model
-	// seconds, while its shard still has outstanding work (when the shard
-	// is idle the source parks on a wake channel instead and costs
-	// nothing). 0 means 0.01.
-	PollModelSeconds float64
-	// AdmitWindow bounds each shard runtime's outstanding population:
-	// the drain source stops admitting slabs while the shard holds this
-	// many uncompleted jobs, keeping the bulk backlog in O(1)-append
-	// intake slabs instead of the master's ledgers. The scheduler's
-	// per-dispatch work grows with the in-runtime queue (LS folds each
-	// slave's assigned backlog), so unbounded admission turns a
-	// million-job ingest quadratic; the window keeps per-job cost flat.
-	// 0 means 1024; negative disables the window.
-	AdmitWindow int
 }
 
 const (
 	defaultFirehoseDepth = 65536
 	defaultSlabSize      = 512
-	defaultPollModel     = 0.01
-	defaultAdmitWindow   = 1024
+	// drainPoll is the drain source's re-check cadence, in model seconds,
+	// while its shard still has outstanding work (when the shard is idle
+	// the source parks on a wake channel instead and costs nothing).
+	drainPoll = 0.01
+	// admitWindow bounds each shard runtime's outstanding population: the
+	// drain source stops admitting slabs while the shard holds this many
+	// uncompleted jobs, keeping the bulk backlog in O(1)-append intake
+	// slabs instead of the master's ledgers. The scheduler's per-dispatch
+	// work grows with the in-runtime queue (LS folds each slave's assigned
+	// backlog), so unbounded admission turns a million-job ingest
+	// quadratic; the window keeps per-job cost flat.
+	admitWindow = 1024
 	// slabPoolCap bounds the recycled-slab stack; beyond it slabs are
 	// dropped to the GC (the pool only needs to cover queue depth).
 	slabPoolCap = 64
@@ -98,8 +94,6 @@ type fhShard struct {
 type intake struct {
 	bound    int
 	slabSize int
-	poll     float64
-	window   int
 
 	// qmu guards the total depth and the closed flag; qcond wakes
 	// producers blocked on the bound.
@@ -125,8 +119,6 @@ func newIntake(cfg FirehoseConfig, shards int) *intake {
 	fh := &intake{
 		bound:    cfg.QueueDepth,
 		slabSize: cfg.SlabSize,
-		poll:     cfg.PollModelSeconds,
-		window:   cfg.AdmitWindow,
 		shards:   make([]fhShard, shards),
 	}
 	if fh.bound <= 0 {
@@ -134,15 +126,6 @@ func newIntake(cfg FirehoseConfig, shards int) *intake {
 	}
 	if fh.slabSize <= 0 {
 		fh.slabSize = defaultSlabSize
-	}
-	if fh.poll <= 0 {
-		fh.poll = defaultPollModel
-	}
-	switch {
-	case fh.window == 0:
-		fh.window = defaultAdmitWindow
-	case fh.window < 0:
-		fh.window = 0 // disabled
 	}
 	fh.qcond = sync.NewCond(&fh.qmu)
 	for i := range fh.shards {
@@ -319,7 +302,7 @@ func (sq *fhShard) takeInto(buf [][]live.JobSpec) [][]live.JobSpec {
 func (fh *intake) drainLoop(r *Router, shard int, src *live.Source) {
 	sq := &fh.shards[shard]
 	rt := r.shards[shard].rt
-	expected := 0 // next runtime-local ID, mirrored by Router.fhNextLocal
+	expected := 0 // next runtime-local ID, mirrored by fhShard.nextLocal
 	spare := make([][]live.JobSpec, 0, 8)
 	// submitAll admits every taken slab, one runtime critical section
 	// each, and recycles the containers. Before each slab it waits out
@@ -334,10 +317,10 @@ func (fh *intake) drainLoop(r *Router, shard int, src *live.Source) {
 			// those yields are the dominant kernel cost at millions of
 			// jobs. Backoff makes each window refill O(log) yields at the
 			// price of slightly lumpier admission timestamps.
-			wait := fh.poll
-			for fh.window > 0 && rt.Load().Outstanding() >= fh.window {
+			wait := drainPoll
+			for rt.Load().Outstanding() >= admitWindow {
 				src.Sleep(wait)
-				if wait < fh.poll*1024 {
+				if wait < drainPoll*1024 {
 					wait *= 2
 				}
 			}
@@ -374,7 +357,7 @@ func (fh *intake) drainLoop(r *Router, shard int, src *live.Source) {
 			<-sq.notify
 			continue
 		}
-		src.Sleep(fh.poll)
+		src.Sleep(drainPoll)
 	}
 }
 
@@ -424,24 +407,4 @@ func (r *Router) FirehoseDepth() int {
 		return 0
 	}
 	return r.fh.depth()
-}
-
-// FirehoseShardQueued returns one shard's enqueued-but-unadmitted job
-// count (0 outside firehose mode) — the allocation-free per-shard gauge
-// reader behind /v1/metrics.
-func (r *Router) FirehoseShardQueued(shard int) int64 {
-	if r.fh == nil || shard < 0 || shard >= len(r.fh.shards) {
-		return 0
-	}
-	return r.fh.shards[shard].queued.Load()
-}
-
-// FirehoseSlabStats returns the slab pool's counters (all 0 outside
-// firehose mode): gets checkouts, hits of them recycled, drops slabs
-// discarded to the GC on a full pool.
-func (r *Router) FirehoseSlabStats() (gets, hits, drops int64) {
-	if r.fh == nil {
-		return 0, 0, 0
-	}
-	return r.fh.poolGets.Load(), r.fh.poolHits.Load(), r.fh.poolDrops.Load()
 }

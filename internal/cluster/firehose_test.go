@@ -231,47 +231,65 @@ func TestSubmitSpecsHeterogeneous(t *testing.T) {
 	}
 }
 
-// TestPickBatchMatchesPick pins batched placement against the per-job
-// path: for every scoring policy, PickBatch over a fixed load snapshot
-// must produce exactly the sequence count successive Picks produce.
-func TestPickBatchMatchesPick(t *testing.T) {
+// TestPickBatchMatchesSinglePicks pins the Placement contract that lets
+// a single job be a batch of one: for every policy, PickBatch(n) over a
+// fixed load snapshot produces exactly the sequence n successive
+// PickBatch(1) calls (carrying staged forward) produce — with every
+// shard live, with some shards declared dead, and with all of them dead.
+func TestPickBatchMatchesSinglePicks(t *testing.T) {
 	pl := fourShardPlatform()
-	for _, name := range PlacementNames() {
-		seq, err := NewPlacement(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bat, err := NewPlacement(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	states := []struct {
+		name string
+		dead []int // shards whose every slave is declared down
+	}{
+		{"all-live", nil},
+		{"dead-shards", []int{0, 2}},
+		{"all-dead", []int{0, 1, 2, 3}},
+	}
+	for _, st := range states {
 		r := testCluster(t, pl, 4, PlacementRoundRobin)
 		shards := r.Shards()
+		for _, s := range st.dead {
+			for _, g := range shards[s].Slaves() {
+				r.SetSlaveLive(g, false)
+			}
+		}
 		loads := []live.Load{
 			{Submitted: 9, Completed: 2},
 			{Submitted: 1, Completed: 1},
 			{Submitted: 5, Completed: 0},
 			{Submitted: 3, Completed: 3},
 		}
-		const count = 64
-		stagedSeq := make([]int, 4)
-		stagedBat := make([]int, 4)
-		want := make([]int, count)
-		for i := range want {
-			s := seq.Pick(shards, loads, stagedSeq, live.JobSpec{}, nil)
-			stagedSeq[s]++
-			want[i] = s
-		}
-		got := make([]int, count)
-		bat.PickBatch(shards, loads, stagedBat, live.JobSpec{}, count, got, nil)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: job %d placed on %d, per-job path placed on %d", name, i, got[i], want[i])
+		for _, name := range PlacementNames() {
+			one, err := NewPlacement(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for s := range stagedSeq {
-			if stagedSeq[s] != stagedBat[s] {
-				t.Fatalf("%s: staged[%d] %d vs %d", name, s, stagedBat[s], stagedSeq[s])
+			bat, err := NewPlacement(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const count = 64
+			stagedOne := make([]int, 4)
+			stagedBat := make([]int, 4)
+			want := make([]int, count)
+			for i := range want {
+				one.PickBatch(shards, loads, stagedOne, live.JobSpec{}, 1, want[i:i+1], nil)
+			}
+			got := make([]int, count)
+			bat.PickBatch(shards, loads, stagedBat, live.JobSpec{}, count, got, nil)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s: job %d placed on %d, single picks placed it on %d", st.name, name, i, got[i], want[i])
+				}
+				if dead := shards[got[i]].LiveSlaves() == 0; dead && len(st.dead) < 4 {
+					t.Fatalf("%s/%s: job %d placed on dead shard %d", st.name, name, i, got[i])
+				}
+			}
+			for s := range stagedOne {
+				if stagedOne[s] != stagedBat[s] {
+					t.Fatalf("%s/%s: staged[%d] %d vs %d", st.name, name, s, stagedBat[s], stagedOne[s])
+				}
 			}
 		}
 		if err := r.Drain(); err != nil {

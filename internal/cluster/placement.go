@@ -9,39 +9,31 @@ import (
 )
 
 // Placement chooses a shard for each incoming job. Implementations are
-// owned by one Router, which serializes every Pick under its submission
-// lock — they need no internal synchronization but must be cheap: Pick
-// runs once per job on the ingest hot path.
+// owned by one Router, which serializes every PickBatch under its
+// submission lock — they need no internal synchronization but must be
+// cheap: PickBatch runs once per batch on the ingest hot path.
 type Placement interface {
 	// Name returns the registry name.
 	Name() string
-	// Pick returns the shard index for one job. loads[i] is shard i's
-	// progress snapshot taken once at the top of the current batch (one
-	// Load per shard per batch, not per job); staged[i] counts jobs of
-	// the current batch already placed on shard i but not yet submitted,
-	// so load-sensitive policies see their own batch's pressure instead
-	// of dog-piling one momentarily-idle shard.
+
+	// PickBatch places count jobs at once (a single job is a batch of
+	// one), filling out[:count] with shard indices. loads[i] is shard i's
+	// progress snapshot as of the top of the batch; staged[i] counts jobs
+	// of the batch already placed on shard i — zero on entry, advanced as
+	// the policy goes — so load-sensitive policies see their own batch's
+	// pressure instead of dog-piling one momentarily-idle shard. Over an
+	// unchanged state, PickBatch(n) places exactly as n successive
+	// PickBatch(1) calls carrying staged forward would; a batch only
+	// amortizes what those would recompute (het-aware takes each shard's
+	// tracker lock once per batch, not once per job).
 	//
 	// scores, when non-nil, is a caller-owned buffer of len(shards) the
-	// policy fills with its per-shard ranking (lower is better) for the
-	// decision audit — every shard's score, chosen and rejected alike.
-	// Policies that rank nothing (round-robin, pinned) leave the buffer
-	// untouched; the router passes nil when auditing is off, so scoring
-	// costs nothing on unaudited ingest.
-	Pick(shards []*Shard, loads []live.Load, staged []int, spec live.JobSpec, scores []float64) int
-
-	// PickBatch places count jobs at once, filling out[:count] with shard
-	// indices and advancing staged as it goes — the firehose admission
-	// path. It must produce the same placement sequence as count
-	// successive Picks over the same state, but may amortize whatever the
-	// per-job path recomputes: het-aware takes each shard's tracker lock
-	// once per batch (serviceRate) instead of once per job per shard, and
-	// no per-job interface dispatch or score buffer touches remain.
-	//
-	// scores, when non-nil, is filled once with the per-shard ranking as
-	// of the top of the batch (the state the whole batch was scored
-	// against) — one audited decision amortized over count jobs. Policies
-	// that rank nothing leave it untouched.
+	// policy fills once with its per-shard ranking (lower is better) as
+	// of the top of the batch — every shard's score, chosen and rejected
+	// alike, for one audited decision amortized over count jobs. Policies
+	// that rank nothing (round-robin, pinned) leave it untouched; the
+	// router passes nil when auditing is off, so scoring costs nothing on
+	// unaudited ingest.
 	PickBatch(shards []*Shard, loads []live.Load, staged []int, spec live.JobSpec, count int, out []int, scores []float64)
 }
 
@@ -114,48 +106,22 @@ type roundRobin struct{ next int }
 
 func (p *roundRobin) Name() string { return PlacementRoundRobin }
 
-func (p *roundRobin) Pick(shards []*Shard, _ []live.Load, _ []int, _ live.JobSpec, _ []float64) int {
-	k := len(shards)
-	for off := 0; off < k; off++ {
-		s := (p.next + off) % k
-		if shards[s].LiveSlaves() > 0 {
-			p.next = (s + 1) % k
-			return s
-		}
-	}
-	s := p.next
-	p.next = (p.next + 1) % k
-	return s
-}
-
-// PickBatch cycles exactly as count successive Picks would, skipping
-// dead shards; when every shard is down it degrades to the same blind
-// cycle as Pick.
+// PickBatch cycles through the shards, skipping dead ones; when every
+// shard is down the skip wraps back to where it began — the blind cycle.
 func (p *roundRobin) PickBatch(shards []*Shard, _ []live.Load, staged []int, _ live.JobSpec, count int, out []int, _ []float64) {
 	k := len(shards)
 	for n := 0; n < count; n++ {
-		anyLive := false
-		for i := range shards {
-			if shards[i].LiveSlaves() > 0 {
-				anyLive = true
-				break
+		s := p.next
+		for off := 0; off < k && shards[s].LiveSlaves() == 0; off++ {
+			if s++; s == k {
+				s = 0
 			}
 		}
-		if !anyLive {
-			out[n] = p.next
-			p.next = (p.next + 1) % k
-			staged[out[n]]++
-			continue
+		if p.next = s + 1; p.next == k {
+			p.next = 0
 		}
-		for {
-			s := p.next
-			p.next = (s + 1) % k
-			if shards[s].LiveSlaves() > 0 {
-				out[n] = s
-				staged[s]++
-				break
-			}
-		}
+		out[n] = s
+		staged[s]++
 	}
 }
 
@@ -163,29 +129,9 @@ type leastLoaded struct{}
 
 func (leastLoaded) Name() string { return PlacementLeastLoaded }
 
-func (leastLoaded) Pick(shards []*Shard, loads []live.Load, staged []int, _ live.JobSpec, scores []float64) int {
-	best, bestLoad := -1, 0
-	for pass := 0; pass < 2 && best < 0; pass++ {
-		for i := range loads {
-			if pass == 0 && shards[i].LiveSlaves() == 0 {
-				continue
-			}
-			load := loads[i].Outstanding() + staged[i]
-			if scores != nil {
-				scores[i] = float64(load)
-			}
-			if best < 0 || load < bestLoad {
-				best, bestLoad = i, load
-			}
-		}
-	}
-	return best
-}
-
-// PickBatch is the argmin loop of Pick run count times with the staged
-// counters advanced in place — Outstanding() is pure arithmetic on the
-// batch-top snapshot, so there is nothing per-job to amortize beyond
-// dropping the interface dispatch and score writes.
+// PickBatch runs the argmin over outstanding + staged once per job with
+// the staged counters advanced in place — Outstanding() is pure
+// arithmetic on the batch-top snapshot.
 func (leastLoaded) PickBatch(shards []*Shard, loads []live.Load, staged []int, _ live.JobSpec, count int, out []int, scores []float64) {
 	if scores != nil {
 		for i := range loads {
@@ -217,37 +163,14 @@ type hetAware struct{ rates []float64 }
 
 func (*hetAware) Name() string { return PlacementHetAware }
 
-// Pick minimizes expected completion time (outstanding + 1) / rate_i.
-// The job's own scale knobs multiply its cost identically on every
-// shard, so they never change the argmin and are ignored. Ties break on
-// the lowest shard index, keeping placement deterministic for a given
-// load state.
-func (*hetAware) Pick(shards []*Shard, loads []live.Load, staged []int, _ live.JobSpec, scores []float64) int {
-	best, bestECT := -1, 0.0
-	for pass := 0; pass < 2 && best < 0; pass++ {
-		for i, sh := range shards {
-			if pass == 0 && sh.LiveSlaves() == 0 {
-				continue
-			}
-			backlog := float64(loads[i].Outstanding() + staged[i] + 1)
-			ect := backlog / sh.serviceRate(loads[i])
-			if scores != nil {
-				scores[i] = ect
-			}
-			if best < 0 || ect < bestECT {
-				best, bestECT = i, ect
-			}
-		}
-	}
-	return best
-}
-
-// PickBatch is where batching pays for het-aware: serviceRate takes the
-// shard tracker's lock, and the per-job path pays that lock k times per
-// job. Here every rate is sampled once at the top of the batch — count
-// jobs then place against pure arithmetic. Rates drift only with
-// completions, so a batch scored against one sample places exactly as
-// count Picks against an unchanged snapshot would.
+// PickBatch minimizes expected completion time (outstanding + 1) /
+// rate_i per job. The job's own scale knobs multiply its cost
+// identically on every shard, so they never change the argmin and are
+// ignored. Ties break on the lowest shard index, keeping placement
+// deterministic for a given load state. serviceRate takes the shard
+// tracker's lock, so every rate is sampled once at the top of the batch
+// and count jobs then place against pure arithmetic; rates drift only
+// with completions, which the batch-top snapshot does not see either.
 func (h *hetAware) PickBatch(shards []*Shard, loads []live.Load, staged []int, _ live.JobSpec, count int, out []int, scores []float64) {
 	k := len(shards)
 	if cap(h.rates) < k {
@@ -284,20 +207,16 @@ type pinned struct{}
 
 func (pinned) Name() string { return PlacementPinned }
 
-func (pinned) Pick(shards []*Shard, _ []live.Load, _ []int, _ live.JobSpec, _ []float64) int {
+// PickBatch pins the whole batch on the first live shard (shard 0 when
+// every shard is down), resolved once per batch.
+func (pinned) PickBatch(shards []*Shard, _ []live.Load, staged []int, _ live.JobSpec, count int, out []int, _ []float64) {
+	s := 0
 	for i := range shards {
 		if shards[i].LiveSlaves() > 0 {
-			return i
+			s = i
+			break
 		}
 	}
-	return 0
-}
-
-// PickBatch pins the whole batch on the first live shard (re-resolved
-// once per batch, not per job — the diagnostic skew is per-batch
-// faithful).
-func (pinned) PickBatch(shards []*Shard, loads []live.Load, staged []int, spec live.JobSpec, count int, out []int, _ []float64) {
-	s := pinned{}.Pick(shards, loads, staged, spec, nil)
 	for n := 0; n < count; n++ {
 		out[n] = s
 	}

@@ -152,46 +152,15 @@ func (rt *Runtime) Start() {
 // are admitted in submission order. Only real worlds accept external
 // submissions; virtual worlds panic (use a Source).
 func (rt *Runtime) Submit(spec JobSpec) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.draining {
-		panic("live: Submit after Drain")
-	}
-	spec.ID = int(rt.nextID.Add(1)) - 1
-	rt.world.Post(rt.prog.masterID, Msg{Kind: msgSubmit, Task: spec.ID, Job: spec})
-	return spec.ID
+	return rt.submitSpecs(rt.world.Post, []JobSpec{spec})
 }
 
-// SubmitBatch injects count identical jobs under one lock acquisition
-// and returns their consecutive IDs in submission order. A service
-// ingesting batched submissions (schedd's POST /jobs) previously took
-// the runtime lock once per job, serializing concurrent producers on
-// count lock round-trips per request; the batch path makes one batch
-// one critical section while keeping the same per-job admission order.
-func (rt *Runtime) SubmitBatch(spec JobSpec, count int) []int {
-	if count <= 0 {
-		return nil
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.draining {
-		panic("live: Submit after Drain")
-	}
-	ids := make([]int, count)
-	for i := range ids {
-		spec.ID = int(rt.nextID.Add(1)) - 1
-		rt.world.Post(rt.prog.masterID, Msg{Kind: msgSubmit, Task: spec.ID, Job: spec})
-		ids[i] = spec.ID
-	}
-	return ids
-}
-
-// SubmitSpecs injects a batch of heterogeneous jobs under one lock
-// acquisition and returns the first assigned ID; the batch occupies the
-// consecutive range [base, base+len(specs)) in submission order. This is
-// the firehose admission path: a drained intake slab becomes exactly one
-// runtime critical section, and returning only the range base keeps the
-// call allocation-free regardless of batch size. The caller keeps
+// SubmitSpecs injects a batch of jobs under one lock acquisition and
+// returns the first assigned ID; the batch occupies the consecutive range
+// [base, base+len(specs)) in submission order. A routed batch's slice for
+// this runtime — or a drained intake slab — becomes exactly one runtime
+// critical section, and returning only the range base keeps the call
+// allocation-free regardless of batch size. The caller keeps
 // ownership of specs; per-spec IDs are stamped on posted copies only.
 // Only real worlds accept external submissions; virtual worlds panic
 // (use Source.SubmitSpecs).
@@ -199,8 +168,14 @@ func (rt *Runtime) SubmitSpecs(specs []JobSpec) int {
 	return rt.submitSpecs(rt.world.Post, specs)
 }
 
-// submitSpecs is the shared batched-admission core: one lock held across
-// every post so concurrent submitters cannot interleave IDs mid-batch.
+// submitSpecs is the one admission critical section behind every
+// submission entry point, external or in-world (post is the caller's way
+// into the master's mailbox): the ID counter is shared, and the lock is
+// held across every post so concurrent submitters cannot interleave IDs
+// mid-batch or deliver jobs to the master out of ID order. Submitting
+// after any source or external caller has drained panics (surfaced as
+// the world error for in-world callers): the master may already have
+// exited, and a silently dropped job would corrupt the run's accounting.
 func (rt *Runtime) submitSpecs(post func(dst int, m Msg), specs []JobSpec) int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -218,7 +193,7 @@ func (rt *Runtime) submitSpecs(post func(dst int, m Msg), specs []JobSpec) int {
 
 // Load is a point-in-time progress snapshot of a runtime, cheap enough
 // to poll per placement decision: Submitted counts jobs accepted by
-// Submit/SubmitBatch/sources, Admitted those the master has enqueued
+// Submit/SubmitSpecs/sources, Admitted those the master has enqueued
 // (it may trail Submitted by in-flight mail), Dispatched those sent to
 // a slave, Completed those finished.
 type Load struct {
@@ -334,25 +309,6 @@ func (rt *Runtime) Drain() {
 	rt.world.Post(rt.prog.masterID, Msg{Kind: msgDrain})
 }
 
-// submitFrom is the Source-side submission path: the ID counter is
-// shared with external Submit, the message is posted by the source actor
-// itself (never blocking, delivered at the current instant). The lock is
-// held across the post — exactly like Submit — so concurrent submitters
-// cannot deliver jobs to the master out of ID order. Submitting after
-// any source or external caller has drained panics (surfaced as the
-// world error): the master may already have exited, and a silently
-// dropped job would corrupt the run's accounting.
-func (rt *Runtime) submitFrom(n Node, spec JobSpec) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.draining {
-		panic("live: Submit after Drain")
-	}
-	spec.ID = int(rt.nextID.Add(1)) - 1
-	n.Post(rt.prog.masterID, Msg{Kind: msgSubmit, Task: spec.ID, Job: spec})
-	return spec.ID
-}
-
 // Wait blocks until the run completes (drained, or failed). It returns
 // the substrate error, if any.
 func (rt *Runtime) Wait() error {
@@ -429,7 +385,7 @@ func (s *Source) SleepUntil(t float64) {
 }
 
 // Submit submits one job at the current instant and returns its ID.
-func (s *Source) Submit(spec JobSpec) int { return s.rt.submitFrom(s.n, spec) }
+func (s *Source) Submit(spec JobSpec) int { return s.rt.submitSpecs(s.n.Post, []JobSpec{spec}) }
 
 // SubmitSpecs submits a batch of heterogeneous jobs at the current
 // instant under one runtime lock acquisition and returns the first

@@ -92,9 +92,8 @@ func TestLoadBatchSubmissionCountsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := rt.SubmitBatch(JobSpec{}, 7)
-	if len(ids) != 7 {
-		t.Fatalf("batch ids %v", ids)
+	if base := rt.SubmitSpecs(make([]JobSpec, 7)); base != 0 {
+		t.Fatalf("first batch got base ID %d, want 0", base)
 	}
 	// Submitted reflects acceptance synchronously, before the master has
 	// necessarily seen the mail — that is the placement-facing contract.

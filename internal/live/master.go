@@ -279,13 +279,12 @@ func (p *program) dispatch(n Node, task core.TaskID, j int) {
 	t := p.drv.Task(task)
 	now := n.Now()
 	p.record(Event{T: now, Kind: EvSent, Task: int(task), Slave: j})
-	n.Send(p.slaveID[j], Msg{
+	arrive := n.Send(p.slaveID[j], Msg{
 		Kind:  msgTask,
 		Task:  int(task),
 		Slave: j,
 		Dur:   p.pl.P[j] * t.EffComp(),
 	}, p.pl.C[j]*t.EffComm())
-	arrive := n.Now()
 	p.drv.MarkArrived(task, j, arrive)
 	p.record(Event{T: arrive, Kind: EvArrived, Task: int(task), Slave: j})
 }

@@ -161,10 +161,11 @@ func (n *realNode) Now() float64 { return n.w.clock.Now() }
 func (n *realNode) Sleep(d float64) { n.w.clock.Sleep(d) }
 
 // Send implements Node: occupy the caller for the transfer, then deliver.
-func (n *realNode) Send(dst int, m Msg, transfer float64) {
+func (n *realNode) Send(dst int, m Msg, transfer float64) float64 {
 	n.w.clock.Sleep(transfer)
 	m.At = n.w.clock.Now()
 	n.w.nodes[dst].deliver(m)
+	return m.At
 }
 
 // Post implements Node: free control message, delivered immediately.

@@ -42,9 +42,12 @@ func TestStealPendingTakesNewestFirst(t *testing.T) {
 	tracker := NewTracker()
 	rt := stealTestRuntime(t, tracker)
 	const jobs = 10
-	ids := rt.SubmitBatch(JobSpec{CommScale: 2, CompScale: 3}, jobs)
-	if len(ids) != jobs {
-		t.Fatalf("submitted %d of %d", len(ids), jobs)
+	specs := make([]JobSpec, jobs)
+	for i := range specs {
+		specs[i] = JobSpec{CommScale: 2, CompScale: 3}
+	}
+	if base := rt.SubmitSpecs(specs); base != 0 {
+		t.Fatalf("first batch got base ID %d, want 0", base)
 	}
 
 	stolen := rt.StealPending(3)
@@ -85,7 +88,7 @@ func TestStealPendingTakesNewestFirst(t *testing.T) {
 
 func TestStealPendingOverAskDrainsQueueAndRunCompletes(t *testing.T) {
 	rt := stealTestRuntime(t, nil)
-	rt.SubmitBatch(JobSpec{}, 5)
+	rt.SubmitSpecs(make([]JobSpec, 5))
 	// Ask for far more than is pending: the steal empties the queue (minus
 	// whatever the master already claimed for the port) without blocking.
 	stolen := rt.StealPending(100)
@@ -115,7 +118,7 @@ func TestStealPendingRefusals(t *testing.T) {
 	}
 	// Draining runtimes refuse: a steal racing the drain must not strand
 	// jobs outside both masters.
-	rt.SubmitBatch(JobSpec{}, 3)
+	rt.SubmitSpecs(make([]JobSpec, 3))
 	rt.Drain()
 	if got := rt.StealPending(1); got != nil {
 		t.Fatalf("StealPending during drain = %v, want nil", got)

@@ -68,12 +68,13 @@ func (n *virtualNode) Sleep(d float64) { n.p.Sleep(d) }
 
 // Send implements Node: post the delivery for the end of the transfer,
 // then hold the caller (the sending port) for its duration.
-func (n *virtualNode) Send(dst int, m Msg, transfer float64) {
+func (n *virtualNode) Send(dst int, m Msg, transfer float64) float64 {
 	m.At = n.p.Now() + transfer
 	n.p.Post(dst, vclock.Message{Payload: m}, transfer)
 	if transfer > 0 {
 		n.p.Sleep(transfer)
 	}
+	return n.p.Now()
 }
 
 // Post implements Node: synchronous same-instant delivery, no yield.

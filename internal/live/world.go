@@ -72,8 +72,11 @@ type Node interface {
 	Clock
 	// Send transmits m to dst, blocking the caller for the whole transfer
 	// (the paper's eager one-port send: the master experiences its own
-	// port). The message is delivered when the transfer completes.
-	Send(dst int, m Msg, transfer float64)
+	// port). The message is delivered when the transfer completes; Send
+	// returns that delivery time, stamped before dst can observe the
+	// message — a clock read after Send returns may, on a real clock,
+	// already be later than the receiver's first reading.
+	Send(dst int, m Msg, transfer float64) float64
 	// Post delivers a free control message (completion notifications, job
 	// submissions, shutdown) to dst at the current instant, without
 	// blocking or yielding.

@@ -11,9 +11,9 @@
 //   - BenchmarkEndToEndSweep — a reduced Figure-1 panel on a one-worker
 //     pool (the sweep engine end to end);
 //   - BenchmarkScheddIngest — the streaming service's admission path:
-//     batched POST /jobs ingest into the live runtime and a full drain;
+//     batched POST /v1/jobs ingest into the live runtime and a full drain;
 //   - BenchmarkClusterIngest — the same admission path through the
-//     sharded router (4 shards, least-loaded placement): per-job
+//     sharded router (4 shards, least-loaded placement): batched
 //     placement decisions, global-ID bookkeeping, fan-out drain;
 //   - BenchmarkClusterPlacement — the router's placement hot path alone
 //     (SubmitBatch into an unstarted cluster), CPU-bound and therefore
@@ -28,9 +28,8 @@
 //     workload bare vs with the decision audit on, CPU-bound and
 //     hard-gated per variant. On this microbenchmark the audit's
 //     fixed ~40ns/job record cost is visible against a ~190ns bare
-//     placement op; on the real admission path (HTTP + runtime),
-//     which is what BENCH_PR7.json's <5% ingest-overhead gate
-//     measures, the same cost disappears into the op. Steady-state
+//     placement op; on the real admission path (HTTP + runtime) the
+//     same cost disappears into the op. Steady-state
 //     allocs are identical (the +4 allocs/op on the audited variant
 //     are ring construction, amortized over 1000 jobs here);
 //   - BenchmarkStealPlan — the rebalancer's planning pass alone
@@ -42,8 +41,9 @@
 //     gate-exempt);
 //   - BenchmarkClusterSkewedIngest — the PR-6 headline scenario as a
 //     benchmark: adversarially pinned placement with stealing off vs
-//     on (sleep-bound, gate-exempt; the committed jobs/sec ratio in
-//     BENCH_PR6.json is what CI actually gates);
+//     on (sleep-bound, gate-exempt; the recovery itself is pinned by
+//     the deterministic TestStealStudyHetAwareRecoversFullSkew and
+//     TestRebalancerMovesSkewedBacklog);
 //   - BenchmarkFlightAppend — the PR-8 flight recorder's append path
 //     (event, span and decision frames into a memory-only segment
 //     ring), CPU-bound and hard-gated: the contract is 0 allocs/op at
@@ -52,20 +52,16 @@
 //     SubmitRange batches into an unstarted cluster's intake queues
 //     (one PickBatch, global-ID bookkeeping, slab enqueue; nothing
 //     drains), CPU-bound and hard-gated. The steady-state contract is
-//     at most 1 alloc per job — BENCH_PR9.json's ingest_allocs_per_job
-//     gate pins the same number from paperbench;
+//     at most 1 alloc per job;
 //   - BenchmarkPickBatch — the batched placement decision alone (one
 //     PickBatch call scoring a 1000-job batch, per policy), CPU-bound
-//     and hard-gated: the per-job cost here is what amortizing one
-//     decision over a batch buys over BenchmarkClusterPlacement's
-//     per-job Pick loop;
+//     and hard-gated;
 //   - BenchmarkJobIndexRead — the PR-10 lock-free read path (ShardOf +
 //     Job through the chunked global index), CPU-bound, gated, and
 //     hard-gated at 0 allocs/op: a lock or allocation returning to the
 //     read path fails CI;
 //   - BenchmarkConcurrentFirehose — the PR-10 sharded intake under 4
-//     concurrent producers (alloc column gated; the throughput claim
-//     lives in the committed BENCH artifact's concurrent_speedup_x).
+//     concurrent producers (alloc column gated).
 //
 // Keep these benchmarks deterministic in their workloads (fixed seeds,
 // fixed scales): the gate compares ns/op and allocs/op across commits,
@@ -162,7 +158,7 @@ func BenchmarkEndToEndSweep(b *testing.B) {
 }
 
 // BenchmarkScheddIngest measures the streaming service's admission
-// path: a full server lifecycle ingesting 4 batched POST /jobs
+// path: a full server lifecycle ingesting 4 batched POST /v1/jobs
 // requests (200 jobs) through the HTTP handler into the live runtime,
 // then draining. The scaled clock compresses the paper-seconds platform
 // so the benchmark measures ingest and bookkeeping, not sleeping.
@@ -178,11 +174,11 @@ func BenchmarkScheddIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		for batch := 0; batch < 4; batch++ {
-			req := httptest.NewRequest("POST", "/jobs", strings.NewReader(`{"count":50}`))
+			req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(`{"count":50}`))
 			rec := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(rec, req)
 			if rec.Code != 202 {
-				b.Fatalf("POST /jobs: %d %s", rec.Code, rec.Body.String())
+				b.Fatalf("POST /v1/jobs: %d %s", rec.Code, rec.Body.String())
 			}
 		}
 		if err := srv.Drain(); err != nil {
@@ -196,7 +192,7 @@ func BenchmarkScheddIngest(b *testing.B) {
 
 // BenchmarkClusterIngest is BenchmarkScheddIngest through the sharded
 // serving stack: 4 masters over a balanced partition of an eight-slave
-// platform, least-loaded placement, 4 batched POST /jobs requests (200
+// platform, least-loaded placement, 4 batched POST /v1/jobs requests (200
 // jobs), full fan-out drain. Like ScheddIngest it sleeps on a scaled
 // real clock, so it is tracked by benchstat but exempt from the hard
 // ns/op gate.
@@ -217,11 +213,11 @@ func BenchmarkClusterIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		for batch := 0; batch < 4; batch++ {
-			req := httptest.NewRequest("POST", "/jobs", strings.NewReader(`{"count":50}`))
+			req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(`{"count":50}`))
 			rec := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(rec, req)
 			if rec.Code != 202 {
-				b.Fatalf("POST /jobs: %d %s", rec.Code, rec.Body.String())
+				b.Fatalf("POST /v1/jobs: %d %s", rec.Code, rec.Body.String())
 			}
 		}
 		if err := srv.Drain(); err != nil {
@@ -311,9 +307,8 @@ func BenchmarkRebalance(b *testing.B) {
 // PR-6 throughput gate, as a benchmark pair: pinned placement jams the
 // whole load through one of four masters; the "none" variant serves it
 // serially, the stealing variants let the rebalancer spread it. Both
-// sleep on a scaled real clock — the committed BENCH_PR6.json ratio is
-// the hard gate; this benchmark exists so benchstat can localize a
-// regression to the serving side.
+// sleep on a scaled real clock; this benchmark exists so benchstat can
+// localize a regression to the serving side.
 func BenchmarkClusterSkewedIngest(b *testing.B) {
 	for _, steal := range []string{"none", "threshold", "het-aware"} {
 		b.Run(steal, func(b *testing.B) {
@@ -335,11 +330,11 @@ func BenchmarkClusterSkewedIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				for batch := 0; batch < 4; batch++ {
-					req := httptest.NewRequest("POST", "/jobs", strings.NewReader(`{"count":50}`))
+					req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(`{"count":50}`))
 					rec := httptest.NewRecorder()
 					srv.Handler().ServeHTTP(rec, req)
 					if rec.Code != 202 {
-						b.Fatalf("POST /jobs: %d %s", rec.Code, rec.Body.String())
+						b.Fatalf("POST /v1/jobs: %d %s", rec.Code, rec.Body.String())
 					}
 				}
 				if err := srv.Drain(); err != nil {
@@ -446,11 +441,10 @@ func BenchmarkFlightAppend(b *testing.B) {
 // BenchmarkClusterPlacement's workload (a fresh router routing 1000
 // jobs in 10 batches, least-loaded placement, unstarted cluster) run
 // bare and with the decision audit on. Each variant is hard-gated
-// across commits; benchstat on the pair localizes audit-path drift.
-// The bare-vs-instrumented <5% overhead claim itself is pinned by
-// BENCH_PR7.json on the full admission path, where the audit's fixed
-// per-job cost is small relative to one ingest op — here it is
-// deliberately magnified against the bare placement loop.
+// across commits; benchstat on the pair localizes audit-path drift. On
+// the full admission path the audit's fixed per-batch cost is small
+// relative to one ingest op — here it is deliberately magnified against
+// the bare placement loop.
 func BenchmarkInstrumentedIngest(b *testing.B) {
 	pl := core.NewPlatform(
 		[]float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
@@ -530,10 +524,8 @@ func BenchmarkFirehoseIngest(b *testing.B) {
 
 // BenchmarkPickBatch measures the batched placement decision alone: one
 // PickBatch call scoring a 1000-job batch against a fixed 4-shard
-// cluster with synthetic skewed loads. This is the decision SubmitRange
-// amortizes over a whole batch; compare against
-// BenchmarkClusterPlacement (per-job Pick) to see what the batching
-// buys. CPU-bound, fully gated.
+// cluster with synthetic skewed loads. This is the decision every
+// submission amortizes over its whole batch. CPU-bound, fully gated.
 func BenchmarkPickBatch(b *testing.B) {
 	pl := core.NewPlatform(
 		[]float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
@@ -576,10 +568,10 @@ func BenchmarkPickBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterPlacement isolates the router's per-job placement
+// BenchmarkClusterPlacement isolates the router's direct admission
 // cost: batched submission into an unstarted 4-shard cluster (no
-// slaves running, nothing sleeps), measuring Pick + global-ID
-// bookkeeping. One op is a fresh router routing 1000 jobs in 10
+// slaves running, nothing sleeps), measuring PickBatch + global-ID
+// bookkeeping + delivery into the runtimes' mailboxes. One op is a fresh router routing 1000 jobs in 10
 // batches, so construction amortizes and the queued mail is reclaimed
 // each iteration. This one is CPU-bound and fully gated.
 func BenchmarkClusterPlacement(b *testing.B) {
@@ -663,8 +655,7 @@ func BenchmarkJobIndexRead(b *testing.B) {
 // against single-producer BenchmarkFirehoseIngest to see the remaining
 // serialization (placement only). CPU-bound; ns/op is machine-load
 // sensitive under parallelism, so CI gates allocs/op only (via the
-// standard gate's alloc column) and the committed BENCH artifact's
-// concurrent_speedup_x carries the throughput claim.
+// standard gate's alloc column).
 func BenchmarkConcurrentFirehose(b *testing.B) {
 	pl := core.NewPlatform(
 		[]float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},

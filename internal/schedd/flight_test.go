@@ -1,8 +1,8 @@
 package schedd
 
-// Tests for the PR-8 surface: the flight-recorder tap (GET /flight and
-// on-disk segments), the /watch SSE stream, the SLO burn-rate endpoint,
-// and the bounded /decisions limit parameter.
+// Tests for the PR-8 surface: the flight-recorder tap (GET /v1/flight and
+// on-disk segments), the /v1/watch SSE stream, the SLO burn-rate endpoint,
+// and the bounded /v1/decisions limit parameter.
 
 import (
 	"bufio"
@@ -20,18 +20,18 @@ import (
 
 func TestFlightEndpoint(t *testing.T) {
 	s, ts := testServer(t, "LS")
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 6}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 6}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	waitCompleted(t, ts, 6)
 
-	resp, err := http.Get(ts.URL + "/flight")
+	resp, err := http.Get(ts.URL + "/v1/flight")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /flight: %d", resp.StatusCode)
+		t.Fatalf("GET /v1/flight: %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type %q", ct)
@@ -45,8 +45,8 @@ func TestFlightEndpoint(t *testing.T) {
 		t.Fatalf("recording does not parse: %v", err)
 	}
 	// The recording carries the startup meta frame, every lifecycle
-	// event, one span per completed job, and the audit's placement
-	// decisions (audit is on by default).
+	// event, one span per completed job, and the audit's one placement
+	// decision for the batch (audit is on by default).
 	meta := rec.Meta()
 	if len(meta) != 1 || !strings.Contains(string(meta[0]), `"policy":"LS"`) {
 		t.Fatalf("meta frames %q", meta)
@@ -57,14 +57,14 @@ func TestFlightEndpoint(t *testing.T) {
 	if evs := rec.Events(); len(evs) < 6*4 {
 		t.Fatalf("only %d event frames for 6 jobs", len(evs))
 	}
-	if decs := rec.Decisions(); len(decs) != 6 {
-		t.Fatalf("%d decision frames, want 6", len(decs))
+	if decs := rec.Decisions(); len(decs) != 1 || decs[0].N != 6 {
+		t.Fatalf("decision frames %+v, want one covering the 6-job batch", decs)
 	}
 
-	// The /stats recorder and watch stanzas report the same recording.
+	// The /v1/stats recorder and watch stanzas report the same recording.
 	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("GET /stats: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
 	}
 	if stats.Recorder == nil || stats.Recorder.Frames == 0 || stats.Recorder.Segments < 1 {
 		t.Fatalf("recorder stanza %+v", stats.Recorder)
@@ -93,12 +93,12 @@ func TestFlightDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestHTTP(t, s)
-	if code := getJSON(t, ts.URL+"/flight", nil); code != http.StatusNotFound {
-		t.Fatalf("GET /flight with recorder off: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/flight", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/flight with recorder off: %d", code)
 	}
 	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("GET /stats: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
 	}
 	if stats.Recorder != nil {
 		t.Fatalf("recorder stanza present with recorder off: %+v", stats.Recorder)
@@ -121,8 +121,8 @@ func TestFlightPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestHTTP(t, s)
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 40}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 40}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	waitCompleted(t, ts, 40)
 	if err := s.Drain(); err != nil {
@@ -145,13 +145,13 @@ func TestFlightPersistence(t *testing.T) {
 
 func TestWatchStream(t *testing.T) {
 	s, ts := testServer(t, "LS")
-	resp, err := http.Get(ts.URL + "/watch")
+	resp, err := http.Get(ts.URL + "/v1/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /watch: %d", resp.StatusCode)
+		t.Fatalf("GET /v1/watch: %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
@@ -161,7 +161,7 @@ func TestWatchStream(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var stats StatsResponse
-		getJSON(t, ts.URL+"/stats", &stats)
+		getJSON(t, ts.URL+"/v1/stats", &stats)
 		if stats.Watch != nil && stats.Watch.Subscribers == 1 {
 			break
 		}
@@ -170,8 +170,8 @@ func TestWatchStream(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 3}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 3}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 
 	// Read SSE lines until a completion shows up.
@@ -219,14 +219,14 @@ func TestSLOEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestHTTP(t, s)
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 8}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 8}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	waitCompleted(t, ts, 8)
 
 	var slo SLOResponse
-	if code := getJSON(t, ts.URL+"/slo", &slo); code != http.StatusOK {
-		t.Fatalf("GET /slo: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/slo", &slo); code != http.StatusOK {
+		t.Fatalf("GET /v1/slo: %d", code)
 	}
 	if !slo.Enabled || len(slo.Objectives) != 2 {
 		t.Fatalf("slo %+v", slo)
@@ -278,8 +278,8 @@ func TestSLOEndpoint(t *testing.T) {
 func TestSLODisabledAndInvalid(t *testing.T) {
 	_, ts := testServer(t, "LS")
 	var slo SLOResponse
-	if code := getJSON(t, ts.URL+"/slo", &slo); code != http.StatusOK {
-		t.Fatalf("GET /slo: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/slo", &slo); code != http.StatusOK {
+		t.Fatalf("GET /v1/slo: %d", code)
 	}
 	if slo.Enabled || len(slo.Objectives) != 0 {
 		t.Fatalf("slo without objectives %+v", slo)
@@ -313,29 +313,31 @@ func TestSLODisabledAndInvalid(t *testing.T) {
 
 func TestDecisionsLimitParam(t *testing.T) {
 	s, ts := shardedServer(t, "least-loaded")
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 60}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	for i := 0; i < 60; i++ { // one audited decision per submission
+		if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{}, nil); code != http.StatusAccepted {
+			t.Fatalf("POST /v1/jobs: %d", code)
+		}
 	}
 	// Default is 50 even though more decisions exist.
 	var dec DecisionsResponse
-	if code := getJSON(t, ts.URL+"/decisions", &dec); code != http.StatusOK || len(dec.Decisions) != decisionsDefaultLimit {
+	if code := getJSON(t, ts.URL+"/v1/decisions", &dec); code != http.StatusOK || len(dec.Decisions) != decisionsDefaultLimit {
 		t.Fatalf("default window: %d decisions (code %d), want %d", len(dec.Decisions), code, decisionsDefaultLimit)
 	}
 	// ?limit selects the window, newest first; huge limits are capped,
 	// not rejected; bad limits are 400s.
 	var two DecisionsResponse
-	if code := getJSON(t, ts.URL+"/decisions?limit=2", &two); code != http.StatusOK || len(two.Decisions) != 2 {
+	if code := getJSON(t, ts.URL+"/v1/decisions?limit=2", &two); code != http.StatusOK || len(two.Decisions) != 2 {
 		t.Fatalf("limit=2: %d %+v", code, two)
 	}
 	if two.Decisions[0].Seq < two.Decisions[1].Seq {
 		t.Fatalf("not newest first: %+v", two.Decisions)
 	}
 	var capped DecisionsResponse
-	if code := getJSON(t, ts.URL+"/decisions?limit=999999", &capped); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/decisions?limit=999999", &capped); code != http.StatusOK {
 		t.Fatalf("over-cap limit rejected: %d", code)
 	}
 	for _, bad := range []string{"0", "-3", "many"} {
-		if code := getJSON(t, ts.URL+"/decisions?limit="+bad, nil); code != http.StatusBadRequest {
+		if code := getJSON(t, ts.URL+"/v1/decisions?limit="+bad, nil); code != http.StatusBadRequest {
 			t.Fatalf("limit=%s: %d", bad, code)
 		}
 	}
@@ -346,10 +348,10 @@ func TestDecisionsLimitParam(t *testing.T) {
 
 func TestPerRouteLatencyHistograms(t *testing.T) {
 	_, ts := testServer(t, "LS")
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 2}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 2}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
-	getJSON(t, ts.URL+"/stats", nil)
+	getJSON(t, ts.URL+"/v1/stats", nil)
 	_, body, _ := scrape(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"# TYPE schedd_http_request_duration_seconds histogram",

@@ -1,7 +1,7 @@
 package schedd
 
 // Observability surface beyond /metrics: the flight-recorder tap, the
-// /watch SSE stream, and the SLO burn-rate endpoint. Everything here
+// /v1/watch SSE stream, and the SLO burn-rate endpoint. Everything here
 // follows the off-hot-path rule — the cluster observer does constant
 // work per event (a bounded binary append plus an atomic subscriber
 // check), and all JSON formatting happens on reader goroutines or only
@@ -23,7 +23,7 @@ import (
 // observeShardEvent is the cluster's per-event tap (cluster.Config.
 // Observer): it journals the event into the flight recorder — and, at
 // each completion, the finished job's span record — then fans the event
-// out to /watch subscribers. It runs inside the shard's master actor,
+// out to /v1/watch subscribers. It runs inside the shard's master actor,
 // after the tracker has absorbed the event, so the completion span is
 // already visible.
 func (s *Server) observeShardEvent(shard int, ev live.Event) {
@@ -46,7 +46,7 @@ func (s *Server) observeShardEvent(shard int, ev live.Event) {
 	s.watch.publish(shard, ev)
 }
 
-// WatchEvent is one line of the GET /watch SSE stream: a lifecycle
+// WatchEvent is one line of the GET /v1/watch SSE stream: a lifecycle
 // event with its shard, in model seconds on the serving clock.
 type WatchEvent struct {
 	T     float64 `json:"t"`
@@ -119,19 +119,19 @@ func (h *watchHub) unsubscribe(id int) {
 
 func (h *watchHub) subscribers() int { return int(h.nsubs.Load()) }
 
-// watchMaxLimit caps an explicit ?limit= on GET /watch: a bounded
+// watchMaxLimit caps an explicit ?limit= on GET /v1/watch: a bounded
 // subscription can still be generous, but never unbounded by accident.
 const watchMaxLimit = 1 << 20
 
-// handleWatch serves GET /watch: a Server-Sent Events stream of every
+// handleWatch serves GET /v1/watch: a Server-Sent Events stream of every
 // lifecycle event on every shard (data: one WatchEvent JSON object per
 // event), until the client disconnects — or, with ?limit=N, until N
 // events have been delivered (a bounded tail for scripts that cannot
 // hold a connection open). A slow client loses events (the
-// per-subscriber buffer is bounded; drops are counted in /stats), never
+// per-subscriber buffer is bounded; drops are counted in /v1/stats), never
 // slows the cluster.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	limit, err := queryLimit(r, 0, watchMaxLimit, "limit")
+	limit, err := queryLimit(r, 0, watchMaxLimit)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -175,7 +175,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleFlight serves GET /flight: the flight recorder's full retained
+// handleFlight serves GET /v1/flight: the flight recorder's full retained
 // recording as raw binary frames (the flight wire format), ready for
 // schedctl export. Registered only when the recorder is on.
 func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {
@@ -183,7 +183,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(s.recorder.Snapshot())
 }
 
-// SLOStatus is one objective's row of the GET /slo body.
+// SLOStatus is one objective's row of the GET /v1/slo body.
 type SLOStatus struct {
 	Objective obs.Objective `json:"objective"`
 	// OK is true when every window's burn rate is at most 1.
@@ -191,7 +191,7 @@ type SLOStatus struct {
 	Windows []obs.BurnWindow `json:"windows"`
 }
 
-// SLOResponse is the GET /slo body: every configured objective with its
+// SLOResponse is the GET /v1/slo body: every configured objective with its
 // multi-window burn rates as of now. Enabled is false when the service
 // runs without objectives (Objectives is then empty).
 type SLOResponse struct {
@@ -277,7 +277,7 @@ func (s *Server) startSnapshots(interval time.Duration) {
 				return
 			case <-t.C:
 				buf.Reset()
-				if err := s.metrics.WriteJSON(&buf); err == nil {
+				if err := s.gather(&buf, s.metrics.WriteJSON); err == nil {
 					s.recorder.AppendMetrics(buf.Bytes())
 				}
 			}

@@ -43,8 +43,8 @@ func scrape(t *testing.T, url string) (int, string, string) {
 
 func TestMetricsExposition(t *testing.T) {
 	_, ts := testServer(t, "LS")
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 8}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 8}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	waitCompleted(t, ts, 8)
 
@@ -104,8 +104,8 @@ func TestMetricsDisabled(t *testing.T) {
 		}
 	}
 	// The service itself still works.
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 2}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 2}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
@@ -191,14 +191,14 @@ func TestReadyzAcrossDrain(t *testing.T) {
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := testServer(t, "LS")
 	var resp SubmitResponse
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 6}, &resp); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 6}, &resp); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	waitCompleted(t, ts, 6)
 
 	for _, id := range resp.IDs {
 		var tr TraceResponse
-		if code := getJSON(t, ts.URL+fmt.Sprintf("/jobs/%d/trace", id), &tr); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/jobs/%d/trace", id), &tr); code != http.StatusOK {
 			t.Fatalf("GET trace %d: %d", id, code)
 		}
 		if tr.Job != id || tr.State != live.StateDone || tr.ClockScale != 4000 {
@@ -224,32 +224,46 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	// Error paths.
-	if code := getJSON(t, ts.URL+"/jobs/xyz/trace", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/v1/jobs/xyz/trace", nil); code != http.StatusBadRequest {
 		t.Fatalf("malformed trace id: %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/jobs/99999/trace", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/v1/jobs/99999/trace", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown trace id: %d", code)
 	}
 }
 
 func TestDecisionsEndpoint(t *testing.T) {
 	s, ts := shardedServer(t, "least-loaded")
-	var resp SubmitResponse
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 5}, &resp); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	// One decision per submission, whatever its count: five single-job
+	// posts, then one batch of four.
+	var ids []int
+	for i := 0; i < 5; i++ {
+		var resp SubmitResponse
+		if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{}, &resp); code != http.StatusAccepted {
+			t.Fatalf("POST /v1/jobs: %d", code)
+		}
+		ids = append(ids, resp.IDs...)
+	}
+	var batch SubmitResponse
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 4}, &batch); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 
 	var dec DecisionsResponse
-	if code := getJSON(t, ts.URL+"/decisions", &dec); code != http.StatusOK {
-		t.Fatalf("GET /decisions: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/decisions", &dec); code != http.StatusOK {
+		t.Fatalf("GET /v1/decisions: %d", code)
 	}
-	if !dec.Enabled || len(dec.Decisions) != 5 {
+	if !dec.Enabled || len(dec.Decisions) != 6 {
 		t.Fatalf("decisions %+v", dec)
 	}
-	// Newest first: the last submitted job leads, and every placement
-	// carries one score per shard with the chosen shard weakly best.
-	if dec.Decisions[0].Job != resp.IDs[4] {
-		t.Fatalf("newest decision audits job %d, want %d", dec.Decisions[0].Job, resp.IDs[4])
+	// Newest first: the batch leads as one decision naming its first ID
+	// and size, then the last single job; every placement carries one
+	// score per shard with the chosen shard weakly best.
+	if d := dec.Decisions[0]; d.Job != batch.IDs[0] || d.Planned != 4 || d.N != 4 {
+		t.Fatalf("batch decision %+v, want job %d planned 4 n 4", d, batch.IDs[0])
+	}
+	if dec.Decisions[1].Job != ids[4] || dec.Decisions[1].N != 1 {
+		t.Fatalf("second-newest decision %+v, want single job %d", dec.Decisions[1], ids[4])
 	}
 	for _, d := range dec.Decisions {
 		if d.Kind != obs.DecisionPlace || len(d.Scores) != 3 {
@@ -262,14 +276,14 @@ func TestDecisionsEndpoint(t *testing.T) {
 		}
 	}
 
-	// ?n caps the window; bad n is a 400.
+	// ?limit caps the window; a bad limit is a 400.
 	var one DecisionsResponse
-	if code := getJSON(t, ts.URL+"/decisions?n=1", &one); code != http.StatusOK || len(one.Decisions) != 1 {
-		t.Fatalf("decisions?n=1: %d %+v", code, one)
+	if code := getJSON(t, ts.URL+"/v1/decisions?limit=1", &one); code != http.StatusOK || len(one.Decisions) != 1 {
+		t.Fatalf("decisions?limit=1: %d %+v", code, one)
 	}
 	for _, bad := range []string{"0", "-3", "many"} {
-		if code := getJSON(t, ts.URL+"/decisions?n="+bad, nil); code != http.StatusBadRequest {
-			t.Fatalf("decisions?n=%s: %d", bad, code)
+		if code := getJSON(t, ts.URL+"/v1/decisions?limit="+bad, nil); code != http.StatusBadRequest {
+			t.Fatalf("decisions?limit=%s: %d", bad, code)
 		}
 	}
 	if err := s.Drain(); err != nil {
@@ -288,12 +302,12 @@ func TestDecisionsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestHTTP(t, s)
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 3}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 3}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	var dec DecisionsResponse
-	if code := getJSON(t, ts.URL+"/decisions", &dec); code != http.StatusOK {
-		t.Fatalf("GET /decisions: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/decisions", &dec); code != http.StatusOK {
+		t.Fatalf("GET /v1/decisions: %d", code)
 	}
 	if dec.Enabled || len(dec.Decisions) != 0 {
 		t.Fatalf("audit off but decisions = %+v", dec)
@@ -305,8 +319,8 @@ func TestDecisionsDisabled(t *testing.T) {
 
 func TestStatsStageBreakdown(t *testing.T) {
 	_, ts := testServer(t, "SO-LS")
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 10}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 10}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	stats := waitCompleted(t, ts, 10)
 	b := stats.StageSeconds
@@ -358,8 +372,8 @@ func TestScrapeUnderLoad(t *testing.T) {
 
 	var firstID int
 	var resp SubmitResponse
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 10}, &resp); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 10}, &resp); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	firstID = resp.IDs[0]
 
@@ -370,16 +384,16 @@ func TestScrapeUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 20}, nil); code != http.StatusAccepted {
-				t.Errorf("POST /jobs under load: %d", code)
+			if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 20}, nil); code != http.StatusAccepted {
+				t.Errorf("POST /v1/jobs under load: %d", code)
 				return
 			}
 		}
 	}()
 	// Readers: hammer every observability endpoint until writers finish.
 	paths := []string{
-		"/metrics", "/debug/vars", "/stats", "/decisions", "/readyz", "/healthz",
-		fmt.Sprintf("/jobs/%d/trace", firstID),
+		"/metrics", "/debug/vars", "/v1/stats", "/v1/decisions", "/readyz", "/healthz",
+		fmt.Sprintf("/v1/jobs/%d/trace", firstID),
 	}
 	for _, path := range paths {
 		wg.Add(1)

@@ -3,25 +3,28 @@
 // fleet of live master–slave runtimes (internal/live) out over a
 // partitioned platform. Any registered scheduling policy — the seven
 // paper heuristics or SO-LS — serves each shard; jobs submitted over
-// POST /jobs are placed on a shard by the configured placement policy,
-// tracked via GET /jobs/{id} under cluster-global IDs, and GET /stats
-// reports one section per shard plus a merged cluster view (stats.Merge
-// for latency summaries, trace.MergeReports for the schedule analysis).
-// With Shards = 1 the service is exactly the PR-3 single-runtime daemon.
-// The daemon command (cmd/schedd) and the load generator in
-// cmd/paperbench both sit on this package.
+// POST /v1/jobs (or streamed over POST /v1/jobs:stream) are placed on a
+// shard by the configured placement policy, tracked via GET /v1/jobs/{id}
+// under cluster-global IDs, and GET /v1/stats reports one section per
+// shard plus a merged cluster view (stats.Merge for latency summaries,
+// trace.MergeReports for the schedule analysis). With Shards = 1 the
+// service is exactly the PR-3 single-runtime daemon. The daemon command
+// (cmd/schedd) and the repository benchmark (bench/) both sit on this
+// package.
 package schedd
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -55,8 +58,8 @@ type Config struct {
 	// seconds can be served thousands of times faster than nominal.
 	// Ignored (forced to 1) in VirtualClock mode.
 	ClockScale float64
-	// MaxBatch caps the count accepted by one POST /jobs and by one line
-	// of POST /v1/jobs:stream (default 10000).
+	// MaxBatch caps the count accepted by one POST /v1/jobs and by one
+	// line of POST /v1/jobs:stream (default 10000).
 	MaxBatch int
 	// VirtualClock switches the service into pure-throughput mode: every
 	// shard runs on a deterministic virtual clock (live.NewVirtual) behind
@@ -72,13 +75,6 @@ type Config struct {
 	// clock the stream handler throttles while the cluster's pending
 	// population is at or above it (0 means 65536).
 	IngestQueueDepth int
-	// StreamWorkers sizes the parallel NDJSON decode stage behind
-	// POST /v1/jobs:stream: 0 picks GOMAXPROCS capped at 8, n > 0 runs
-	// exactly n parse workers, negative selects the serial single-
-	// goroutine decoder (the pre-pipeline path, useful as a baseline and
-	// on single-core hosts). Ordering is identical either way: the
-	// sequencer places and acks lines strictly in wire order.
-	StreamWorkers int
 	// Steal names the cross-shard work-stealing policy; empty or "none"
 	// serves without a rebalancer (the PR-5 cluster, bit for bit).
 	Steal string
@@ -92,7 +88,7 @@ type Config struct {
 	// profiling surface exposes stacks and heap contents, so it is never
 	// on by accident.
 	Pprof bool
-	// AuditDepth sizes the decision-audit ring behind GET /decisions:
+	// AuditDepth sizes the decision-audit ring behind GET /v1/decisions:
 	// 0 means 256, negative disables auditing.
 	AuditDepth int
 	// EventLogCap bounds each shard's retained event log: 0 means 65536
@@ -105,7 +101,7 @@ type Config struct {
 	// DisableRecorder turns the always-on flight recorder off. By
 	// default every lifecycle event, completed span, audit decision and
 	// periodic metrics snapshot is journaled into a bounded in-memory
-	// segment ring served raw on GET /flight.
+	// segment ring served raw on GET /v1/flight.
 	DisableRecorder bool
 	// RecordDir, when set, persists sealed flight segments to this
 	// directory as seg-NNNNNNNN.flight files (stale segments are cleared
@@ -120,10 +116,10 @@ type Config struct {
 	// Only meaningful with both the recorder and metrics on.
 	SnapshotInterval time.Duration
 	// SLOs configures the burn-rate engine: each objective is tracked
-	// over SLOWindows and surfaced on GET /slo, /metrics and /readyz.
+	// over SLOWindows and surfaced on GET /v1/slo, /metrics and /readyz.
 	// Latency objectives are fed by job completions (wall seconds),
 	// availability objectives by HTTP responses (status < 500 is good).
-	// Empty serves GET /slo with enabled: false.
+	// Empty serves GET /v1/slo with enabled: false.
 	SLOs []obs.Objective
 	// SLOWindows overrides the burn-rate windows (default 5m and 1h).
 	SLOWindows []time.Duration
@@ -150,8 +146,9 @@ type Server struct {
 	ingestDepth int
 	firehose    bool
 
-	// streamWorkers is the resolved StreamWorkers: ≥ 1 runs the decode
-	// pipeline with that many parse workers, < 1 the serial decoder.
+	// streamWorkers is the jobs:stream decode pipeline's parse-worker
+	// count per connection: GOMAXPROCS capped at 8, so a one-core host
+	// runs the same pipeline at one worker.
 	streamWorkers int
 
 	// metrics is the zero-dependency registry behind GET /metrics and
@@ -163,10 +160,14 @@ type Server struct {
 	metrics    *obs.Registry
 	jobLatency *obs.Histogram // nil with DisableMetrics
 	migLatency *obs.Histogram
+	// intake is the firehose snapshot the schedd_firehose_* readers
+	// share: gather takes it once per scrape, so a scrape is one
+	// FirehoseStats call however many intake shards there are.
+	intake atomic.Pointer[cluster.FirehoseStats]
 
-	// recorder is the always-on flight recorder behind GET /flight (nil
-	// with DisableRecorder); watch fans lifecycle events out to GET
-	// /watch subscribers; slos are the configured burn-rate monitors.
+	// recorder is the always-on flight recorder behind GET /v1/flight
+	// (nil with DisableRecorder); watch fans lifecycle events out to GET
+	// /v1/watch subscribers; slos are the configured burn-rate monitors.
 	recorder *flight.Recorder
 	watch    *watchHub
 	slos     []*obs.SLO
@@ -242,14 +243,7 @@ func New(cfg Config) (*Server, error) {
 	if s.ingestDepth <= 0 {
 		s.ingestDepth = 65536
 	}
-	switch {
-	case cfg.StreamWorkers > 0:
-		s.streamWorkers = cfg.StreamWorkers
-	case cfg.StreamWorkers < 0:
-		s.streamWorkers = 0 // serial decoder
-	default:
-		s.streamWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
+	s.streamWorkers = min(runtime.GOMAXPROCS(0), 8)
 	// SLO monitors first: the HTTP wrapper and completion hooks feed
 	// them, so they must exist before either is built.
 	windows := make([]float64, 0, len(cfg.SLOWindows))
@@ -478,22 +472,33 @@ func (s *Server) registerMetrics() {
 	}
 	r.CounterFunc("schedd_watch_events_dropped_total", "Watch-stream events dropped on slow subscribers.",
 		"", func() float64 { return float64(s.watch.dropped.Load()) })
-	if _, ok := s.router.FirehoseStats(); ok {
+	if fs, ok := s.router.FirehoseStats(); ok {
+		s.intake.Store(&fs)
 		r.GaugeFunc("schedd_firehose_queue_depth", "Enqueued-but-not-yet-admitted jobs across all firehose intake shards.",
-			"", func() float64 { return float64(s.router.FirehoseDepth()) })
+			"", func() float64 { return float64(s.intake.Load().Queued) })
 		for _, sh := range s.router.Shards() {
 			idx := sh.Index()
 			r.GaugeFunc("schedd_firehose_shard_queued", "Enqueued-but-not-yet-admitted jobs, by intake shard.",
 				obs.Labels("shard", strconv.Itoa(idx)),
-				func() float64 { return float64(s.router.FirehoseShardQueued(idx)) })
+				func() float64 { return float64(s.intake.Load().ShardQueued[idx]) })
 		}
 		r.CounterFunc("schedd_firehose_slab_gets_total", "Admission-slab checkouts from the firehose slab pool.",
-			"", func() float64 { gets, _, _ := s.router.FirehoseSlabStats(); return float64(gets) })
+			"", func() float64 { return float64(s.intake.Load().SlabGets) })
 		r.CounterFunc("schedd_firehose_slab_hits_total", "Admission-slab checkouts served by recycling (the rest allocated).",
-			"", func() float64 { _, hits, _ := s.router.FirehoseSlabStats(); return float64(hits) })
+			"", func() float64 { return float64(s.intake.Load().SlabHits) })
 		r.CounterFunc("schedd_firehose_slab_drops_total", "Drained slabs discarded because the recycle pool was full.",
-			"", func() float64 { _, _, drops := s.router.FirehoseSlabStats(); return float64(drops) })
+			"", func() float64 { return float64(s.intake.Load().SlabDrops) })
 	}
+}
+
+// gather renders the metrics registry through write (WritePrometheus
+// or WriteJSON), first refreshing the firehose-intake snapshot its
+// schedd_firehose_* readers sample.
+func (s *Server) gather(w io.Writer, write func(io.Writer) error) error {
+	if fs, ok := s.router.FirehoseStats(); ok {
+		s.intake.Store(&fs)
+	}
+	return write(w)
 }
 
 // counted wraps a handler with its per-route request counter and
@@ -539,89 +544,71 @@ func (s *Server) counted(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// route is one row of the service's HTTP surface. The canonical pattern
-// is method+" "+path; rows with an alias also serve the pre-/v1
-// unversioned path, marked deprecated via response headers.
+// route is one row of the service's HTTP surface; the registered
+// pattern is method+" "+path.
 type route struct {
 	// method is the HTTP method ("" registers the bare path, matching
 	// every method — only the pprof prefix handler needs that).
 	method string
-	// path is the canonical pattern (versioned rows live under /v1).
+	// path is the pattern's path (the API proper lives under /v1).
 	path string
 	// name labels the route in per-route metrics; "" skips the counted
 	// wrapper (pprof brings its own handlers).
 	name string
 	h    http.HandlerFunc
-	// alias is the legacy unversioned path served as a deprecated alias
-	// of a /v1 row ("" for none). Alias bodies are byte-identical to the
-	// canonical route's; only the deprecation headers differ.
-	alias string
 }
 
-// routes assembles the route table: the /v1 surface with its legacy
-// aliases, the infra probes (never versioned — load balancers and
-// scrapers hardcode them), and the opt-in surfaces present only when
-// their subsystem is on.
+// routes assembles the one route table: the /v1 surface, the infra
+// probes (never versioned — load balancers and scrapers hardcode them),
+// and the opt-in surfaces present only when their subsystem is on.
 func (s *Server) routes() []route {
 	rs := []route{
-		{"POST", "/v1/jobs", "jobs", s.handleSubmit, "/jobs"},
-		{"POST", "/v1/jobs:stream", "stream", s.handleStream, ""},
-		{"GET", "/v1/jobs/{id}", "job", s.handleJob, "/jobs/{id}"},
-		{"GET", "/v1/jobs/{id}/trace", "trace", s.handleTrace, "/jobs/{id}/trace"},
-		{"GET", "/v1/stats", "stats", s.handleStats, "/stats"},
-		{"GET", "/v1/decisions", "decisions", s.handleDecisions, "/decisions"},
-		{"GET", "/v1/slo", "slo", s.handleSLO, "/slo"},
-		{"GET", "/v1/watch", "watch", s.handleWatch, "/watch"},
-		{"GET", "/healthz", "healthz", s.handleHealthz, ""},
-		{"GET", "/readyz", "readyz", s.handleReadyz, ""},
+		{"POST", "/v1/jobs", "jobs", s.handleSubmit},
+		{"POST", "/v1/jobs:stream", "stream", s.handleStream},
+		{"GET", "/v1/jobs/{id}", "job", s.handleJob},
+		{"GET", "/v1/jobs/{id}/trace", "trace", s.handleTrace},
+		{"GET", "/v1/stats", "stats", s.handleStats},
+		{"GET", "/v1/decisions", "decisions", s.handleDecisions},
+		{"GET", "/v1/slo", "slo", s.handleSLO},
+		{"GET", "/v1/watch", "watch", s.handleWatch},
+		{"GET", "/healthz", "healthz", s.handleHealthz},
+		{"GET", "/readyz", "readyz", s.handleReadyz},
 	}
 	if s.recorder != nil {
-		rs = append(rs, route{"GET", "/v1/flight", "flight", s.handleFlight, "/flight"})
+		rs = append(rs, route{"GET", "/v1/flight", "flight", s.handleFlight})
 	}
 	if s.metrics != nil {
 		rs = append(rs,
-			route{"GET", "/metrics", "metrics", s.handleMetrics, ""},
-			route{"GET", "/debug/vars", "vars", s.handleVars, ""})
+			route{"GET", "/metrics", "metrics", s.handleMetrics},
+			route{"GET", "/debug/vars", "vars", s.handleVars})
 	}
 	if s.cfg.Pprof {
 		rs = append(rs,
-			route{"", "/debug/pprof/", "", pprof.Index, ""},
-			route{"", "/debug/pprof/cmdline", "", pprof.Cmdline, ""},
-			route{"", "/debug/pprof/profile", "", pprof.Profile, ""},
-			route{"", "/debug/pprof/symbol", "", pprof.Symbol, ""},
-			route{"", "/debug/pprof/trace", "", pprof.Trace, ""})
+			route{"", "/debug/pprof/", "", pprof.Index},
+			route{"", "/debug/pprof/cmdline", "", pprof.Cmdline},
+			route{"", "/debug/pprof/profile", "", pprof.Profile},
+			route{"", "/debug/pprof/symbol", "", pprof.Symbol},
+			route{"", "/debug/pprof/trace", "", pprof.Trace})
 	}
 	return rs
 }
 
-// registerRoutes mounts the route table on the mux: each row's canonical
-// pattern, plus — for aliased rows — the legacy path wrapped with the
-// standard deprecation headers pointing at the /v1 successor.
+// pattern is the ServeMux pattern the row registers under.
+func (rt route) pattern() string {
+	if rt.method == "" {
+		return rt.path
+	}
+	return rt.method + " " + rt.path
+}
+
+// registerRoutes mounts the route table on the mux.
 func (s *Server) registerRoutes() {
 	for _, rt := range s.routes() {
 		h := rt.h
 		if rt.name != "" {
 			h = s.counted(rt.name, h)
 		}
-		pattern := rt.path
-		if rt.method != "" {
-			pattern = rt.method + " " + rt.path
-		}
-		s.mux.HandleFunc(pattern, h)
-		if rt.alias != "" {
-			s.mux.HandleFunc(rt.method+" "+rt.alias, deprecated(rt.path, h))
-		}
-	}
-}
-
-// deprecated wraps a legacy alias: the response carries a Deprecation
-// header and a successor-version Link to the /v1 route, and is otherwise
-// byte-identical to the canonical one.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
+		s.mux.HandleFunc(rt.pattern(), h)
 	}
 }
 
@@ -672,8 +659,8 @@ func (s *Server) Drain() error {
 	return err
 }
 
-// SubmitRequest is the POST /jobs body. An empty body submits one
-// nominal job.
+// SubmitRequest is the POST /v1/jobs body and one line of POST
+// /v1/jobs:stream. An empty body submits one nominal job.
 type SubmitRequest struct {
 	// Count is the number of jobs to submit (default 1).
 	Count int `json:"count"`
@@ -682,33 +669,59 @@ type SubmitRequest struct {
 	CompScale float64 `json:"comp_scale"`
 }
 
+// maxScale bounds comm_scale and comp_scale: a scale multiplies a model
+// cost, and one large enough to overflow the clock arithmetic (JSON
+// carries up to 1e308) would turn completions into +Inf.
+const maxScale = 1e6
+
+// decodeSubmit parses one SubmitRequest — a POST /v1/jobs body or a
+// jobs:stream line. Empty input is the documented one nominal job.
+func decodeSubmit(raw []byte) (SubmitRequest, error) {
+	req := SubmitRequest{Count: 1}
+	if len(raw) == 0 {
+		return req, nil
+	}
+	err := json.Unmarshal(raw, &req)
+	return req, err
+}
+
+// validate is the one SubmitRequest check behind both submission
+// endpoints: it applies the count default and rejects a count outside
+// [1, MaxBatch] or a scale outside [0, maxScale].
+func (s *Server) validate(req *SubmitRequest) error {
+	if req.Count == 0 {
+		req.Count = 1
+	}
+	if req.Count < 0 || req.Count > s.cfg.MaxBatch {
+		return fmt.Errorf("count %d outside [1, %d]", req.Count, s.cfg.MaxBatch)
+	}
+	for _, scale := range [...]float64{req.CommScale, req.CompScale} {
+		if scale < 0 || scale > maxScale {
+			return fmt.Errorf("scales must be non-negative and at most %g", maxScale)
+		}
+	}
+	return nil
+}
+
 // SubmitResponse echoes the assigned cluster-global job IDs.
 type SubmitResponse struct {
 	IDs []int `json:"ids"`
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req := SubmitRequest{Count: 1}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
+	var req SubmitRequest
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, streamMaxLine))
+	if err == nil {
+		req, err = decodeSubmit(body)
 	}
-	if req.Count == 0 {
-		req.Count = 1
-	}
-	if req.Count < 0 || req.Count > s.cfg.MaxBatch {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("count %d outside [1, %d]", req.Count, s.cfg.MaxBatch))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if req.CommScale < 0 || req.CompScale < 0 {
-		httpError(w, http.StatusBadRequest, "scales must be non-negative")
+	if err := s.validate(&req); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// One routed batch per request: per-job placement decisions, but a
-	// single runtime critical section per shard (the PR-4 ingest
-	// contract, preserved through the router).
 	ids, err := s.router.SubmitBatch(live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, req.Count)
 	if err != nil {
 		if errors.Is(err, cluster.ErrDraining) {
@@ -721,7 +734,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, SubmitResponse{IDs: ids})
 }
 
-// JobResponse is the GET /jobs/{id} body: the tracked lifecycle (global
+// JobResponse is the GET /v1/jobs/{id} body: the tracked lifecycle (global
 // job ID, platform-global slave index) plus the shard that served it and
 // the wall-clock latency for completed jobs.
 type JobResponse struct {
@@ -760,7 +773,7 @@ type LatencyStats struct {
 	P99  float64 `json:"p99"`
 }
 
-// ShardStats is one shard's section of the GET /stats body. Slave
+// ShardStats is one shard's section of the GET /v1/stats body. Slave
 // indices — in Slaves and inside Trace — are platform-global.
 type ShardStats struct {
 	Shard  int         `json:"shard"`
@@ -781,12 +794,12 @@ type ShardStats struct {
 	// StageSeconds decomposes completed-job latency into the lifecycle
 	// stages the one-port model defines (queue-wait, transfer,
 	// slave-wait, service), in wall seconds — derived from the same span
-	// timestamps GET /jobs/{id}/trace serves.
+	// timestamps GET /v1/jobs/{id}/trace serves.
 	StageSeconds *obs.StageBreakdown `json:"stage_seconds,omitempty"`
 	Trace        *trace.Report       `json:"trace,omitempty"`
 }
 
-// StealStats is the GET /stats stealing stanza, present only when the
+// StealStats is the GET /v1/stats stealing stanza, present only when the
 // service runs a rebalancer.
 type StealStats struct {
 	// Policy is the steal policy's registry name.
@@ -799,7 +812,7 @@ type StealStats struct {
 	JobsMoved int64 `json:"jobs_moved"`
 }
 
-// StatsResponse is the GET /stats body: the merged cluster view at the
+// StatsResponse is the GET /v1/stats body: the merged cluster view at the
 // top level (wire-compatible with the single-runtime service: jobs,
 // throughput, latency and trace keep their PR-3 names and meaning) plus
 // one section per shard. Merged latency percentiles come from
@@ -834,7 +847,7 @@ type StatsResponse struct {
 	// Recorder reports the flight recorder's accounting (frames, bytes,
 	// retained and dropped segments); absent with DisableRecorder.
 	Recorder *RecorderStats `json:"recorder,omitempty"`
-	// Watch reports the /watch SSE hub: current subscribers and events
+	// Watch reports the /v1/watch SSE hub: current subscribers and events
 	// dropped on slow ones.
 	Watch *WatchStats `json:"watch,omitempty"`
 	// Firehose reports the intake's backpressure state (queue depth, per-
@@ -845,20 +858,20 @@ type StatsResponse struct {
 	PerShard []ShardStats `json:"per_shard"`
 }
 
-// RecorderStats is the GET /stats flight-recorder stanza.
+// RecorderStats is the GET /v1/stats flight-recorder stanza.
 type RecorderStats struct {
 	flight.Stats
 	// Dir is the segment persistence directory ("" when memory-only).
 	Dir string `json:"dir,omitempty"`
 }
 
-// WatchStats is the GET /stats watch-hub stanza.
+// WatchStats is the GET /v1/stats watch-hub stanza.
 type WatchStats struct {
 	Subscribers int    `json:"subscribers"`
 	Dropped     uint64 `json:"dropped"`
 }
 
-// FirehoseStatsResponse is the GET /stats firehose-intake stanza: how
+// FirehoseStatsResponse is the GET /v1/stats firehose-intake stanza: how
 // much backlog producers have parked in the bounded intake (queued vs
 // the bound producers block on) and how the admission-slab pool is
 // holding up (drops mean slabs fell to the GC because the recycle stack
@@ -874,7 +887,7 @@ type FirehoseStatsResponse struct {
 
 // Stats assembles the current service statistics — one consistent
 // tracker snapshot per shard, then the merged cluster view (also used by
-// the load generator without going through HTTP decoding).
+// the benchmark without going through HTTP decoding).
 func (s *Server) Stats() StatsResponse {
 	resp := StatsResponse{
 		Policy:        s.cfg.Policy,
@@ -1115,15 +1128,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.WritePrometheus(w)
+	_ = s.gather(w, s.metrics.WritePrometheus)
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = s.metrics.WriteJSON(w)
+	_ = s.gather(w, s.metrics.WriteJSON)
 }
 
-// TraceResponse is the GET /jobs/{id}/trace body: the job's span tree.
+// TraceResponse is the GET /v1/jobs/{id}/trace body: the job's span tree.
 // Span times are model seconds on the serving clock (divide by
 // clock_scale for wall seconds); Stages holds the lifecycle intervals
 // observed so far, so an in-flight job's trace grows stage by stage and
@@ -1181,7 +1194,7 @@ func spanFromInfo(info live.JobInfo) obs.Span {
 	switch info.State {
 	case live.StateStolen:
 		// The source-side lifecycle ends at retraction; the job's new
-		// shard restarts it (GET /jobs/{id} follows the migration, so
+		// shard restarts it (GET /v1/jobs/{id} follows the migration, so
 		// this branch is only visible mid-migration).
 		add(obs.StageQueue, info.Submitted, info.StolenAt)
 	case live.StateSent:
@@ -1193,11 +1206,10 @@ func spanFromInfo(info live.JobInfo) obs.Span {
 	return sp
 }
 
-// DecisionsResponse is the GET /decisions body: the newest audit
+// DecisionsResponse is the GET /v1/decisions body: the newest audit
 // entries (placements with per-shard scores, steal plans, executed
 // migrations), newest first. ?limit= selects how many (default 50,
-// capped at 1000; ?n= is a legacy alias); a value that is not a
-// positive integer is a 400.
+// capped at 1000); a value that is not a positive integer is a 400.
 type DecisionsResponse struct {
 	// Enabled is false when the service runs with auditing off
 	// (AuditDepth < 0); Decisions is then always empty.
@@ -1208,7 +1220,7 @@ type DecisionsResponse struct {
 	Decisions []obs.Decision `json:"decisions"`
 }
 
-// Bounds on GET /decisions responses: without an explicit limit the
+// Bounds on GET /v1/decisions responses: without an explicit limit the
 // newest decisionsDefaultLimit entries come back; an explicit limit is
 // capped at decisionsMaxLimit so a scrape can never ask for an
 // unbounded copy of the ring.
@@ -1217,29 +1229,24 @@ const (
 	decisionsMaxLimit     = 1000
 )
 
-// queryLimit parses a bounds-checked list limit from the first of the
-// named query parameters that is present (earlier names win — the
-// canonical name goes first, legacy aliases after). An absent value
-// yields def; a value above max is silently capped; anything that is not
-// a positive integer is an error naming the offending parameter. Shared
-// by every list endpoint so "?limit=" means one thing service-wide.
-func queryLimit(r *http.Request, def, max int, names ...string) (int, error) {
-	for _, name := range names {
-		q := r.URL.Query().Get(name)
-		if q == "" {
-			continue
-		}
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			return 0, fmt.Errorf("bad %s: want a positive integer", name)
-		}
-		return min(v, max), nil
+// queryLimit parses the bounds-checked ?limit= of a list endpoint. An
+// absent value yields def; a value above max is silently capped;
+// anything that is not a positive integer is an error. Shared by every
+// list endpoint so "?limit=" means one thing service-wide.
+func queryLimit(r *http.Request, def, max int) (int, error) {
+	q := r.URL.Query().Get("limit")
+	if q == "" {
+		return def, nil
 	}
-	return def, nil
+	v, err := strconv.Atoi(q)
+	if err != nil || v < 1 {
+		return 0, errors.New("bad limit: want a positive integer")
+	}
+	return min(v, max), nil
 }
 
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	n, err := queryLimit(r, decisionsDefaultLimit, decisionsMaxLimit, "limit", "n")
+	n, err := queryLimit(r, decisionsDefaultLimit, decisionsMaxLimit)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -73,8 +73,8 @@ func waitCompleted(t *testing.T, ts *httptest.Server, want int) StatsResponse {
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		var stats StatsResponse
-		if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-			t.Fatalf("GET /stats: %d", code)
+		if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+			t.Fatalf("GET /v1/stats: %d", code)
 		}
 		if stats.Jobs.Completed >= want {
 			return stats
@@ -102,8 +102,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	seen := map[int]bool{}
 	for b := 0; b < batches; b++ {
 		var resp SubmitResponse
-		if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: per}, &resp); code != http.StatusAccepted {
-			t.Fatalf("POST /jobs: %d", code)
+		if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: per}, &resp); code != http.StatusAccepted {
+			t.Fatalf("POST /v1/jobs: %d", code)
 		}
 		if len(resp.IDs) != per {
 			t.Fatalf("batch %d: got %d ids", b, len(resp.IDs))
@@ -134,8 +134,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	// Every job's lifecycle is visible and monotone.
 	for id := range seen {
 		var job JobResponse
-		if code := getJSON(t, ts.URL+fmt.Sprintf("/jobs/%d", id), &job); code != http.StatusOK {
-			t.Fatalf("GET /jobs/%d: %d", id, code)
+		if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/jobs/%d", id), &job); code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%d: %d", id, code)
 		}
 		if job.State != live.StateDone {
 			t.Fatalf("job %d state %q", id, job.State)
@@ -149,10 +149,10 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// Unknown and malformed ids.
-	if code := getJSON(t, ts.URL+"/jobs/99999", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/v1/jobs/99999", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/jobs/xyz", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/v1/jobs/xyz", nil); code != http.StatusBadRequest {
 		t.Fatalf("malformed job id: %d", code)
 	}
 
@@ -160,7 +160,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 1}, nil); code != http.StatusServiceUnavailable {
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 1}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while drained: %d", code)
 	}
 	var after HealthResponse
@@ -172,8 +172,8 @@ func TestServiceEndToEnd(t *testing.T) {
 func TestServiceDrainCompletesOutstanding(t *testing.T) {
 	s, ts := testServer(t, "SO-LS")
 	var resp SubmitResponse
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 20}, &resp); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 20}, &resp); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	// Drain immediately: every accepted job must still complete.
 	if err := s.Drain(); err != nil {
@@ -187,13 +187,13 @@ func TestServiceDrainCompletesOutstanding(t *testing.T) {
 
 func TestServiceRejectsBadRequests(t *testing.T) {
 	_, ts := testServer(t, "SRPT")
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: -1}, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: -1}, nil); code != http.StatusBadRequest {
 		t.Fatalf("negative count: %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 1, CommScale: -2}, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 1, CommScale: -2}, nil); code != http.StatusBadRequest {
 		t.Fatalf("negative scale: %d", code)
 	}
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +265,8 @@ func TestShardedServiceEndToEnd(t *testing.T) {
 
 	const jobs = 60
 	var resp SubmitResponse
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: jobs}, &resp); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: jobs}, &resp); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	if len(resp.IDs) != jobs {
 		t.Fatalf("got %d ids", len(resp.IDs))
@@ -319,7 +319,7 @@ func TestShardedServiceEndToEnd(t *testing.T) {
 
 	// Job lookups speak global IDs and global slave indices.
 	var job JobResponse
-	if code := getJSON(t, ts.URL+fmt.Sprintf("/jobs/%d", resp.IDs[jobs-1]), &job); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+fmt.Sprintf("/v1/jobs/%d", resp.IDs[jobs-1]), &job); code != http.StatusOK {
 		t.Fatalf("GET job: %d", code)
 	}
 	if job.State != live.StateDone || job.ID != resp.IDs[jobs-1] {
@@ -363,8 +363,8 @@ func TestStealingServiceEndToEnd(t *testing.T) {
 	const jobs = 1000
 	for b := 0; b < 10; b++ {
 		var resp SubmitResponse
-		if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: jobs / 10}, &resp); code != http.StatusAccepted {
-			t.Fatalf("POST /jobs: %d", code)
+		if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: jobs / 10}, &resp); code != http.StatusAccepted {
+			t.Fatalf("POST /v1/jobs: %d", code)
 		}
 	}
 	// Settle before draining: Drain stops the rebalancer first, so on a
@@ -378,8 +378,8 @@ func TestStealingServiceEndToEnd(t *testing.T) {
 	}
 
 	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("GET /stats: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
 	}
 	// The merged count is net of migration: every job exactly once.
 	if stats.Jobs.Submitted != jobs || stats.Jobs.Completed != jobs {
@@ -428,15 +428,15 @@ func TestStealConfigValidation(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 4}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 4}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("GET /stats: %d", code)
+	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
 	}
 	if stats.Steal != nil {
 		t.Fatalf("steal stanza present with stealing off: %+v", stats.Steal)
@@ -448,7 +448,7 @@ func TestStealConfigValidation(t *testing.T) {
 }
 
 // TestDrainVsSubmitRace is the drain-vs-submit race regression test:
-// POST /jobs racing Drain() must either be accepted — and then the job
+// POST /v1/jobs racing Drain() must either be accepted — and then the job
 // MUST complete before Drain returns — or be refused with 503. No lost
 // jobs, no panic. Run under -race in CI.
 func TestDrainVsSubmitRace(t *testing.T) {
@@ -466,14 +466,14 @@ func TestDrainVsSubmitRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 20; i++ {
-					code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 2}, nil)
+					code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 2}, nil)
 					switch code {
 					case http.StatusAccepted:
 						accepted.Add(2)
 					case http.StatusServiceUnavailable:
 						return
 					default:
-						t.Errorf("POST /jobs during drain: %d", code)
+						t.Errorf("POST /v1/jobs during drain: %d", code)
 						return
 					}
 				}
@@ -497,7 +497,7 @@ func TestDrainVsSubmitRace(t *testing.T) {
 				round, accepted.Load(), counts.Completed)
 		}
 		// And after Drain has returned, submissions still get 503.
-		if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 1}, nil); code != http.StatusServiceUnavailable {
+		if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 1}, nil); code != http.StatusServiceUnavailable {
 			t.Fatalf("round %d: submit after drain: %d", round, code)
 		}
 	}

@@ -1,13 +1,12 @@
 package schedd
 
-// Tests for the /v1 API surface: golden byte-identity between legacy
-// aliases and their /v1 successors, the shared list-limit helper, the
-// NDJSON bulk-ingest stream (happy path and every error path), and the
-// virtual-clock pure-throughput mode.
+// Tests for the /v1 API surface: the route-table golden, the shared
+// list-limit helper, the one SubmitRequest validator behind both
+// submission endpoints, the NDJSON bulk-ingest stream (happy path and
+// every error path), and the virtual-clock pure-throughput mode.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,107 +19,89 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
-// fetch does one GET and returns status, body and headers.
-func fetch(t *testing.T, url string) (int, []byte, http.Header) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
+// TestRouteTableGolden pins the service's one route generation: the exact
+// set of registered patterns for each configuration that changes it, and
+// that the pre-/v1 unversioned API paths are gone (404) while the infra
+// probes stay unversioned.
+func TestRouteTableGolden(t *testing.T) {
+	api := []string{
+		"POST /v1/jobs",
+		"POST /v1/jobs:stream",
+		"GET /v1/jobs/{id}",
+		"GET /v1/jobs/{id}/trace",
+		"GET /v1/stats",
+		"GET /v1/decisions",
+		"GET /v1/slo",
+		"GET /v1/watch",
+		"GET /healthz",
+		"GET /readyz",
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body, resp.Header
-}
-
-// TestV1AliasGolden pins the compatibility contract of the API
-// versioning: every legacy route is an alias of its /v1 successor with a
-// byte-identical body — only the deprecation headers differ. The server
-// clock is frozen so time-bearing fields (uptime, SLO burn windows)
-// cannot drift between the paired requests, and the comparison runs
-// after Drain so every body is stable.
-func TestV1AliasGolden(t *testing.T) {
-	s, err := New(Config{
-		Platform: core.NewPlatform(
-			[]float64{0.2, 0.4, 0.2, 0.4},
-			[]float64{1, 2, 1, 2}),
-		Policy:     "LS",
-		Shards:     2,
-		ClockScale: 8000,
-		SLOs:       []obs.Objective{{Name: "p99", Kind: obs.ObjectiveLatency, ThresholdSeconds: 0.5, Target: 0.99}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	// Freeze the injectable clock before any comparison; completions may
-	// still be recorded against it, so freeze after the traffic drains.
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 20}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
-	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	frozen := s.started.Add(3 * time.Second)
-	s.now = func() time.Time { return frozen }
-
-	pairs := []string{
-		"/stats",
-		"/decisions",
-		"/decisions?limit=5",
-		"/slo",
-		"/flight",
-		"/jobs/0",
-		"/jobs/0/trace",
-		"/jobs/99999", // 404 bodies are part of the contract too
-	}
-	for _, p := range pairs {
-		legacyCode, legacyBody, legacyHdr := fetch(t, ts.URL+p)
-		v1Code, v1Body, v1Hdr := fetch(t, ts.URL+"/v1"+p)
-		if legacyCode != v1Code {
-			t.Fatalf("%s: legacy status %d, v1 status %d", p, legacyCode, v1Code)
+	flightRoute := []string{"GET /v1/flight"}
+	metrics := []string{"GET /metrics", "GET /debug/vars"}
+	pprof := []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile", "/debug/pprof/symbol", "/debug/pprof/trace"}
+	join := func(parts ...[]string) []string {
+		var out []string
+		for _, p := range parts {
+			out = append(out, p...)
 		}
-		if !bytes.Equal(legacyBody, v1Body) {
-			t.Fatalf("%s: legacy and /v1 bodies differ:\n%s\n---\n%s", p, legacyBody, v1Body)
-		}
-		if legacyHdr.Get("Deprecation") != "true" {
-			t.Fatalf("%s: legacy response missing Deprecation header", p)
-		}
-		if link := legacyHdr.Get("Link"); !strings.Contains(link, "/v1/") || !strings.Contains(link, `rel="successor-version"`) {
-			t.Fatalf("%s: legacy Link header %q", p, link)
-		}
-		if v1Hdr.Get("Deprecation") != "" {
-			t.Fatalf("%s: /v1 response carries a Deprecation header", p)
-		}
+		return out
 	}
-
-	// The drained POST path: both routes refuse with the same 503 body.
-	for _, p := range []string{"/jobs", "/v1/jobs"} {
-		resp, err := http.Post(ts.URL+p, "application/json", strings.NewReader(`{"count":1}`))
+	cases := []struct {
+		name string
+		mod  func(*Config)
+		want []string
+	}{
+		{"default", func(*Config) {}, join(api, flightRoute, metrics)},
+		{"recorder off", func(c *Config) { c.DisableRecorder = true }, join(api, metrics)},
+		{"metrics off", func(c *Config) { c.DisableMetrics = true }, join(api, flightRoute)},
+		{"pprof on", func(c *Config) { c.Pprof = true }, join(api, flightRoute, metrics, pprof)},
+	}
+	for _, tc := range cases {
+		cfg := Config{
+			Platform:   core.NewPlatform([]float64{0.2, 0.4}, []float64{1, 2}),
+			Policy:     "LS",
+			ClockScale: 8000,
+		}
+		tc.mod(&cfg)
+		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("POST %s after drain: %d", p, resp.StatusCode)
+		var got []string
+		for _, rt := range s.routes() {
+			got = append(got, rt.pattern())
 		}
-		if !strings.Contains(string(body), "draining") {
-			t.Fatalf("POST %s body %q", p, body)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: registered patterns\n%q\nwant\n%q", tc.name, got, tc.want)
+		}
+		if tc.name == "default" {
+			ts := httptest.NewServer(s.Handler())
+			for _, p := range []string{"/jobs", "/jobs/0", "/stats", "/decisions", "/slo", "/watch", "/flight"} {
+				if code := getJSON(t, ts.URL+p, nil); code != http.StatusNotFound {
+					t.Errorf("GET %s: %d, want 404 (unversioned API paths are gone)", p, code)
+				}
+			}
+			if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{}, nil); code != http.StatusNotFound {
+				t.Errorf("POST /jobs: %d, want 404", code)
+			}
+			for _, p := range []string{"/healthz", "/readyz", "/metrics", "/v1/stats"} {
+				if code := getJSON(t, ts.URL+p, nil); code != http.StatusOK {
+					t.Errorf("GET %s: %d, want 200", p, code)
+				}
+			}
+			ts.Close()
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // TestQueryLimit is the table test for the shared list-limit helper:
-// default, cap, alias order and garbage handling must be uniform across
-// every list endpoint that uses it.
+// default, cap and garbage handling must be uniform across every list
+// endpoint that uses it.
 func TestQueryLimit(t *testing.T) {
 	cases := []struct {
 		query   string
@@ -131,18 +112,14 @@ func TestQueryLimit(t *testing.T) {
 		{"limit=7", 7, ""},           // plain
 		{"limit=1000", 1000, ""},     // at the cap
 		{"limit=5000", 1000, ""},     // above the cap: silently capped
-		{"n=9", 9, ""},               // legacy alias
-		{"limit=2&n=9", 2, ""},       // canonical name wins
-		{"n=2&limit=9", 9, ""},       // ...regardless of query order
+		{"n=9", 50, ""},              // the retired ?n= alias is just an unknown parameter
 		{"limit=0", 0, "bad limit"},  // zero is not a positive integer
 		{"limit=-3", 0, "bad limit"}, // negative
 		{"limit=abc", 0, "bad limit"},
-		{"n=abc", 0, "bad n"}, // errors name the offending parameter
-		{"limit=abc&n=5", 0, "bad limit"},
 	}
 	for _, tc := range cases {
-		r := httptest.NewRequest("GET", "/decisions?"+tc.query, nil)
-		got, err := queryLimit(r, 50, 1000, "limit", "n")
+		r := httptest.NewRequest("GET", "/v1/decisions?"+tc.query, nil)
+		got, err := queryLimit(r, 50, 1000)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("query %q: err %v, want %q", tc.query, err, tc.wantErr)
@@ -155,8 +132,8 @@ func TestQueryLimit(t *testing.T) {
 	}
 }
 
-// TestListLimitEndpoints pins the helper's wiring: /decisions and /watch
-// reject garbage limits the same way, and the ?n= alias still works.
+// TestListLimitEndpoints pins the helper's wiring: /v1/decisions and
+// /v1/watch reject garbage limits the same way.
 func TestListLimitEndpoints(t *testing.T) {
 	s, ts := testServer(t, "LS")
 	defer func() {
@@ -164,18 +141,100 @@ func TestListLimitEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 4}, nil); code != http.StatusAccepted {
-		t.Fatalf("POST /v1/jobs: %d", code)
+	for i := 0; i < 4; i++ {
+		if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{}, nil); code != http.StatusAccepted {
+			t.Fatalf("POST /v1/jobs: %d", code)
+		}
 	}
 	waitCompleted(t, ts, 4)
-	for _, p := range []string{"/decisions?limit=0", "/v1/decisions?limit=oops", "/watch?limit=-1", "/v1/watch?limit=x"} {
+	for _, p := range []string{"/v1/decisions?limit=0", "/v1/decisions?limit=oops", "/v1/watch?limit=-1", "/v1/watch?limit=x"} {
 		if code := getJSON(t, ts.URL+p, nil); code != http.StatusBadRequest {
 			t.Fatalf("GET %s: %d, want 400", p, code)
 		}
 	}
 	var dec DecisionsResponse
-	if code := getJSON(t, ts.URL+"/v1/decisions?n=2", &dec); code != http.StatusOK || len(dec.Decisions) != 2 {
-		t.Fatalf("GET /v1/decisions?n=2: %d, %d decisions", code, len(dec.Decisions))
+	if code := getJSON(t, ts.URL+"/v1/decisions?limit=2", &dec); code != http.StatusOK || len(dec.Decisions) != 2 {
+		t.Fatalf("GET /v1/decisions?limit=2: %d, %d decisions", code, len(dec.Decisions))
+	}
+}
+
+// TestSubmitValidationShared drives the same bad requests through both
+// submission endpoints: POST /v1/jobs answers 400, POST /v1/jobs:stream
+// answers a terminal ack on the bad line while the line before it stays
+// accepted — with the same message, because one validator serves both.
+func TestSubmitValidationShared(t *testing.T) {
+	cases := []struct {
+		name, req, wantErr string
+	}{
+		{"malformed json", `{not json`, "bad request"},
+		{"negative count", `{"count":-1}`, "outside [1, 10000]"},
+		{"oversized count", `{"count":10001}`, "outside [1, 10000]"},
+		{"negative comm scale", `{"comm_scale":-0.5}`, "scales must be"},
+		{"negative comp scale", `{"comp_scale":-2}`, "scales must be"},
+		{"comm scale above maxScale", `{"comm_scale":1000001}`, "scales must be"},
+		{"comp scale overflowing to +Inf completions", `{"count":2,"comp_scale":1e308}`, "scales must be"},
+		{"scale beyond float64", `{"comp_scale":1e999}`, "bad request"},
+	}
+	// A virtual-clock service: the legal extreme of a scale is a job
+	// maxScale times longer, which only model time can serve promptly.
+	s, ts := virtualServer(t, 2)
+	accepted := 0
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.wantErr) {
+			t.Errorf("%s: POST /v1/jobs: %d %s, want 400 naming %q", tc.name, resp.StatusCode, body, tc.wantErr)
+		}
+		acks := streamLines(t, ts, "{\"count\":2}\n"+tc.req+"\n{\"count\":7}\n")
+		if len(acks) != 2 || acks[0].Error != "" || acks[0].Count != 2 {
+			t.Fatalf("%s: stream acks %+v, want one accepted line then a terminal ack", tc.name, acks)
+		}
+		accepted += 2
+		if acks[1].Line != 2 || !strings.Contains(acks[1].Error, tc.wantErr) || !strings.Contains(acks[1].Error, "remain accepted") {
+			t.Errorf("%s: terminal ack %+v, want line 2 naming %q", tc.name, acks[1], tc.wantErr)
+		}
+	}
+	// The largest legal scale is accepted by both.
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{CommScale: maxScale, CompScale: 0}, nil); code != http.StatusAccepted {
+		t.Errorf("POST /v1/jobs at maxScale: %d", code)
+	}
+	accepted++
+
+	// A body over the one-request size bound is refused before decoding.
+	big := `{"count":1,"pad":"` + strings.Repeat("x", streamMaxLine) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/jobs with a %d-byte body: %d, want 400", len(big), resp.StatusCode)
+	}
+
+	// An empty body is the documented one nominal job — also when it
+	// arrives chunked, with no Content-Length to announce the emptiness.
+	for _, body := range []io.Reader{http.NoBody, struct{ io.Reader }{strings.NewReader("")}} {
+		var out SubmitResponse
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil || len(out.IDs) != 1 {
+			t.Errorf("POST /v1/jobs with an empty body (%T): %d, ids %v, err %v; want one nominal job", body, resp.StatusCode, out.IDs, err)
+		}
+		accepted++
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Counts(); c.Submitted != accepted || c.Completed != accepted {
+		t.Fatalf("counts %+v, want exactly the %d accepted jobs served", c, accepted)
 	}
 }
 
@@ -298,10 +357,10 @@ func TestStreamEndToEnd(t *testing.T) {
 		}
 		next += per
 	}
-	// The legacy batch path must coexist with the stream in firehose mode.
+	// The batch endpoint coexists with the stream in firehose mode.
 	var batch SubmitResponse
-	if code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Count: 5}, &batch); code != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", code)
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 5}, &batch); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
 	}
 	if len(batch.IDs) != 5 || batch.IDs[0] != lines*per {
 		t.Fatalf("batch ids %v", batch.IDs)
@@ -327,8 +386,8 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamRealClock pins the non-firehose stream path: SubmitRange
-// places directly into the runtimes and the acks carry the same
+// TestStreamRealClock pins the stream on a real clock: batches are
+// delivered directly into the runtimes and the acks carry the same
 // consecutive-range contract.
 func TestStreamRealClock(t *testing.T) {
 	s, ts := testServer(t, "LS")

@@ -7,17 +7,16 @@ package schedd
 // response streams back one StreamAck per line as it is admitted, so a
 // client always knows exactly which jobs the service accepted.
 //
-// Decoding is pipelined (Config.StreamWorkers): a reader goroutine
-// splits the wire into lines, W workers parse JSON in parallel, and the
-// handler goroutine acts as the sequencer — it consumes parsed lines in
-// arrival order and performs validation, placement and acks strictly in
-// that order. Parsing is commutative, so only the sequencer touches the
-// router: global-ID assignment order and per-line ack order remain
-// exactly wire order, line for line, same as the serial decoder
-// (StreamWorkers < 0 selects that serial path unchanged).
+// Decoding is pipelined: a reader goroutine splits the wire into lines,
+// W workers (GOMAXPROCS capped at 8; one on a single-core host) parse
+// JSON in parallel, and the handler goroutine acts as the sequencer — it
+// consumes parsed lines in arrival order and performs validation,
+// placement and acks strictly in that order. Parsing is commutative, so
+// only the sequencer touches the router: global-ID assignment order and
+// per-line ack order are exactly wire order, line for line, at any W.
 //
 // Error semantics are partial-accept: the first bad line (malformed
-// JSON, out-of-bounds count, negative scales, service draining) produces
+// JSON, out-of-bounds count or scales, service draining) produces
 // a terminal ack carrying the error and the stream stops — but every
 // previously acked line stays accepted and will be served to completion.
 // Because error acks are issued by the sequencer in line order, a
@@ -37,7 +36,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -61,8 +59,9 @@ type StreamAck struct {
 	Error string `json:"error,omitempty"`
 }
 
-// streamMaxLine bounds one NDJSON request line (a SubmitRequest is tens
-// of bytes; a megabyte line is a protocol error, not a big batch).
+// streamMaxLine bounds one SubmitRequest on the wire — an NDJSON line
+// here, the whole body on POST /v1/jobs (a SubmitRequest is tens of
+// bytes; a megabyte one is a protocol error, not a big batch).
 const streamMaxLine = 1 << 20
 
 // streamJob is one NDJSON line in flight through the decode pipeline.
@@ -77,6 +76,22 @@ type streamJob struct {
 	ready chan struct{}
 }
 
+// handleStream runs the decode pipeline. Three stages:
+//
+//	reader  — scans the body, copies each line into a pooled slot, and
+//	          hands the slot to the workers (work) and, in the same
+//	          order, to the sequencer (order).
+//	workers — s.streamWorkers goroutines JSON-parse slots in parallel,
+//	          signalling each slot's ready channel when done.
+//	sequencer — this goroutine: receives slots in wire order, waits for
+//	          each parse, and runs validation → placement → ack. Only it
+//	          calls SubmitRange, so ID assignment stays arrival order.
+//
+// The slot freelist bounds lookahead (the reader blocks when all slots
+// are in flight) and makes the steady state allocation-free. On early
+// termination — terminal ack, client gone — closing done releases the
+// reader wherever it is blocked; in-flight slots are abandoned to the
+// GC rather than recycled, because a worker may still hold one.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Interactive clients interleave "send a line, read its ack", so the
 	// response must start while the request body is still open. Without
@@ -100,103 +115,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fail := func(line int, msg string) {
 		ack(StreamAck{Line: line, Error: msg + " (stream aborted; earlier acked lines remain accepted)"})
 	}
-	if s.streamWorkers < 1 {
-		s.streamSerial(r, ack, fail)
-		return
-	}
-	s.streamParallel(r, ack, fail)
-}
 
-// submitLine is the sequencer stage shared by both decoders: validate
-// one parsed line, apply real-clock backpressure, place it, ack it.
-// Returns false when the stream must stop (terminal ack already sent,
-// or the client is gone).
-func (s *Server) submitLine(r *http.Request, line int, req SubmitRequest,
-	ack func(StreamAck) bool, fail func(int, string)) bool {
-	if req.Count == 0 {
-		req.Count = 1
-	}
-	if req.Count < 0 || req.Count > s.cfg.MaxBatch {
-		fail(line, fmt.Sprintf("count %d outside [1, %d]", req.Count, s.cfg.MaxBatch))
-		return false
-	}
-	if req.CommScale < 0 || req.CompScale < 0 {
-		fail(line, "scales must be non-negative")
-		return false
-	}
-	// Real-clock backpressure: hold the line while the cluster's
-	// pending population is at the bound. The firehose intake does its
-	// own (blocking) admission control inside SubmitRange.
-	for !s.firehose && s.router.Pending() >= s.ingestDepth {
-		select {
-		case <-r.Context().Done():
-			return false
-		case <-time.After(time.Millisecond):
-		}
-	}
-	base, err := s.router.SubmitRange(live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, req.Count)
-	if err != nil {
-		if errors.Is(err, cluster.ErrDraining) {
-			fail(line, "draining: no new jobs accepted")
-			return false
-		}
-		fail(line, err.Error())
-		return false
-	}
-	if !ack(StreamAck{Line: line, Base: base, Count: req.Count}) {
-		// The client is gone; jobs already admitted stay admitted.
-		return false
-	}
-	return true
-}
-
-// streamSerial is the single-goroutine decoder (StreamWorkers < 0): the
-// PR-9 ingest path, kept verbatim as the benchmark baseline and the
-// conservative fallback.
-func (s *Server) streamSerial(r *http.Request, ack func(StreamAck) bool, fail func(int, string)) {
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), streamMaxLine)
-	line := 0
-	for sc.Scan() {
-		raw := sc.Bytes()
-		line++
-		if len(raw) == 0 {
-			continue // blank separator lines are tolerated, not acked
-		}
-		req := SubmitRequest{Count: 1}
-		if err := json.Unmarshal(raw, &req); err != nil {
-			fail(line, "bad request line: "+err.Error())
-			return
-		}
-		if !s.submitLine(r, line, req, ack, fail) {
-			return
-		}
-	}
-	if err := sc.Err(); err != nil {
-		// Disconnect mid-line or an oversized line: a best-effort terminal
-		// ack (the connection may already be dead). Everything acked so
-		// far remains accepted.
-		fail(line+1, "reading stream: "+err.Error())
-	}
-}
-
-// streamParallel is the pipelined decoder. Three stages:
-//
-//	reader  — scans the body, copies each line into a pooled slot, and
-//	          hands the slot to the workers (work) and, in the same
-//	          order, to the sequencer (order).
-//	workers — s.streamWorkers goroutines JSON-parse slots in parallel,
-//	          signalling each slot's ready channel when done.
-//	sequencer — this goroutine: receives slots in wire order, waits for
-//	          each parse, and runs validation → placement → ack. Only it
-//	          calls SubmitRange, so ID assignment stays arrival order.
-//
-// The slot freelist bounds lookahead (the reader blocks when all slots
-// are in flight) and makes the steady state allocation-free. On early
-// termination — terminal ack, client gone — closing done releases the
-// reader wherever it is blocked; in-flight slots are abandoned to the
-// GC rather than recycled, because a worker may still hold one.
-func (s *Server) streamParallel(r *http.Request, ack func(StreamAck) bool, fail func(int, string)) {
 	workers := s.streamWorkers
 	depth := 4 * workers
 	work := make(chan *streamJob, depth)
@@ -252,8 +171,7 @@ func (s *Server) streamParallel(r *http.Request, ack func(StreamAck) bool, fail 
 	for i := 0; i < workers; i++ {
 		go func() {
 			for j := range work {
-				j.req = SubmitRequest{Count: 1}
-				j.err = json.Unmarshal(j.buf, &j.req)
+				j.req, j.err = decodeSubmit(j.buf)
 				j.ready <- struct{}{}
 			}
 		}()
@@ -280,4 +198,39 @@ func (s *Server) streamParallel(r *http.Request, ack func(StreamAck) bool, fail 
 		// far remains accepted.
 		fail(lastLine+1, "reading stream: "+scanErr.Error())
 	}
+}
+
+// submitLine is the sequencer stage: validate one parsed line, apply
+// real-clock backpressure, place it, ack it. Returns false when the
+// stream must stop (terminal ack already sent, or the client is gone).
+func (s *Server) submitLine(r *http.Request, line int, req SubmitRequest,
+	ack func(StreamAck) bool, fail func(int, string)) bool {
+	if err := s.validate(&req); err != nil {
+		fail(line, err.Error())
+		return false
+	}
+	// Real-clock backpressure: hold the line while the cluster's
+	// pending population is at the bound. The firehose intake does its
+	// own (blocking) admission control inside SubmitRange.
+	for !s.firehose && s.router.Pending() >= s.ingestDepth {
+		select {
+		case <-r.Context().Done():
+			return false
+		case <-time.After(time.Millisecond):
+		}
+	}
+	base, err := s.router.SubmitRange(live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, req.Count)
+	if err != nil {
+		if errors.Is(err, cluster.ErrDraining) {
+			fail(line, "draining: no new jobs accepted")
+			return false
+		}
+		fail(line, err.Error())
+		return false
+	}
+	if !ack(StreamAck{Line: line, Base: base, Count: req.Count}) {
+		// The client is gone; jobs already admitted stay admitted.
+		return false
+	}
+	return true
 }

@@ -9,6 +9,7 @@ package schedd
 // drain that completes exactly what was acked.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,11 +21,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/live"
 )
 
-// concurrentServer is virtualServer with the parallel decoder forced on
-// (the test must cover the pipeline even on a single-core runner, where
-// the GOMAXPROCS default would pick one worker).
+// concurrentServer is virtualServer with the decode pipeline's worker
+// count pinned (the tests must cover parallel parsing even on a
+// single-core runner, where the GOMAXPROCS-derived count is one).
 func concurrentServer(t *testing.T, shards, workers int) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
@@ -36,12 +38,12 @@ func concurrentServer(t *testing.T, shards, workers int) (*Server, *httptest.Ser
 		Placement:        "least-loaded",
 		VirtualClock:     true,
 		IngestQueueDepth: 8192,
-		StreamWorkers:    workers,
 		EventLogCap:      4096,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.streamWorkers = workers
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -247,20 +249,60 @@ func TestStreamConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestStreamSerialFallback pins that StreamWorkers < 0 serves the same
-// contract through the single-goroutine decoder — the benchmark
-// baseline stays a correct production path.
-func TestStreamSerialFallback(t *testing.T) {
-	s, ts := concurrentServer(t, 2, -1)
-	if s.streamWorkers != 0 {
-		t.Fatalf("resolved streamWorkers = %d, want 0 (serial)", s.streamWorkers)
+// TestStreamWorkerCountDifferential pins that the decode pipeline's
+// worker count is not observable: the same body through W = 1 (what a
+// one-core host derives) and W = 4 yields byte-identical ack streams and
+// identical job counts — including a stream cut short by a malformed
+// line and one cut short by an oversized count, where the terminal ack
+// must land on the same line after the same accepted prefix.
+func TestStreamWorkerCountDifferential(t *testing.T) {
+	var good strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&good, "{\"count\":%d,\"comp_scale\":%g}\n", 1+i%7, 1+float64(i%3)/4)
+		if i%9 == 0 {
+			good.WriteString("\n") // blank separators are skipped, not acked
+		}
 	}
-	acks := streamLines(t, ts, "{\"count\":3}\n{\"count\":2}\n")
-	if len(acks) != 2 || acks[0].Base != 0 || acks[0].Count != 3 || acks[1].Base != 3 || acks[1].Count != 2 {
-		t.Fatalf("serial acks %+v", acks)
+	bodies := map[string]string{
+		"clean":           good.String(),
+		"malformed line":  good.String() + "{not json\n" + good.String(),
+		"oversized count": good.String() + "{\"count\":20000}\n" + good.String(),
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
+	for name, body := range bodies {
+		var wantAcks []byte
+		var wantCounts live.Counts
+		for _, workers := range []int{1, 4} {
+			s, ts := concurrentServer(t, 2, workers)
+			resp, err := http.Post(ts.URL+"/v1/jobs:stream", "application/x-ndjson", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			acks, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			counts := s.Counts()
+			if counts.Submitted == 0 || counts.Completed != counts.Submitted {
+				t.Fatalf("%s, W=%d: counts %+v", name, workers, counts)
+			}
+			if workers == 1 {
+				wantAcks, wantCounts = acks, counts
+				continue
+			}
+			if !bytes.Equal(acks, wantAcks) {
+				t.Errorf("%s: ack stream differs between W=1 and W=%d:\n%s\n---\n%s", name, workers, wantAcks, acks)
+			}
+			if counts != wantCounts {
+				t.Errorf("%s: counts %+v at W=%d, %+v at W=1", name, counts, workers, wantCounts)
+			}
+		}
+		if name != "clean" && !bytes.Contains(wantAcks, []byte(`"error"`)) {
+			t.Errorf("%s: no terminal ack in %s", name, wantAcks)
+		}
 	}
 }
 

@@ -99,8 +99,10 @@ func TestHealthSLODecisions(t *testing.T) {
 	if slo.Enabled {
 		t.Fatal("SLO enabled with no objectives configured")
 	}
-	if _, err := cli.SubmitBatch(3); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ { // one audited decision per submission
+		if _, err := cli.SubmitBatch(1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ds, err := cli.Decisions(2)
 	if err != nil {
