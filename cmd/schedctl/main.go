@@ -51,9 +51,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "top":
 		err = cmdTop(args[1:], stdout)
 	case "tail":
-		err = cmdTail(args[1:], stdout)
+		err = cmdTail(args[1:], stdout, stderr)
 	case "export":
-		err = cmdExport(args[1:], stdout)
+		err = cmdExport(args[1:], stdout, stderr)
 	case "slo":
 		var breached bool
 		breached, err = cmdSLO(args[1:], stdout)
@@ -71,16 +71,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // loadRecording reads a flight recording from -dir (on-disk segments)
-// or, when dir is empty, from the live daemon's GET /v1/flight.
-func loadRecording(dir, addr string) (*flight.Recording, error) {
+// or, when dir is empty, from the live daemon's GET /v1/flight. A torn
+// recording — the directory a kill -9 leaves, a cut-off download — is not
+// fatal: the warning goes to stderr and everything up to the last
+// complete frame is returned.
+func loadRecording(dir, addr string, stderr io.Writer) (rec *flight.Recording, err error) {
 	if dir != "" {
-		return flight.ReadDir(dir)
+		rec, err = flight.ReadDir(dir)
+	} else {
+		var raw []byte
+		if raw, err = schedclient.New(addr).Flight(); err != nil {
+			return nil, err
+		}
+		rec, err = flight.Parse(raw)
 	}
-	raw, err := schedclient.New(addr).Flight()
-	if err != nil {
-		return nil, err
+	if errors.Is(err, flight.ErrTruncated) {
+		fmt.Fprintln(stderr, "schedctl: warning:", err)
+		err = nil
 	}
-	return flight.Parse(raw)
+	return rec, err
 }
 
 func cmdTop(args []string, stdout io.Writer) error {
@@ -134,7 +143,7 @@ func renderTop(w io.Writer, stats schedd.StatsResponse) {
 		[]string{"shard", "slaves", "submitted", "completed", "queue", "ev-drop", "p50s"}, rows))
 }
 
-func cmdTail(args []string, stdout io.Writer) error {
+func cmdTail(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("tail")
 	addr := fs.String("addr", "http://127.0.0.1:8080", "schedd address")
 	dir := fs.String("dir", "", "read a recording directory instead of the live stream")
@@ -143,7 +152,7 @@ func cmdTail(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *dir != "" {
-		rec, err := flight.ReadDir(*dir)
+		rec, err := loadRecording(*dir, "", stderr)
 		if err != nil {
 			return err
 		}
@@ -187,7 +196,7 @@ func tailRecording(w io.Writer, rec *flight.Recording, n int) error {
 	return nil
 }
 
-func cmdExport(args []string, stdout io.Writer) error {
+func cmdExport(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("export")
 	addr := fs.String("addr", "http://127.0.0.1:8080", "schedd address")
 	dir := fs.String("dir", "", "read a recording directory instead of the live daemon")
@@ -197,7 +206,7 @@ func cmdExport(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rec, err := loadRecording(*dir, *addr)
+	rec, err := loadRecording(*dir, *addr, stderr)
 	if err != nil {
 		return err
 	}

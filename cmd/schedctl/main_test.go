@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +180,47 @@ func TestTailFromDir(t *testing.T) {
 		if ev.Kind == "" {
 			t.Fatalf("tail event %+v", ev)
 		}
+	}
+}
+
+// TestTornRecordingDir: a recording directory whose newest segment was
+// cut mid-frame (what kill -9 leaves) still exports and tails — every
+// frame up to the last complete one, a warning on stderr, exit 0.
+func TestTornRecordingDir(t *testing.T) {
+	_, dir := liveDaemon(t, true)
+	var whole bytes.Buffer
+	if code := run([]string{"export", "-dir", dir, "-format", "jsonl"}, &whole, &whole); code != 0 {
+		t.Fatalf("export: exit %d: %s", code, whole.String())
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.flight"))
+	newest := segs[len(segs)-1]
+	b, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, b[:len(b)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"export", "-dir", dir, "-format", "jsonl"}, &out, &errb); code != 0 {
+		t.Fatalf("export on a torn dir: exit %d: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "warning") || !strings.Contains(errb.String(), filepath.Base(newest)) {
+		t.Fatalf("stderr lacks the truncation warning: %q", errb.String())
+	}
+	// The cut cost the last frame only: one line per frame, so the torn
+	// export is the whole one minus its last line.
+	lines := strings.SplitAfter(whole.String(), "\n")
+	if want := strings.Join(lines[:len(lines)-2], ""); out.String() != want {
+		t.Fatalf("torn export:\n%s\nwant the whole export minus its last line:\n%s", out.String(), want)
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"tail", "-dir", dir, "-n", "3"}, &out, &errb); code != 0 {
+		t.Fatalf("tail on a torn dir: exit %d: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "warning") || strings.Count(out.String(), "\n") != 3 {
+		t.Fatalf("tail: stderr %q, stdout:\n%s", errb.String(), out.String())
 	}
 }
 

@@ -28,7 +28,7 @@ func main() {
 		Platform:  pl,
 		Scheduler: sched.New("LS"),
 		World:     live.NewRealTime(2000),
-		Observer:  tracker.Observe,
+		Observer:  func(ev live.Event) { tracker.Observe(ev) },
 	})
 	if err != nil {
 		panic(err)
@@ -52,8 +52,8 @@ func main() {
 		panic(err)
 	}
 
-	counts := tracker.CountsSnapshot()
-	lat := tracker.Latencies()
+	snap := tracker.Stats()
+	counts, lat := snap.Counts, snap.Latencies
 	fmt.Printf("live run (wall clock ×2000): %d jobs submitted by %d goroutines, %d completed\n",
 		counts.Submitted, producers, counts.Completed)
 	fmt.Printf("latency (model s): p50 %.3f  p95 %.3f  p99 %.3f\n",

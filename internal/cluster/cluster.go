@@ -72,12 +72,12 @@ type Config struct {
 	// live.Config.EventLogCap); 0 keeps full history.
 	EventLogCap int
 	// Observer, when set, is called with every lifecycle event from every
-	// shard, after the shard's tracker has absorbed it (so the tracker's
-	// view already reflects the event — an EvCompleted observer can read
-	// the finished job's span). It runs inside the shard's master actor:
-	// it must be fast, non-blocking, and must not call back into the
-	// cluster. The flight recorder and /watch stream tap in here.
-	Observer func(shard int, ev live.Event)
+	// shard together with the job as the shard's tracker holds it after
+	// the event (shard-local ID and slave index). It runs inside the
+	// shard's master actor: it must be fast, non-blocking, and must not
+	// call back into the cluster. The flight recorder and /watch stream
+	// tap in here.
+	Observer func(shard int, ev live.Event, job live.JobInfo)
 	// Firehose, when set, enables the batched intake path (see
 	// firehose.go): producers enqueue placed batches into per-shard MPSC
 	// queues and one in-world drain source per shard admits them. It is
@@ -300,13 +300,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	for i, part := range parts {
 		tracker := live.NewTracker()
-		obsFn := tracker.Observe
-		if cfg.Observer != nil {
-			shard, user, tr := i, cfg.Observer, tracker
-			obsFn = func(ev live.Event) {
-				tr.Observe(ev)
-				user(shard, ev)
-			}
+		obsFn := func(ev live.Event) { tracker.Observe(ev) }
+		if user := cfg.Observer; user != nil {
+			shard := i
+			obsFn = func(ev live.Event) { user(shard, ev, tracker.Observe(ev)) }
 		}
 		lcfg := live.Config{
 			Platform:    part.Platform,

@@ -79,23 +79,55 @@ func TestEventLogCapLargerThanStream(t *testing.T) {
 	}
 }
 
-// TestTrackerOnComplete pins the completion hook: called once per
-// completed job with its model-time latency, matching the tracker's own
-// latency log.
-func TestTrackerOnComplete(t *testing.T) {
+// TestObserveReturnsJob pins the tracker's hand-off: every event kind
+// returns the job as it stands after the event, a completed job's
+// Record() is the record its five events assemble, and Stats derives the
+// latencies of exactly the done jobs from the one job table.
+func TestObserveReturnsJob(t *testing.T) {
 	tr := NewTracker()
-	var got []float64
-	tr.OnComplete(func(l float64) { got = append(got, l) })
-	tr.Observe(Event{T: 1, Kind: EvSubmitted, Task: 0, Slave: -1})
-	tr.Observe(Event{T: 2, Kind: EvSent, Task: 0, Slave: 0})
-	tr.Observe(Event{T: 3, Kind: EvArrived, Task: 0, Slave: 0})
-	tr.Observe(Event{T: 3, Kind: EvStarted, Task: 0, Slave: 0})
-	tr.Observe(Event{T: 7, Kind: EvCompleted, Task: 0, Slave: 0})
-	if len(got) != 1 || got[0] != 6 {
-		t.Fatalf("hook saw %v, want [6]", got)
+	steps := []struct {
+		ev   Event
+		want JobInfo
+	}{
+		{Event{T: 1, Kind: EvSubmitted, Task: 0, Slave: -1},
+			JobInfo{ID: 0, State: StateQueued, Slave: -1, Submitted: 1}},
+		{Event{T: 2, Kind: EvSent, Task: 0, Slave: 1},
+			JobInfo{ID: 0, State: StateSent, Slave: 1, Submitted: 1, SendStart: 2}},
+		{Event{T: 3, Kind: EvArrived, Task: 0, Slave: 1},
+			JobInfo{ID: 0, State: StateSent, Slave: 1, Submitted: 1, SendStart: 2, Arrive: 3}},
+		{Event{T: 3.5, Kind: EvStarted, Task: 0, Slave: 1},
+			JobInfo{ID: 0, State: StateSent, Slave: 1, Submitted: 1, SendStart: 2, Arrive: 3, Start: 3.5}},
+		{Event{T: 7, Kind: EvCompleted, Task: 0, Slave: 1},
+			JobInfo{ID: 0, State: StateDone, Slave: 1, Submitted: 1, SendStart: 2, Arrive: 3, Start: 3.5, Complete: 7}},
+		// A second job that never completes: queued, then stolen.
+		{Event{T: 4, Kind: EvSubmitted, Task: 1, Slave: -1},
+			JobInfo{ID: 1, State: StateQueued, Slave: -1, Submitted: 4}},
+		{Event{T: 5, Kind: EvRetracted, Task: 1, Slave: -1},
+			JobInfo{ID: 1, State: StateStolen, Slave: -1, Submitted: 4, StolenAt: 5}},
 	}
-	if lats := tr.Latencies(); len(lats) != 1 || lats[0] != 6 {
-		t.Fatalf("latencies = %v", lats)
+	var done JobInfo
+	for _, st := range steps {
+		got := tr.Observe(st.ev)
+		if got != st.want {
+			t.Fatalf("Observe(%+v) = %+v, want %+v", st.ev, got, st.want)
+		}
+		if stored, ok := tr.Job(st.ev.Task); !ok || stored != got {
+			t.Fatalf("after %+v the table holds %+v, Observe returned %+v", st.ev, stored, got)
+		}
+		if got.State == StateDone {
+			done = got
+		}
+	}
+	want := core.Record{Task: 0, Slave: 1, Release: 1, SendStart: 2, Arrive: 3, Start: 3.5, Complete: 7}
+	if rec := done.Record(); rec != want {
+		t.Fatalf("Record() = %+v, want %+v", rec, want)
+	}
+	snap := tr.Stats()
+	if len(snap.Latencies) != 1 || snap.Latencies[0] != 6 {
+		t.Fatalf("latencies = %v, want [6] (done jobs only)", snap.Latencies)
+	}
+	if len(snap.Records) != 1 || snap.Records[0] != want {
+		t.Fatalf("records = %+v, want [%+v]", snap.Records, want)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestRealRuntimeConcurrentProducers(t *testing.T) {
 		Platform:  testPlatform(),
 		Scheduler: sched.New("LS"),
 		World:     NewRealTime(testSpeedup),
-		Observer:  tracker.Observe,
+		Observer:  func(ev Event) { tracker.Observe(ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRealRuntimeConcurrentProducers(t *testing.T) {
 	if counts.Submitted != producers*perProducer || counts.Completed != producers*perProducer {
 		t.Fatalf("tracker counts %+v", counts)
 	}
-	if lat := tracker.Latencies(); len(lat) != producers*perProducer {
+	if lat := tracker.Stats().Latencies; len(lat) != producers*perProducer {
 		t.Fatalf("%d latencies", len(lat))
 	} else {
 		for _, l := range lat {

@@ -28,7 +28,7 @@ func stealTestRuntime(t *testing.T, tracker *Tracker) *Runtime {
 		World:     NewRealTime(1000),
 	}
 	if tracker != nil {
-		cfg.Observer = tracker.Observe
+		cfg.Observer = func(ev Event) { tracker.Observe(ev) }
 	}
 	rt, err := New(cfg)
 	if err != nil {

@@ -41,6 +41,22 @@ func (j JobInfo) Latency() float64 {
 	return j.Complete - j.Submitted
 }
 
+// Record returns the job's lifecycle as a schedule record — the one
+// JobInfo → core.Record conversion: flight span frames, the /trace span
+// tree and Snapshot.Records all come through here. Complete only once
+// the job is done.
+func (j JobInfo) Record() core.Record {
+	return core.Record{
+		Task:      core.TaskID(j.ID),
+		Slave:     j.Slave,
+		Release:   j.Submitted,
+		SendStart: j.SendStart,
+		Arrive:    j.Arrive,
+		Start:     j.Start,
+		Complete:  j.Complete,
+	}
+}
+
 // Counts summarizes the tracked population. Stolen jobs remain inside
 // Submitted (they were accepted here), so a runtime's net population is
 // Submitted - Stolen; cluster-level merges subtract Stolen to count each
@@ -53,44 +69,34 @@ type Counts struct {
 }
 
 // Tracker is a thread-safe job-state store fed by the runtime's event
-// stream: wire its Observe method as Config.Observer and query it from
+// stream: call its Observe method from Config.Observer and query it from
 // any goroutine while the runtime serves. This is what schedd's
 // GET /jobs/{id} and GET /stats read from.
 //
-// Retention is unbounded by design: one JobInfo and one latency sample
-// per submitted job are kept for the life of the tracker (as is the
-// master's own per-task bookkeeping), because the analysis surfaces —
-// per-job lookup, full-population percentiles, the trace report —
-// are defined over the whole history. That bounds a single runtime's
-// service life by memory (~100 bytes/job: a million jobs ≈ 100 MB);
-// an indefinitely running deployment should drain and restart its
-// runtime at epoch boundaries. See DESIGN.md §9.
+// Retention is unbounded by design: one JobInfo per submitted job — the
+// tracker's only per-job structure — is kept for the life of the tracker
+// (as is the master's own per-task bookkeeping), because the analysis
+// surfaces — per-job lookup, full-population percentiles, the trace
+// report — are defined over the whole history. That bounds a single
+// runtime's service life by memory; an indefinitely running deployment
+// should drain and restart its runtime at epoch boundaries. See
+// DESIGN.md §9.
 type Tracker struct {
 	mu           sync.RWMutex
 	jobs         []JobInfo
 	counts       Counts
-	latencies    []float64
 	firstSubmit  float64
 	lastComplete float64
-	onComplete   func(latency float64)
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// OnComplete registers a hook called with each completed job's response
-// time (model seconds), from inside Observe — the serving layer feeds
-// its latency histogram this way instead of re-walking the job table.
-// Set it before events flow; the hook must be fast and must not call
-// back into the tracker.
-func (tr *Tracker) OnComplete(fn func(latency float64)) {
-	tr.mu.Lock()
-	tr.onComplete = fn
-	tr.mu.Unlock()
-}
-
-// Observe applies one runtime event. It is the Config.Observer hook.
-func (tr *Tracker) Observe(ev Event) {
+// Observe applies one runtime event and returns the job as it stands
+// after it, so whatever sits behind the tracker on the event path (the
+// flight journal, latency metrics) is handed the job rather than looking
+// it up again.
+func (tr *Tracker) Observe(ev Event) JobInfo {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	for len(tr.jobs) <= ev.Task {
@@ -118,18 +124,15 @@ func (tr *Tracker) Observe(ev Event) {
 		j.State = StateDone
 		j.Complete = ev.T
 		tr.counts.Completed++
-		tr.latencies = append(tr.latencies, j.Complete-j.Submitted)
 		if ev.T > tr.lastComplete {
 			tr.lastComplete = ev.T
-		}
-		if tr.onComplete != nil {
-			tr.onComplete(j.Complete - j.Submitted)
 		}
 	case EvRetracted:
 		j.State = StateStolen
 		j.StolenAt = ev.T
 		tr.counts.Stolen++
 	}
+	return *j
 }
 
 // Snapshot is one internally consistent view of the tracked population:
@@ -137,7 +140,7 @@ func (tr *Tracker) Observe(ev Event) {
 // describe the same instant.
 type Snapshot struct {
 	Counts    Counts
-	Latencies []float64 // completed-job response times, completion order
+	Latencies []float64 // completed-job response times, job-ID order
 	// First and Last bound the model-time window from first submission to
 	// last completion; meaningful when Counts.Completed > 0.
 	First, Last float64
@@ -151,13 +154,20 @@ type Snapshot struct {
 func (tr *Tracker) Stats() Snapshot {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
-	return Snapshot{
+	snap := Snapshot{
 		Counts:    tr.counts,
-		Latencies: append([]float64(nil), tr.latencies...),
+		Latencies: make([]float64, 0, tr.counts.Completed),
 		First:     tr.firstSubmit,
 		Last:      tr.lastComplete,
-		Records:   tr.completedRecordsLocked(),
+		Records:   make([]core.Record, 0, tr.counts.Completed),
 	}
+	for _, j := range tr.jobs {
+		if j.State == StateDone {
+			snap.Latencies = append(snap.Latencies, j.Latency())
+			snap.Records = append(snap.Records, j.Record())
+		}
+	}
+	return snap
 }
 
 // Job returns one job's info.
@@ -177,46 +187,10 @@ func (tr *Tracker) CountsSnapshot() Counts {
 	return tr.counts
 }
 
-// Latencies returns a copy of all completed-job response times (model
-// seconds), in completion order.
-func (tr *Tracker) Latencies() []float64 {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	return append([]float64(nil), tr.latencies...)
-}
-
 // Span returns the model-time window [first submission, last completion]
 // observed so far, and whether any job completed.
 func (tr *Tracker) Span() (first, last float64, ok bool) {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	return tr.firstSubmit, tr.lastComplete, tr.counts.Completed > 0
-}
-
-// CompletedRecords assembles core.Records for every completed job, in
-// job-ID order — the partial-schedule input trace.Analyze and the
-// objectives accept mid-run.
-func (tr *Tracker) CompletedRecords() []core.Record {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	return tr.completedRecordsLocked()
-}
-
-func (tr *Tracker) completedRecordsLocked() []core.Record {
-	out := make([]core.Record, 0, tr.counts.Completed)
-	for _, j := range tr.jobs {
-		if j.State != StateDone {
-			continue
-		}
-		out = append(out, core.Record{
-			Task:      core.TaskID(j.ID),
-			Slave:     j.Slave,
-			Release:   j.Submitted,
-			SendStart: j.SendStart,
-			Arrive:    j.Arrive,
-			Start:     j.Start,
-			Complete:  j.Complete,
-		})
-	}
-	return out
 }

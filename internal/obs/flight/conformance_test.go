@@ -34,14 +34,12 @@ func recordVirtual(t *testing.T, cfg flight.Config, pl core.Platform, name strin
 		t.Fatal(err)
 	}
 	tracker := live.NewTracker()
-	spanObs := rec.SpanObserver(0, tracker)
 	res, err := live.Run(live.Config{
 		Platform:  pl,
 		Scheduler: sched.New(name),
 		World:     live.NewVirtual(),
 		Observer: func(ev live.Event) {
-			tracker.Observe(ev)
-			spanObs(ev)
+			rec.Observe(0, ev, tracker.Observe(ev))
 		},
 		Sources: []func(*live.Source){func(src *live.Source) {
 			for _, task := range tasks {

@@ -246,8 +246,12 @@ func (r *Recorder) finish(b []byte) {
 	r.frames++
 }
 
-// AppendEvent journals one runtime lifecycle event. Allocation-free.
-func (r *Recorder) AppendEvent(shard int, ev live.Event) {
+// Observe journals one lifecycle event and, when it completes job, the
+// job's span frame from job.Record() — both in one critical section. It
+// is the serving stack's per-event sink (cluster.Config.Observer hands it
+// the tracker's post-event job) and emits exactly the bytes of AppendEvent
+// followed, on EvCompleted, by AppendSpan. Allocation-free.
+func (r *Recorder) Observe(shard int, ev live.Event, job live.JobInfo) {
 	if r == nil {
 		return
 	}
@@ -256,13 +260,22 @@ func (r *Recorder) AppendEvent(shard int, ev live.Event) {
 	if r.closed {
 		return
 	}
-	b := r.begin(FrameEvent, eventPayloadLen)
-	b = putU32(b, uint32(int32(shard)))
-	b = append(b, byte(ev.Kind))
-	b = putU32(b, uint32(int32(ev.Task)))
-	b = putU32(b, uint32(int32(ev.Slave)))
-	b = putU64(b, math.Float64bits(ev.T))
-	r.finish(b)
+	r.putEvent(shard, ev)
+	if ev.Kind == live.EvCompleted {
+		r.putSpan(shard, job.Record())
+	}
+}
+
+// AppendEvent journals one runtime lifecycle event. Allocation-free.
+func (r *Recorder) AppendEvent(shard int, ev live.Event) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed {
+		r.putEvent(shard, ev)
+	}
 }
 
 // AppendSpan journals one completed job's schedule record (its span in
@@ -273,9 +286,24 @@ func (r *Recorder) AppendSpan(shard int, rec core.Record) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return
+	if !r.closed {
+		r.putSpan(shard, rec)
 	}
+}
+
+// putEvent encodes one event frame. Caller holds r.mu.
+func (r *Recorder) putEvent(shard int, ev live.Event) {
+	b := r.begin(FrameEvent, eventPayloadLen)
+	b = putU32(b, uint32(int32(shard)))
+	b = append(b, byte(ev.Kind))
+	b = putU32(b, uint32(int32(ev.Task)))
+	b = putU32(b, uint32(int32(ev.Slave)))
+	b = putU64(b, math.Float64bits(ev.T))
+	r.finish(b)
+}
+
+// putSpan encodes one span frame. Caller holds r.mu.
+func (r *Recorder) putSpan(shard int, rec core.Record) {
 	b := r.begin(FrameSpan, spanPayloadLen)
 	b = putU32(b, uint32(int32(shard)))
 	b = putU32(b, uint32(int32(rec.Task)))
@@ -343,31 +371,6 @@ func (r *Recorder) appendBlob(typ byte, blob []byte) {
 	b := r.begin(typ, len(blob))
 	b = append(b, blob...)
 	r.finish(b)
-}
-
-// SpanObserver returns a live Observer hook that journals every event
-// and, at each completion, the completed job's span record looked up in
-// tr. It must run AFTER the tracker has applied the event (chain it
-// behind tr.Observe, as cluster.Config.Observer does), or the
-// completion's record will not be visible yet.
-func (r *Recorder) SpanObserver(shard int, tr *live.Tracker) func(live.Event) {
-	return func(ev live.Event) {
-		r.AppendEvent(shard, ev)
-		if ev.Kind != live.EvCompleted {
-			return
-		}
-		if info, ok := tr.Job(ev.Task); ok && info.State == live.StateDone {
-			r.AppendSpan(shard, core.Record{
-				Task:      core.TaskID(info.ID),
-				Slave:     info.Slave,
-				Release:   info.Submitted,
-				SendStart: info.SendStart,
-				Arrive:    info.Arrive,
-				Start:     info.Start,
-				Complete:  info.Complete,
-			})
-		}
-	}
 }
 
 // Snapshot returns the full retained recording — sealed segments oldest

@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -184,16 +185,142 @@ func TestOversizedBlob(t *testing.T) {
 	}
 }
 
+// sampleRecording journals one frame of every type — the smallest
+// recording that exercises every typed accessor — and returns its bytes.
+func sampleRecording(t testing.TB) []byte {
+	t.Helper()
+	r, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AppendMeta([]byte(`{"policy":"LS"}`))
+	r.AppendEvent(1, live.Event{T: 1.5, Kind: live.EvSent, Task: 7, Slave: 2})
+	r.AppendSpan(1, core.Record{Task: 7, Slave: 2, Release: 0.5, SendStart: 1.5, Arrive: 2, Start: 2, Complete: 5.25})
+	r.AppendDecision(obs.Decision{Seq: 3, Wall: 1234567890, Kind: obs.DecisionPlace, Policy: "least-loaded",
+		Job: 7, From: -1, To: 1, Scores: []float64{2, 1, -1}})
+	r.AppendMetrics([]byte(`{"up":1}`))
+	return r.Snapshot()
+}
+
+// decodeAll runs every typed accessor over a parsed recording: none may
+// panic, whatever the frames hold.
+func decodeAll(rec *Recording) {
+	rec.Segments()
+	rec.Events()
+	rec.Spans()
+	rec.Decisions()
+	rec.Meta()
+	rec.MetricsSnapshots()
+}
+
+// isFramePrefix reports whether got is a prefix of want, frame for frame.
+func isFramePrefix(got, want []Frame) bool {
+	if len(got) > len(want) {
+		return false
+	}
+	for i, f := range got {
+		if f.Type != want[i].Type || !bytes.Equal(f.Payload, want[i].Payload) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestParseRejectsTruncation cuts a small recording at every byte
+// offset: a cut inside a frame is an ErrTruncated error, and the frames
+// that come back with it are exactly the complete ones before the cut.
 func TestParseRejectsTruncation(t *testing.T) {
-	r := mustNew(t, Config{})
-	r.AppendEvent(0, live.Event{T: 1, Kind: live.EvSent, Task: 1, Slave: 0})
-	snap := r.Snapshot()
-	if _, err := Parse(snap[:len(snap)-3]); err == nil {
-		t.Fatal("truncated recording parsed without error")
+	snap := sampleRecording(t)
+	full, err := Parse(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Parse(snap[:len(snap)-eventPayloadLen-2]); err == nil {
-		t.Fatal("truncated header parsed without error")
+	// ends[i] is the offset just past frame i.
+	var ends []int
+	off := 0
+	for _, f := range full.Frames {
+		off += frameHeaderLen + len(f.Payload)
+		ends = append(ends, off)
 	}
+	for k := 0; k <= len(snap); k++ {
+		whole := 0 // complete frames in snap[:k]
+		for whole < len(ends) && ends[whole] <= k {
+			whole++
+		}
+		atBoundary := k == 0 || (whole > 0 && ends[whole-1] == k)
+		rec, err := Parse(snap[:k])
+		if atBoundary != (err == nil) {
+			t.Fatalf("cut at %d: err = %v, frame boundary = %v", k, err, atBoundary)
+		}
+		if err != nil && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut at %d: error %v is not ErrTruncated", k, err)
+		}
+		if len(rec.Frames) != whole || !isFramePrefix(rec.Frames, full.Frames) {
+			t.Fatalf("cut at %d: got %d frames, want the first %d", k, len(rec.Frames), whole)
+		}
+		decodeAll(rec)
+	}
+}
+
+// TestReadDirTornSegment: a segment file torn mid-frame (what kill -9
+// during a seal leaves) costs only its own tail — the files before and
+// after it are read whole, and the error names the torn file.
+func TestReadDirTornSegment(t *testing.T) {
+	dir := t.TempDir()
+	r := mustNew(t, Config{Dir: dir, SegmentBytes: 1024, MaxSegments: 8})
+	for i := 0; i < 100; i++ {
+		r.AppendEvent(0, live.Event{T: float64(i), Kind: live.EvSubmitted, Task: i, Slave: -1})
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "seg-*.flight"))
+	if len(files) < 3 {
+		t.Fatalf("want at least 3 segment files, have %v", files)
+	}
+	torn := files[1]
+	b, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, b[:len(b)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReadDir(dir)
+	if !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), filepath.Base(torn)) {
+		t.Fatalf("err = %v, want ErrTruncated naming %s", err, filepath.Base(torn))
+	}
+	// Exactly the torn file's last event is missing; later files survive.
+	if got, want := len(rec.Events()), len(whole.Events())-1; got != want {
+		t.Fatalf("events = %d, want %d", got, want)
+	}
+	if got, want := rec.Segments(), whole.Segments(); len(got) != len(want) {
+		t.Fatalf("segments = %v, want %v", got, want)
+	}
+	if last := rec.Events()[len(rec.Events())-1]; last.Event.Task != 99 {
+		t.Fatalf("newest event after the torn file lost: %+v", last)
+	}
+}
+
+// FuzzParse: no input may panic Parse or a typed accessor, and every
+// prefix of an input parses to a frame prefix of the whole — the
+// valid-prefix contract a torn recording is read under.
+func FuzzParse(f *testing.F) {
+	f.Add(sampleRecording(f), uint16(40))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		full, _ := Parse(data)
+		decodeAll(full)
+		k := int(cut) % (len(data) + 1)
+		part, _ := Parse(data[:k])
+		decodeAll(part)
+		if !isFramePrefix(part.Frames, full.Frames) {
+			t.Fatalf("Parse(data[:%d]) has %d frames, not a prefix of Parse(data)'s %d", k, len(part.Frames), len(full.Frames))
+		}
+	})
 }
 
 // TestAppendAllocationFree pins the hot-path discipline at the unit
@@ -216,38 +343,65 @@ func TestAppendAllocationFree(t *testing.T) {
 	}
 }
 
-func TestSpanObserver(t *testing.T) {
-	r := mustNew(t, Config{})
+// TestRecorderObserve pins the production sink against the two appends
+// it fuses: the same frames, byte for byte — including when a segment
+// rotation falls between a completion's event frame and its span frame.
+func TestRecorderObserve(t *testing.T) {
+	cfg := Config{SegmentBytes: 1024, MaxSegments: 4}
+	fused, paired := mustNew(t, cfg), mustNew(t, cfg)
 	tr := live.NewTracker()
-	observer := func(ev live.Event) {
-		tr.Observe(ev)
-		r.SpanObserver(2, tr)(ev)
+	const jobs = 40
+	rotatedInside := false
+	for task := 0; task < jobs; task++ {
+		t0 := float64(task)
+		for _, ev := range []live.Event{
+			{T: t0, Kind: live.EvSubmitted, Task: task, Slave: -1},
+			{T: t0, Kind: live.EvSent, Task: task, Slave: 1},
+			{T: t0 + 1, Kind: live.EvArrived, Task: task, Slave: 1},
+			{T: t0 + 1, Kind: live.EvStarted, Task: task, Slave: 1},
+			{T: t0 + 4, Kind: live.EvCompleted, Task: task, Slave: 1},
+		} {
+			job := tr.Observe(ev)
+			fused.Observe(2, ev, job)
+			paired.AppendEvent(2, ev)
+			if ev.Kind == live.EvCompleted {
+				before := paired.Stats().Segments + int(paired.Stats().SegmentsDropped)
+				paired.AppendSpan(2, job.Record())
+				if paired.Stats().Segments+int(paired.Stats().SegmentsDropped) != before {
+					rotatedInside = true
+				}
+			}
+		}
 	}
-	events := []live.Event{
-		{T: 0, Kind: live.EvSubmitted, Task: 0, Slave: -1},
-		{T: 0, Kind: live.EvSent, Task: 0, Slave: 1},
-		{T: 1, Kind: live.EvArrived, Task: 0, Slave: 1},
-		{T: 1, Kind: live.EvStarted, Task: 0, Slave: 1},
-		{T: 4, Kind: live.EvCompleted, Task: 0, Slave: 1},
+	if !rotatedInside {
+		t.Fatal("no rotation fell between an event frame and its span frame; resize the test")
 	}
-	for _, ev := range events {
-		observer(ev)
+	if !bytes.Equal(fused.Snapshot(), paired.Snapshot()) {
+		t.Fatal("Observe journals different bytes than AppendEvent + AppendSpan")
 	}
-	parsed, err := Parse(r.Snapshot())
+	if fused.Stats() != paired.Stats() {
+		t.Fatalf("stats differ: %+v vs %+v", fused.Stats(), paired.Stats())
+	}
+	parsed, err := Parse(fused.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := parsed.Events(); len(got) != len(events) {
-		t.Fatalf("journaled %d events, want %d", len(got), len(events))
-	}
 	spans := parsed.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %+v", spans)
+	last := spans[len(spans)-1]
+	want := core.Record{Task: jobs - 1, Slave: 1, Release: jobs - 1, SendStart: jobs - 1, Arrive: jobs, Start: jobs, Complete: jobs + 3}
+	if last.Shard != 2 || last.Record != want {
+		t.Fatalf("last span = %+v, want shard 2 record %+v", last, want)
 	}
-	want := core.Record{Task: 0, Slave: 1, Release: 0, SendStart: 0, Arrive: 1, Start: 1, Complete: 4}
-	if spans[0].Shard != 2 || spans[0].Record != want {
-		t.Fatalf("span = %+v, want shard 2 record %+v", spans[0], want)
+	// A closed or nil recorder drops the pair, as the appends do.
+	if err := fused.Close(); err != nil {
+		t.Fatal(err)
 	}
+	frames := fused.Stats().Frames
+	fused.Observe(2, live.Event{T: 99, Kind: live.EvCompleted, Task: 0, Slave: 1}, live.JobInfo{})
+	if fused.Stats().Frames != frames {
+		t.Fatal("Observe journaled after Close")
+	}
+	(*Recorder)(nil).Observe(0, live.Event{}, live.JobInfo{})
 }
 
 func TestExporters(t *testing.T) {

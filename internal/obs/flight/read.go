@@ -2,6 +2,7 @@ package flight
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -39,21 +40,27 @@ type Recording struct {
 	Frames []Frame
 }
 
+// ErrTruncated marks a recording whose last frame is incomplete — what a
+// killed writer or a partial copy leaves behind. Parse and ReadDir return
+// it (wrapped) together with every complete frame they decoded.
+var ErrTruncated = errors.New("flight: truncated recording")
+
 // Parse decodes one recording byte stream (a Recorder.Snapshot, a GET
-// /flight body, or concatenated segment files). It fails on a frame that
-// runs past the end of the data — recordings are written frame-atomically,
-// so truncation means a corrupted or incomplete copy.
+// /flight body, or concatenated segment files). Frames are written
+// whole, so a frame that runs past the end of the data means the tail
+// was lost: Parse then returns the complete frames before it — a valid
+// prefix of the recording — together with an ErrTruncated error.
 func Parse(data []byte) (*Recording, error) {
 	rec := &Recording{}
 	for off := 0; off < len(data); {
 		if len(data)-off < frameHeaderLen {
-			return nil, fmt.Errorf("flight: truncated frame header at offset %d", off)
+			return rec, fmt.Errorf("%w: frame header cut short at offset %d", ErrTruncated, off)
 		}
 		typ := data[off]
 		n := int(binary.LittleEndian.Uint32(data[off+1 : off+5]))
 		off += frameHeaderLen
 		if n < 0 || n > len(data)-off {
-			return nil, fmt.Errorf("flight: frame at offset %d claims %d payload bytes, %d remain", off-frameHeaderLen, n, len(data)-off)
+			return rec, fmt.Errorf("%w: frame at offset %d claims %d payload bytes, %d remain", ErrTruncated, off-frameHeaderLen, n, len(data)-off)
 		}
 		rec.Frames = append(rec.Frames, Frame{Type: typ, Payload: data[off : off+n]})
 		off += n
@@ -62,7 +69,10 @@ func Parse(data []byte) (*Recording, error) {
 }
 
 // ReadDir parses a recording directory: every seg-*.flight file, in
-// ascending segment order.
+// ascending segment order. Each file is parsed on its own, so a torn
+// file (the one a kill -9 caught mid-write) costs only its own tail: the
+// frames of every file, up to each one's last complete frame, come back
+// together with the ErrTruncated errors naming the torn files.
 func ReadDir(dir string) (*Recording, error) {
 	files, err := filepath.Glob(filepath.Join(dir, "seg-*.flight"))
 	if err != nil {
@@ -72,15 +82,20 @@ func ReadDir(dir string) (*Recording, error) {
 		return nil, fmt.Errorf("flight: no seg-*.flight files in %s", dir)
 	}
 	sort.Strings(files)
-	var data []byte
+	rec := &Recording{}
+	var torn error
 	for _, f := range files {
 		b, err := os.ReadFile(f)
 		if err != nil {
 			return nil, fmt.Errorf("flight: %w", err)
 		}
-		data = append(data, b...)
+		seg, err := Parse(b)
+		rec.Frames = append(rec.Frames, seg.Frames...)
+		if err != nil {
+			torn = errors.Join(torn, fmt.Errorf("%s: %w", filepath.Base(f), err))
+		}
 	}
-	return Parse(data)
+	return rec, torn
 }
 
 // Segments returns the recording's segment sequence numbers, in order. A

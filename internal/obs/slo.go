@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -111,11 +112,7 @@ func NewSLO(obj Objective, windows ...float64) (*SLO, error) {
 			return nil, fmt.Errorf("obs: objective %q window %d is %v, want positive", obj.Name, i, w)
 		}
 	}
-	for i := 1; i < len(ws); i++ {
-		if ws[i] < ws[i-1] {
-			ws[i-1], ws[i] = ws[i], ws[i-1]
-		}
-	}
+	slices.Sort(ws)
 	size := int(ws[len(ws)-1])
 	if size < 1 {
 		size = 1

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -32,6 +33,46 @@ func TestObjectiveValidate(t *testing.T) {
 	for _, c := range cases {
 		if err := c.obj.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestSLOWindows pins NewSLO's window handling: the 5m/1h default, a
+// full ascending sort (Windows, Burn and the window_seconds label order
+// all expose it), and the rejection of non-positive windows.
+func TestSLOWindows(t *testing.T) {
+	obj := obs.Objective{Name: "a", Kind: obs.ObjectiveAvailability, Target: 0.9}
+	cases := []struct {
+		name string
+		in   []float64
+		want []float64 // nil: NewSLO must fail
+	}{
+		{"default", nil, []float64{300, 3600}},
+		{"already ascending", []float64{10, 100}, []float64{10, 100}},
+		{"two descending", []float64{100, 10}, []float64{10, 100}},
+		{"three descending", []float64{3600, 300, 60}, []float64{60, 300, 3600}},
+		{"negative", []float64{60, -1}, nil},
+		{"zero", []float64{0}, nil},
+	}
+	for _, c := range cases {
+		s, err := obs.NewSLO(obj, c.in...)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: windows %v accepted", c.name, c.in)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got := s.Windows(); !slices.Equal(got, c.want) {
+			t.Errorf("%s: Windows() = %v, want %v", c.name, got, c.want)
+		}
+		for i, b := range s.Burn(0) {
+			if b.WindowSeconds != c.want[i] {
+				t.Errorf("%s: Burn()[%d] is the %v s window, want %v", c.name, i, b.WindowSeconds, c.want[i])
+			}
 		}
 	}
 }

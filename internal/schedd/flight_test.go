@@ -7,13 +7,16 @@ package schedd
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 )
@@ -79,6 +82,96 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompletionSinkEndToEnd pins the per-event sink on a virtual-clock
+// service, through the production path: after a drain the recording holds
+// each completed job's five lifecycle events and exactly one span frame,
+// the span is the job's Router.Job record re-expressed in the shard's
+// local indices, and the completion feeds behind the same sink — the
+// job-latency histogram and a latency SLO — have counted every job once.
+func TestCompletionSinkEndToEnd(t *testing.T) {
+	s, err := New(Config{
+		Platform: core.NewPlatform(
+			[]float64{0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.1, 0.2},
+			[]float64{0.4, 0.8, 0.4, 0.8, 0.4, 0.8, 0.4, 0.8}),
+		Policy:       "LS",
+		Shards:       2,
+		Placement:    "least-loaded",
+		VirtualClock: true,
+		SLOs:         []obs.Objective{{Name: "job-p99", Kind: obs.ObjectiveLatency, ThresholdSeconds: 5, Target: 0.99}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestHTTP(t, s)
+	const jobs = 60
+	for _, a := range streamLines(t, ts, "{\"count\":25}\n{\"count\":15,\"comp_scale\":2}\n{\"count\":20,\"comm_scale\":0.5}\n") {
+		if a.Error != "" {
+			t.Fatalf("ack %+v", a)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Counts(); c.Completed != jobs {
+		t.Fatalf("completed %d of %d", c.Completed, jobs)
+	}
+
+	_, raw, _ := scrape(t, ts.URL+"/v1/flight")
+	rec, err := flight.Parse([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ shard, task int }
+	kinds := map[key][]live.EventKind{}
+	for _, e := range rec.Events() {
+		k := key{e.Shard, e.Event.Task}
+		kinds[k] = append(kinds[k], e.Event.Kind)
+	}
+	spans := map[key]core.Record{}
+	for _, sp := range rec.Spans() {
+		k := key{sp.Shard, int(sp.Record.Task)}
+		if _, dup := spans[k]; dup {
+			t.Fatalf("two span frames for shard %d task %d", k.shard, k.task)
+		}
+		spans[k] = sp.Record
+	}
+	if len(kinds) != jobs || len(spans) != jobs {
+		t.Fatalf("recording covers %d jobs with events and %d with spans, want %d", len(kinds), len(spans), jobs)
+	}
+	lifecycle := []live.EventKind{live.EvSubmitted, live.EvSent, live.EvArrived, live.EvStarted, live.EvCompleted}
+	// A firehose shard has one submitter, so its local IDs follow global
+	// ID order: the k-th global ID placed on a shard is its local job k.
+	nextLocal := make([]int, len(s.Router().Shards()))
+	for gid := 0; gid < jobs; gid++ {
+		info, ok := s.Router().Job(gid)
+		shard, placed := s.Router().ShardOf(gid)
+		if !ok || !placed || info.State != live.StateDone {
+			t.Fatalf("job %d: %+v (ok %v, placed %v)", gid, info, ok, placed)
+		}
+		k := key{shard, nextLocal[shard]}
+		nextLocal[shard]++
+		if got := kinds[k]; !slices.Equal(got, lifecycle) {
+			t.Fatalf("job %d (shard %d local %d): event frames %v, want %v", gid, k.shard, k.task, got, lifecycle)
+		}
+		want := info.Record()
+		want.Task = core.TaskID(k.task)
+		want.Slave = slices.Index(s.Router().Shards()[shard].Slaves(), info.Slave)
+		if spans[k] != want {
+			t.Fatalf("job %d: span frame %+v, want %+v", gid, spans[k], want)
+		}
+	}
+
+	_, body, _ := scrape(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("schedd_job_latency_seconds_count %d\n", jobs),
+		fmt.Sprintf("schedd_slo_events_total{objective=\"job-p99\"} %d\n", jobs),
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, body)
+		}
 	}
 }
 
@@ -176,19 +269,26 @@ func TestWatchStream(t *testing.T) {
 
 	// Read SSE lines until a completion shows up.
 	sc := bufio.NewScanner(resp.Body)
-	kinds := map[string]bool{}
+	kinds, slaves := map[string]bool{}, map[int]bool{}
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var ev WatchEvent
+		// Slave is on every line — -1 while unassigned, and slave 0 as
+		// "slave":0, not as an absent field. Decoding into -2 tells the two
+		// apart.
+		ev := WatchEvent{Slave: -2}
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 			t.Fatalf("bad watch line %q: %v", line, err)
 		}
 		if ev.Shard != 0 || ev.Kind == "" {
 			t.Fatalf("watch event %+v", ev)
 		}
+		if unassigned := ev.Kind == "submitted"; ev.Slave == -2 || unassigned != (ev.Slave == -1) {
+			t.Fatalf("watch line %q: slave %d for a %s event", line, ev.Slave, ev.Kind)
+		}
+		slaves[ev.Slave] = true
 		kinds[ev.Kind] = true
 		if ev.Kind == "completed" {
 			break
@@ -198,6 +298,10 @@ func TestWatchStream(t *testing.T) {
 		if !kinds[want] {
 			t.Fatalf("watch stream missing %q events (saw %v)", want, kinds)
 		}
+	}
+	// LS sends the first job to the fastest slave, index 0.
+	if !slaves[0] {
+		t.Fatalf("no watch line carried slave 0 (saw %v)", slaves)
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
@@ -213,7 +317,6 @@ func TestSLOEndpoint(t *testing.T) {
 			{Name: "job-p99", Kind: obs.ObjectiveLatency, ThresholdSeconds: 30, Target: 0.99},
 			{Name: "http-avail", Kind: obs.ObjectiveAvailability, Target: 0.999},
 		},
-		SLOWindows: []time.Duration{time.Minute, time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +335,8 @@ func TestSLOEndpoint(t *testing.T) {
 		t.Fatalf("slo %+v", slo)
 	}
 	for _, st := range slo.Objectives {
-		if len(st.Windows) != 2 || st.Windows[0].WindowSeconds != 60 || st.Windows[1].WindowSeconds != 3600 {
+		// obs.NewSLO's default windows: 5 minutes and 1 hour.
+		if len(st.Windows) != 2 || st.Windows[0].WindowSeconds != 300 || st.Windows[1].WindowSeconds != 3600 {
 			t.Fatalf("objective %q windows %+v", st.Objective.Name, st.Windows)
 		}
 		// Nothing is failing: every job is far under 30 wall seconds and
@@ -255,7 +359,7 @@ func TestSLOEndpoint(t *testing.T) {
 	// Burn-rate gauges are on /metrics; the burn report rides /readyz.
 	_, body, _ := scrape(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		`schedd_slo_burn_rate{objective="job-p99",window_seconds="60"}`,
+		`schedd_slo_burn_rate{objective="job-p99",window_seconds="300"}`,
 		`schedd_slo_burn_rate{objective="http-avail",window_seconds="3600"}`,
 		`schedd_slo_events_total{objective="job-p99"} 8`,
 	} {
@@ -302,12 +406,6 @@ func TestSLODisabledAndInvalid(t *testing.T) {
 	bad.SLOs = []obs.Objective{{Name: "x", Kind: "throughput", Target: 0.9}}
 	if _, err := New(bad); err == nil {
 		t.Fatal("invalid objective accepted")
-	}
-	bad = base
-	bad.SLOs = []obs.Objective{{Name: "x", Kind: obs.ObjectiveAvailability, Target: 0.9}}
-	bad.SLOWindows = []time.Duration{-time.Second}
-	if _, err := New(bad); err == nil {
-		t.Fatal("negative window accepted")
 	}
 }
 

@@ -8,38 +8,33 @@ package schedd
 // when a watcher is actually connected.
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/obs"
 )
 
 // observeShardEvent is the cluster's per-event tap (cluster.Config.
-// Observer): it journals the event into the flight recorder — and, at
-// each completion, the finished job's span record — then fans the event
-// out to /v1/watch subscribers. It runs inside the shard's master actor,
-// after the tracker has absorbed the event, so the completion span is
-// already visible.
-func (s *Server) observeShardEvent(shard int, ev live.Event) {
-	if rec := s.recorder; rec != nil {
-		rec.AppendEvent(shard, ev)
-		if ev.Kind == live.EvCompleted {
-			if info, ok := s.router.Shards()[shard].Tracker().Job(ev.Task); ok && info.State == live.StateDone {
-				rec.AppendSpan(shard, core.Record{
-					Task:      core.TaskID(info.ID),
-					Slave:     info.Slave,
-					Release:   info.Submitted,
-					SendStart: info.SendStart,
-					Arrive:    info.Arrive,
-					Start:     info.Start,
-					Complete:  info.Complete,
-				})
+// Observer), run inside the shard's master actor with the job as the
+// tracker holds it after ev. One sink per concern, nothing looked up:
+// the flight recorder journals the event and, at a completion, the job's
+// span; a completion also feeds the job-latency histogram and the latency
+// SLOs (wall seconds); then the event goes to /v1/watch subscribers.
+func (s *Server) observeShardEvent(shard int, ev live.Event, job live.JobInfo) {
+	s.recorder.Observe(shard, ev, job)
+	if ev.Kind == live.EvCompleted {
+		wall := job.Latency() / s.cfg.ClockScale
+		if s.jobLatency != nil {
+			s.jobLatency.Observe(wall)
+		}
+		if len(s.latencySLOs) > 0 {
+			now := s.sloNow()
+			for _, m := range s.latencySLOs {
+				m.RecordLatency(now, wall)
 			}
 		}
 	}
@@ -53,7 +48,7 @@ type WatchEvent struct {
 	Shard int     `json:"shard"`
 	Kind  string  `json:"kind"`
 	Task  int     `json:"task"`
-	Slave int     `json:"slave,omitempty"`
+	Slave int     `json:"slave"` // -1 while unassigned
 }
 
 // watchHub fans lifecycle events out to SSE subscribers. The publish
@@ -270,16 +265,12 @@ func (s *Server) startSnapshots(interval time.Duration) {
 		defer close(s.snapDone)
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		var buf bytes.Buffer
 		for {
 			select {
 			case <-s.snapStop:
 				return
 			case <-t.C:
-				buf.Reset()
-				if err := s.gather(&buf, s.metrics.WriteJSON); err == nil {
-					s.recorder.AppendMetrics(buf.Bytes())
-				}
+				s.recorder.AppendMetrics(s.gather(s.metrics.WriteJSON))
 			}
 		}
 	}()

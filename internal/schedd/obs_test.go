@@ -6,10 +6,13 @@ package schedd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -353,6 +356,30 @@ func TestStatsStageBreakdown(t *testing.T) {
 // TestScrapeUnderLoad races every read-only observability endpoint
 // against live submissions and the rebalancer. Run under -race in CI:
 // the assertion is simply that nothing tears, panics or 500s.
+// populationMonotone checks one /metrics body: on every shard the
+// population families read completed ≤ dispatched ≤ submitted — they come
+// from one Load sample per shard, so no scrape can show a job further
+// along than an earlier stage has counted it.
+func populationMonotone(body string) error {
+	re := regexp.MustCompile(`(?m)^schedd_jobs_(submitted|dispatched|completed)_total\{shard="(\d+)"\} (\d+)$`)
+	stages := map[string]map[string]int{}
+	for _, m := range re.FindAllStringSubmatch(body, -1) {
+		if stages[m[2]] == nil {
+			stages[m[2]] = map[string]int{}
+		}
+		stages[m[2]][m[1]], _ = strconv.Atoi(m[3])
+	}
+	if len(stages) == 0 {
+		return errors.New("no schedd_jobs_*_total series in the scrape")
+	}
+	for shard, c := range stages {
+		if len(c) != 3 || c["completed"] > c["dispatched"] || c["dispatched"] > c["submitted"] {
+			return fmt.Errorf("shard %s: completed %d, dispatched %d, submitted %d", shard, c["completed"], c["dispatched"], c["submitted"])
+		}
+	}
+	return nil
+}
+
 func TestScrapeUnderLoad(t *testing.T) {
 	s, err := New(Config{
 		Platform: core.NewPlatform(
@@ -405,10 +432,16 @@ func TestScrapeUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				code, _, _ := scrape(t, ts.URL+path)
+				code, body, _ := scrape(t, ts.URL+path)
 				if code != http.StatusOK {
 					t.Errorf("GET %s under load: %d", path, code)
 					return
+				}
+				if path == "/metrics" {
+					if err := populationMonotone(body); err != nil {
+						t.Errorf("scrape under load: %v", err)
+						return
+					}
 				}
 			}
 		}(path)

@@ -14,6 +14,7 @@
 package schedd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,7 +25,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -91,10 +91,6 @@ type Config struct {
 	// AuditDepth sizes the decision-audit ring behind GET /v1/decisions:
 	// 0 means 256, negative disables auditing.
 	AuditDepth int
-	// EventLogCap bounds each shard's retained event log: 0 means 65536
-	// (a serving daemon must not grow without bound; see
-	// live.Config.EventLogCap), negative keeps unbounded history.
-	EventLogCap int
 	// Logger receives the service's structured logs (rebalancer steal
 	// plans at Debug). nil logs nothing from inside the service.
 	Logger *slog.Logger
@@ -116,14 +112,19 @@ type Config struct {
 	// Only meaningful with both the recorder and metrics on.
 	SnapshotInterval time.Duration
 	// SLOs configures the burn-rate engine: each objective is tracked
-	// over SLOWindows and surfaced on GET /v1/slo, /metrics and /readyz.
+	// over obs.NewSLO's default windows (5m and 1h) and surfaced on GET
+	// /v1/slo, /metrics and /readyz.
 	// Latency objectives are fed by job completions (wall seconds),
 	// availability objectives by HTTP responses (status < 500 is good).
 	// Empty serves GET /v1/slo with enabled: false.
 	SLOs []obs.Objective
-	// SLOWindows overrides the burn-rate windows (default 5m and 1h).
-	SLOWindows []time.Duration
 }
+
+// eventLogCap bounds each shard's retained event log (see
+// live.Config.EventLogCap): a serving daemon must not grow with uptime,
+// so it keeps the newest 65536 events per shard and counts the rest in
+// schedd_events_dropped_total.
+const eventLogCap = 65536
 
 // Server is a running service: a sharded cluster plus its HTTP surface
 // and, when stealing is on, the rebalancer migrating work between
@@ -155,22 +156,28 @@ type Server struct {
 	// GET /debug/vars (nil with DisableMetrics). Almost everything in it
 	// is a Func metric sampled at scrape time from counters the stack
 	// already maintains atomically; the two real histograms (job and
-	// migration latency) are fed by completion/migration hooks off the
-	// ingest path, so serving metrics adds nothing to the hot path.
+	// migration latency) are fed by the completion tap and the migration
+	// hook off the ingest path, so serving metrics adds nothing to the
+	// hot path.
 	metrics    *obs.Registry
 	jobLatency *obs.Histogram // nil with DisableMetrics
 	migLatency *obs.Histogram
-	// intake is the firehose snapshot the schedd_firehose_* readers
-	// share: gather takes it once per scrape, so a scrape is one
-	// FirehoseStats call however many intake shards there are.
-	intake atomic.Pointer[cluster.FirehoseStats]
+	// scrapeMu makes a scrape one sample-then-render step (see gather).
+	// loads and intake are the samples its Func readers share: each
+	// shard's lock-free progress counters behind the schedd_jobs_*_total
+	// families, and the firehose intake behind schedd_firehose_*.
+	scrapeMu sync.Mutex
+	loads    []live.Load
+	intake   cluster.FirehoseStats
 
 	// recorder is the always-on flight recorder behind GET /v1/flight
 	// (nil with DisableRecorder); watch fans lifecycle events out to GET
-	// /v1/watch subscribers; slos are the configured burn-rate monitors.
-	recorder *flight.Recorder
-	watch    *watchHub
-	slos     []*obs.SLO
+	// /v1/watch subscribers; slos are the configured burn-rate monitors,
+	// latencySLOs the ones job completions feed.
+	recorder    *flight.Recorder
+	watch       *watchHub
+	slos        []*obs.SLO
+	latencySLOs []*obs.SLO
 
 	// Periodic metrics-snapshot journaling (see startSnapshots).
 	snapStop chan struct{}
@@ -218,24 +225,13 @@ func New(cfg Config) (*Server, error) {
 		// divide by the scale, and 1 keeps them in model seconds.
 		cfg.ClockScale = 1
 	}
-	// Observability defaults: audit and a bounded event log are on
-	// unless explicitly turned off (negative). The event-log cap is the
-	// satellite fix for unbounded growth in long-running serving mode —
-	// a daemon retains the newest 65536 events per shard and counts the
-	// rest as dropped, instead of growing with uptime.
+	// Auditing is on unless explicitly turned off (negative).
 	auditDepth := cfg.AuditDepth
 	switch {
 	case auditDepth == 0:
 		auditDepth = 256
 	case auditDepth < 0:
 		auditDepth = 0
-	}
-	eventCap := cfg.EventLogCap
-	switch {
-	case eventCap == 0:
-		eventCap = 65536
-	case eventCap < 0:
-		eventCap = 0
 	}
 	s := &Server{cfg: cfg, started: time.Now(), now: time.Now, watch: newWatchHub()}
 	s.firehose = cfg.VirtualClock
@@ -244,26 +240,28 @@ func New(cfg Config) (*Server, error) {
 		s.ingestDepth = 65536
 	}
 	s.streamWorkers = min(runtime.GOMAXPROCS(0), 8)
-	// SLO monitors first: the HTTP wrapper and completion hooks feed
-	// them, so they must exist before either is built.
-	windows := make([]float64, 0, len(cfg.SLOWindows))
-	for _, w := range cfg.SLOWindows {
-		if w <= 0 {
-			return nil, fmt.Errorf("schedd: SLO window %v is not positive", w)
-		}
-		windows = append(windows, w.Seconds())
-	}
+	// Everything the per-event tap writes to — SLO monitors, the latency
+	// histogram, the recorder — is built before the cluster that calls it.
 	seen := make(map[string]bool, len(cfg.SLOs))
 	for _, o := range cfg.SLOs {
 		if seen[o.Name] {
 			return nil, fmt.Errorf("schedd: duplicate SLO objective %q", o.Name)
 		}
 		seen[o.Name] = true
-		mon, err := obs.NewSLO(o, windows...)
+		mon, err := obs.NewSLO(o)
 		if err != nil {
 			return nil, fmt.Errorf("schedd: %w", err)
 		}
 		s.slos = append(s.slos, mon)
+		if o.Kind == obs.ObjectiveLatency {
+			s.latencySLOs = append(s.latencySLOs, mon)
+		}
+	}
+	if !cfg.DisableMetrics {
+		s.metrics = obs.NewRegistry()
+		s.jobLatency = s.metrics.Histogram("schedd_job_latency_seconds",
+			"Completed-job response time (submit to complete) in wall seconds.",
+			"", obs.LatencyBuckets())
 	}
 	if !cfg.DisableRecorder {
 		rec, err := flight.New(flight.Config{
@@ -296,13 +294,10 @@ func New(cfg Config) (*Server, error) {
 		Placement:    cfg.Placement,
 		Partition:    cfg.Partition,
 		AuditDepth:   auditDepth,
-		EventLogCap:  eventCap,
+		EventLogCap:  eventLogCap,
 		World:        world,
 		Firehose:     firehose,
-		// The tap reads s.router, assigned below before any event can
-		// flow (events are job-driven and jobs only arrive over HTTP
-		// after New returns).
-		Observer: s.observeShardEvent,
+		Observer:     s.observeShardEvent,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("schedd: %w", err)
@@ -318,10 +313,9 @@ func New(cfg Config) (*Server, error) {
 			s.rebalancer.SetLogger(cfg.Logger)
 		}
 	}
-	if !cfg.DisableMetrics {
+	if s.metrics != nil {
 		s.registerMetrics()
 	}
-	s.installCompletionHooks()
 	if s.recorder != nil {
 		if a := router.Audit(); a != nil {
 			a.SetSink(s.recorder.AppendDecision)
@@ -354,61 +348,26 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// installCompletionHooks wires the single per-tracker completion hook
-// feeding both the job-latency histogram (when metrics are on) and the
-// latency SLO monitors — one hook because OnComplete replaces, not
-// chains. Called before the cluster starts.
-func (s *Server) installCompletionHooks() {
-	var latSLOs []*obs.SLO
-	for _, m := range s.slos {
-		if m.Objective().Kind == obs.ObjectiveLatency {
-			latSLOs = append(latSLOs, m)
-		}
-	}
-	if s.jobLatency == nil && len(latSLOs) == 0 {
-		return
-	}
-	scale := s.cfg.ClockScale
-	for _, sh := range s.router.Shards() {
-		sh.Tracker().OnComplete(func(latency float64) {
-			wall := latency / scale
-			if s.jobLatency != nil {
-				s.jobLatency.Observe(wall)
-			}
-			if len(latSLOs) > 0 {
-				now := s.sloNow()
-				for _, m := range latSLOs {
-					m.RecordLatency(now, wall)
-				}
-			}
-		})
-	}
-}
-
-// registerMetrics builds the /metrics registry. Called before the
-// cluster starts, so the completion hooks are installed before any
-// event can flow. Population counters are Func metrics reading the
-// trackers' existing atomically-maintained counts at scrape time —
+// registerMetrics adds the scrape-time families to the /metrics
+// registry, behind the job-latency histogram New created for the tap.
+// Population counters are Func metrics over the runtimes' lock-free
+// progress counters, read from the one per-shard sample gather takes —
 // zero additional cost on the serving path.
 func (s *Server) registerMetrics() {
-	r := obs.NewRegistry()
-	s.metrics = r
-	s.jobLatency = r.Histogram("schedd_job_latency_seconds",
-		"Completed-job response time (submit to complete) in wall seconds.",
-		"", obs.LatencyBuckets())
+	r := s.metrics
 	for _, sh := range s.router.Shards() {
-		sh := sh
-		labels := obs.Labels("shard", strconv.Itoa(sh.Index()))
+		idx := sh.Index()
+		labels := obs.Labels("shard", strconv.Itoa(idx))
 		r.CounterFunc("schedd_jobs_submitted_total", "Jobs accepted, by shard (stolen jobs count on both source and destination).",
-			labels, func() float64 { return float64(sh.Tracker().CountsSnapshot().Submitted) })
+			labels, func() float64 { return float64(s.loads[idx].Admitted) })
 		r.CounterFunc("schedd_jobs_dispatched_total", "Jobs sent to a slave, by shard.",
-			labels, func() float64 { return float64(sh.Tracker().CountsSnapshot().Dispatched) })
+			labels, func() float64 { return float64(s.loads[idx].Dispatched) })
 		r.CounterFunc("schedd_jobs_completed_total", "Jobs completed, by shard.",
-			labels, func() float64 { return float64(sh.Tracker().CountsSnapshot().Completed) })
+			labels, func() float64 { return float64(s.loads[idx].Completed) })
 		r.CounterFunc("schedd_jobs_stolen_total", "Jobs retracted by cross-shard steals, by source shard.",
-			labels, func() float64 { return float64(sh.Tracker().CountsSnapshot().Stolen) })
+			labels, func() float64 { return float64(s.loads[idx].Retracted) })
 		r.GaugeFunc("schedd_queue_depth", "Accepted-but-undispatched backlog, by shard.",
-			labels, func() float64 { return float64(sh.Load().QueueDepth()) })
+			labels, func() float64 { return float64(s.loads[idx].QueueDepth()) })
 		r.GaugeFunc("schedd_slaves_live", "Slaves not declared down, by shard.",
 			labels, func() float64 { return float64(sh.LiveSlaves()) })
 		r.CounterFunc("schedd_events_dropped_total", "Events overwritten in the bounded per-shard event log.",
@@ -472,33 +431,41 @@ func (s *Server) registerMetrics() {
 	}
 	r.CounterFunc("schedd_watch_events_dropped_total", "Watch-stream events dropped on slow subscribers.",
 		"", func() float64 { return float64(s.watch.dropped.Load()) })
-	if fs, ok := s.router.FirehoseStats(); ok {
-		s.intake.Store(&fs)
+	if s.firehose {
 		r.GaugeFunc("schedd_firehose_queue_depth", "Enqueued-but-not-yet-admitted jobs across all firehose intake shards.",
-			"", func() float64 { return float64(s.intake.Load().Queued) })
+			"", func() float64 { return float64(s.intake.Queued) })
 		for _, sh := range s.router.Shards() {
 			idx := sh.Index()
 			r.GaugeFunc("schedd_firehose_shard_queued", "Enqueued-but-not-yet-admitted jobs, by intake shard.",
 				obs.Labels("shard", strconv.Itoa(idx)),
-				func() float64 { return float64(s.intake.Load().ShardQueued[idx]) })
+				func() float64 { return float64(s.intake.ShardQueued[idx]) })
 		}
 		r.CounterFunc("schedd_firehose_slab_gets_total", "Admission-slab checkouts from the firehose slab pool.",
-			"", func() float64 { return float64(s.intake.Load().SlabGets) })
+			"", func() float64 { return float64(s.intake.SlabGets) })
 		r.CounterFunc("schedd_firehose_slab_hits_total", "Admission-slab checkouts served by recycling (the rest allocated).",
-			"", func() float64 { return float64(s.intake.Load().SlabHits) })
+			"", func() float64 { return float64(s.intake.SlabHits) })
 		r.CounterFunc("schedd_firehose_slab_drops_total", "Drained slabs discarded because the recycle pool was full.",
-			"", func() float64 { return float64(s.intake.Load().SlabDrops) })
+			"", func() float64 { return float64(s.intake.SlabDrops) })
 	}
 }
 
 // gather renders the metrics registry through write (WritePrometheus
-// or WriteJSON), first refreshing the firehose-intake snapshot its
-// schedd_firehose_* readers sample.
-func (s *Server) gather(w io.Writer, write func(io.Writer) error) error {
+// or WriteJSON). Under scrapeMu it first samples every shard's Load —
+// lock-free and internally monotone — and the firehose intake, once
+// each, and every Func reader renders from those samples: within one
+// scrape completed ≤ dispatched ≤ submitted holds per shard, and no
+// scrape takes a tracker lock against a master's write lock. Rendering
+// into memory keeps a slow client from holding the scrape lock.
+func (s *Server) gather(write func(io.Writer) error) []byte {
+	s.scrapeMu.Lock()
+	defer s.scrapeMu.Unlock()
+	s.loads = s.router.Loads()
 	if fs, ok := s.router.FirehoseStats(); ok {
-		s.intake.Store(&fs)
+		s.intake = fs
 	}
-	return write(w)
+	var buf bytes.Buffer
+	_ = write(&buf) // the registry only passes on the writer's errors; a Buffer has none
+	return buf.Bytes()
 }
 
 // counted wraps a handler with its per-route request counter and
@@ -630,12 +597,11 @@ func (s *Server) Router() *cluster.Router { return s.router }
 // Completed after a drain, stealing or not).
 func (s *Server) Counts() live.Counts {
 	var total live.Counts
-	for _, sh := range s.router.Shards() {
-		c := sh.Tracker().CountsSnapshot()
-		total.Submitted += c.Submitted - c.Stolen
-		total.Dispatched += c.Dispatched
-		total.Completed += c.Completed
-		total.Stolen += c.Stolen
+	for _, l := range s.router.Loads() {
+		total.Submitted += l.Admitted - l.Retracted
+		total.Dispatched += l.Dispatched
+		total.Completed += l.Completed
+		total.Stolen += l.Retracted
 	}
 	return total
 }
@@ -1128,12 +1094,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.gather(w, s.metrics.WritePrometheus)
+	_, _ = w.Write(s.gather(s.metrics.WritePrometheus))
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = s.gather(w, s.metrics.WriteJSON)
+	_, _ = w.Write(s.gather(s.metrics.WriteJSON))
 }
 
 // TraceResponse is the GET /v1/jobs/{id}/trace body: the job's span tree.
@@ -1176,15 +1142,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // carries the stages with both endpoints observed so far.
 func spanFromInfo(info live.JobInfo) obs.Span {
 	if info.State == live.StateDone {
-		return obs.FromRecord(core.Record{
-			Task:      core.TaskID(info.ID),
-			Slave:     info.Slave,
-			Release:   info.Submitted,
-			SendStart: info.SendStart,
-			Arrive:    info.Arrive,
-			Start:     info.Start,
-			Complete:  info.Complete,
-		})
+		return obs.FromRecord(info.Record())
 	}
 	sp := obs.Span{Job: info.ID, Slave: info.Slave, Start: info.Submitted, End: info.Submitted}
 	add := func(name string, start, end float64) {

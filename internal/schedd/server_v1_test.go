@@ -297,7 +297,6 @@ func virtualServer(t *testing.T, shards int) (*Server, *httptest.Server) {
 		Placement:        "least-loaded",
 		VirtualClock:     true,
 		IngestQueueDepth: 4096,
-		EventLogCap:      4096,
 	})
 	if err != nil {
 		t.Fatal(err)

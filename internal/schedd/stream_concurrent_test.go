@@ -38,7 +38,6 @@ func concurrentServer(t *testing.T, shards, workers int) (*Server, *httptest.Ser
 		Placement:        "least-loaded",
 		VirtualClock:     true,
 		IngestQueueDepth: 8192,
-		EventLogCap:      4096,
 	})
 	if err != nil {
 		t.Fatal(err)

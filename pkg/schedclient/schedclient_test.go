@@ -1,7 +1,9 @@
 package schedclient
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http/httptest"
@@ -151,13 +153,23 @@ func TestWatchBoundedSubscription(t *testing.T) {
 	if _, err := cli.SubmitBatch(4); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		ev, err := ws.NextEvent()
+	// The first event through the typed accessor, the rest as raw lines:
+	// the slave field is on every line (slave 0 must not read as absent,
+	// and unassigned is an explicit -1).
+	if ev, err := ws.NextEvent(); err != nil || ev.Kind == "" {
+		t.Fatalf("first event %+v: %v", ev, err)
+	}
+	for i := 1; i < 3; i++ {
+		raw, err := ws.Next()
 		if err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		if ev.Kind == "" {
-			t.Fatalf("event %d has no kind", i)
+		var ev schedd.WatchEvent
+		if err := json.Unmarshal(raw, &ev); err != nil || ev.Kind == "" {
+			t.Fatalf("event %d: %q decodes to %+v (%v)", i, raw, ev, err)
+		}
+		if !bytes.Contains(raw, []byte(`"slave":`)) || (ev.Kind == "submitted") != (ev.Slave == -1) {
+			t.Fatalf("event %d: %q: slave field missing or wrong for a %s event", i, raw, ev.Kind)
 		}
 	}
 	if _, err := ws.Next(); !errors.Is(err, io.EOF) {
