@@ -149,7 +149,7 @@ func main() {
 	}
 	if *jsonOut != "" {
 		// The single-run record embeds the trace.Report wire encoding —
-		// the same one schedd's GET /stats serves.
+		// the same one schedd's GET /v1/stats serves.
 		report := trace.Analyze(s)
 		rec := singleRunRecord{
 			Algorithm: scheduler.Name(),

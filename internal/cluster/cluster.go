@@ -63,7 +63,7 @@ type Config struct {
 	Sources []func(*live.Source)
 	// AuditDepth bounds the decision-audit ring: keep the newest
 	// AuditDepth placement/steal/migration decisions (with the placement
-	// policy's per-shard scores) for GET /decisions. 0 — the default —
+	// policy's per-shard scores) for GET /v1/decisions. 0 — the default —
 	// disables auditing entirely: no ring, no score computation, no
 	// timestamps on the ingest path, preserving the bare-cluster hot
 	// path the benchgate pins.
@@ -75,7 +75,7 @@ type Config struct {
 	// shard together with the job as the shard's tracker holds it after
 	// the event (shard-local ID and slave index). It runs inside the
 	// shard's master actor: it must be fast, non-blocking, and must not
-	// call back into the cluster. The flight recorder and /watch stream
+	// call back into the cluster. The flight recorder and /v1/watch stream
 	// tap in here.
 	Observer func(shard int, ev live.Event, job live.JobInfo)
 	// Firehose, when set, enables the batched intake path (see
@@ -625,7 +625,7 @@ func (r *Router) indexLocal(shard, local, gid int) {
 // Job returns a routed job's lifecycle with global identifiers: the ID
 // is the global one and Slave (once dispatched) is the platform-global
 // slave index. The lookup never takes a router lock: the global table
-// resolves with atomic loads, so a million concurrent GET /jobs/{id}
+// resolves with atomic loads, so a million concurrent GET /v1/jobs/{id}
 // readers cost the ingest path nothing.
 func (r *Router) Job(gid int) (live.JobInfo, bool) {
 	shard, local, pending, routed := r.idx.lookup(gid)
@@ -730,7 +730,7 @@ func (r *Router) Stolen() int { return int(r.stolen.Load()) }
 //     at the source and can never be — no double-dispatch window.
 //   - The global job table entry is atomically re-pointed (under its
 //     chunk's write lock) in the same router critical section that
-//     submits to the destination, so GET /jobs/{id} resolves to the old
+//     submits to the destination, so GET /v1/jobs/{id} resolves to the old
 //     home, then (briefly) to a "queued" placeholder while the source
 //     tracker reports the job stolen, then to the new home — never to
 //     "unknown". Readers stay lock-free throughout.

@@ -8,11 +8,13 @@ package live
 // serializes transfers), and per-slave execution is FIFO.
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // benchSpeedup compresses model seconds so a test platform with ~1s
@@ -191,6 +193,26 @@ func TestRealWorldActorPanicSurfacesAsError(t *testing.T) {
 	rt.Start()
 	if err := rt.Wait(); err == nil {
 		t.Fatal("actor panic did not surface from Wait")
+	}
+}
+
+func TestRefusedSendPanicsMaster(t *testing.T) {
+	// The live master never marks a slave dead, so a send its Driver
+	// refuses is a bug: it must stop the world loudly, not drop the job.
+	w := NewRealTime(testSpeedup)
+	rt, err := New(Config{Platform: testPlatform(), Scheduler: sched.New("LS"), World: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.prog.drv = sim.NewDriver(rt.prog.pl, w.clock.Now)
+	for j := 0; j < rt.prog.pl.M(); j++ {
+		rt.prog.drv.Fail(j)
+	}
+	rt.Start()
+	rt.Submit(JobSpec{})
+	err = rt.Wait()
+	if err == nil || !strings.Contains(err.Error(), "dead slave") {
+		t.Fatalf("Wait error %v, want the master's refused-send panic", err)
 	}
 }
 

@@ -275,7 +275,10 @@ func (p *program) handle(m Msg) bool {
 // actual transfer duration (port occupancy), after which the master has
 // observed its own send complete.
 func (p *program) dispatch(n Node, task core.TaskID, j int) {
-	p.drv.MarkSent(p.cfg.Scheduler.Name(), task, j)
+	if !p.drv.MarkSent(p.cfg.Scheduler.Name(), task, j) {
+		// This master never marks a slave dead, so a refused send is a bug.
+		panic(fmt.Sprintf("live: scheduler %s sent task %d to dead slave %d", p.cfg.Scheduler.Name(), task, j))
+	}
 	t := p.drv.Task(task)
 	now := n.Now()
 	p.record(Event{T: now, Kind: EvSent, Task: int(task), Slave: j})

@@ -71,7 +71,7 @@ type Counts struct {
 // Tracker is a thread-safe job-state store fed by the runtime's event
 // stream: call its Observe method from Config.Observer and query it from
 // any goroutine while the runtime serves. This is what schedd's
-// GET /jobs/{id} and GET /stats read from.
+// GET /v1/jobs/{id} and GET /v1/stats read from.
 //
 // Retention is unbounded by design: one JobInfo per submitted job — the
 // tracker's only per-job structure — is kept for the life of the tracker
@@ -149,7 +149,7 @@ type Snapshot struct {
 }
 
 // Stats takes one consistent snapshot under a single lock acquisition —
-// what reporting surfaces (schedd's GET /stats) should use, so counts,
+// what reporting surfaces (schedd's GET /v1/stats) should use, so counts,
 // throughput windows and trace records never disagree mid-run.
 func (tr *Tracker) Stats() Snapshot {
 	tr.mu.RLock()

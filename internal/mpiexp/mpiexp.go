@@ -216,7 +216,10 @@ func (ms *master) nextReleaseAfter(now float64) float64 {
 // occupancy.
 func (ms *master) dispatch(task core.TaskID, j int) {
 	idx := int(task)
-	ms.drv.MarkSent(ms.cfg.Scheduler.Name(), task, j)
+	if !ms.drv.MarkSent(ms.cfg.Scheduler.Name(), task, j) {
+		// The emulated platform is static: a refused send is a bug.
+		panic(fmt.Sprintf("mpiexp: scheduler %s sent task %d to dead slave %d", ms.cfg.Scheduler.Name(), task, j))
+	}
 	msg := taskMsg{
 		task:    idx,
 		compDur: ms.pl.P[j] * ms.tasks[idx].EffComp(),

@@ -8,7 +8,7 @@ import "sync"
 // entry into a preallocated slot under a short mutex — no allocation,
 // no I/O — and the per-entry score vectors live in one backing array
 // sized at construction, so steady-state recording never touches the
-// allocator. Readers (GET /decisions) copy the newest entries out.
+// allocator. Readers (GET /v1/decisions) copy the newest entries out.
 
 // Decision kinds.
 const (

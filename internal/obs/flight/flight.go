@@ -375,7 +375,7 @@ func (r *Recorder) appendBlob(typ byte, blob []byte) {
 
 // Snapshot returns the full retained recording — sealed segments oldest
 // first, then the active segment — as one parseable byte stream. This is
-// what GET /flight serves and what the conformance suite compares.
+// what GET /v1/flight serves and what the conformance suite compares.
 func (r *Recorder) Snapshot() []byte {
 	if r == nil {
 		return nil
@@ -393,7 +393,7 @@ func (r *Recorder) Snapshot() []byte {
 	return append(out, r.active...)
 }
 
-// Stats is the recorder's own accounting, surfaced in GET /stats so
+// Stats is the recorder's own accounting, surfaced in GET /v1/stats so
 // segment drops (silent truncation of history) are visible.
 type Stats struct {
 	// Frames and Bytes count everything appended since construction,

@@ -46,7 +46,7 @@ type Recording struct {
 var ErrTruncated = errors.New("flight: truncated recording")
 
 // Parse decodes one recording byte stream (a Recorder.Snapshot, a GET
-// /flight body, or concatenated segment files). Frames are written
+// /v1/flight body, or concatenated segment files). Frames are written
 // whole, so a frame that runs past the end of the data means the tail
 // was lost: Parse then returns the complete frames before it — a valid
 // prefix of the recording — together with an ErrTruncated error.

@@ -35,7 +35,7 @@ const (
 // Objective is one service-level objective: a good-event criterion plus
 // the target fraction of events that must be good.
 type Objective struct {
-	// Name labels the objective on /metrics and /slo; required, unique
+	// Name labels the objective on /metrics and /v1/slo; required, unique
 	// per server.
 	Name string `json:"name"`
 	// Kind is ObjectiveLatency or ObjectiveAvailability.

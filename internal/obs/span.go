@@ -84,7 +84,7 @@ func FromRecords(recs []core.Record) []Span {
 
 // StageBreakdown is the per-stage latency decomposition over a set of
 // completed jobs: for each lifecycle stage, the mean and maximum
-// duration, in the records' clock domain. This is what GET /stats
+// duration, in the records' clock domain. This is what GET /v1/stats
 // surfaces (rescaled to wall seconds): it answers "is latency queueing,
 // the port, or service?" — the decomposition the one-port model makes
 // meaningful.

@@ -56,12 +56,12 @@ func (f *FailSafeScheduler) Decide(v sim.View) sim.Action {
 		f.inner.Reset(core.NewPlatform(c, p))
 	}
 	act := f.inner.Decide(v)
-	if act.Kind != sim.ActSend || sim.IsAlive(v, act.Slave) {
+	if act.Kind != sim.ActSend || v.Alive(act.Slave) {
 		return act
 	}
 	best, bestFinish := -1, 0.0
 	for j := 0; j < v.M(); j++ {
-		if !sim.IsAlive(v, j) {
+		if !v.Alive(j) {
 			continue
 		}
 		if fin := v.PredictFinish(j); best < 0 || fin < bestFinish {

@@ -19,9 +19,6 @@ import (
 // exploration pass over the whole platform. The dispatch rule is LS-like:
 // ship the oldest pending task to the live slave minimizing estimated
 // finish ĉ_j + (outstanding_j + 1)·p̂_j.
-//
-// On a static engine without an observation feed the estimates never
-// materialize and the scheduler degenerates to least-outstanding-first.
 type SpeedOblivious struct {
 	// PriorComm and PriorComp score unobserved slaves; the zero value
 	// selects 1 for both.
@@ -53,14 +50,14 @@ func (s *SpeedOblivious) Decide(v sim.View) sim.Action {
 	}
 	best, bestScore := -1, 0.0
 	for j := 0; j < v.M(); j++ {
-		if !sim.IsAlive(v, j) {
+		if !v.Alive(j) {
 			continue
 		}
 		c, p := priorC, priorP
-		if obs, ok := sim.ObservedComm(v, j); ok {
+		if obs, ok := v.ObservedComm(j); ok {
 			c = obs
 		}
-		if obs, ok := sim.ObservedComp(v, j); ok {
+		if obs, ok := v.ObservedComp(j); ok {
 			p = obs
 		}
 		score := c + float64(v.Outstanding(j)+1)*p

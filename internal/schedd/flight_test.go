@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -233,6 +235,31 @@ func TestFlightPersistence(t *testing.T) {
 	spans := rec.Spans()
 	if len(spans) == 0 {
 		t.Fatal("no spans in on-disk recording")
+	}
+}
+
+func TestFailedStartKeepsPreviousRecording(t *testing.T) {
+	// flight.New clears seg-*.flight from RecordDir, so a configuration
+	// the cluster rejects must be rejected before the recorder is built.
+	for name, bad := range map[string]Config{
+		"unknown placement": {Placement: "typo"},
+		"too many shards":   {Shards: 3},
+		"unknown partition": {Partition: "typo"},
+	} {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, "seg-00000001.flight")
+		if err := os.WriteFile(seg, []byte("last run's post-mortem"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bad.Platform = core.NewPlatform([]float64{0.5, 1}, []float64{2, 4})
+		bad.Policy = "LS"
+		bad.RecordDir = dir
+		if _, err := New(bad); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if _, err := os.Stat(seg); err != nil {
+			t.Fatalf("%s: the failed start wiped the previous recording: %v", name, err)
+		}
 	}
 }
 

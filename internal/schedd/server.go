@@ -217,6 +217,15 @@ func New(cfg Config) (*Server, error) {
 	if err := cluster.ValidateStealPolicy(cfg.Steal); err != nil {
 		return nil, fmt.Errorf("schedd: %w", err)
 	}
+	// What cluster.New would reject is rejected here, before the recorder
+	// is built: flight.New clears the previous run's segments from
+	// RecordDir, and a start that fails must leave that post-mortem alone.
+	if err := cluster.ValidatePlacement(cfg.Placement); err != nil {
+		return nil, fmt.Errorf("schedd: %w", err)
+	}
+	if _, err := cfg.Platform.Partition(cfg.Shards, cfg.Partition); err != nil {
+		return nil, fmt.Errorf("schedd: cluster: %w", err)
+	}
 	if cfg.VirtualClock {
 		if cfg.Steal != cluster.StealNone {
 			return nil, fmt.Errorf("schedd: virtual-clock mode cannot steal (firehose admission predicts runtime-local IDs, so each shard must have exactly one submitter)")

@@ -1,23 +1,23 @@
 package sim
 
-// Driver is the master-side half of the one-port model, factored out of
-// the discrete-event engine so that every concrete master — the
-// message-passing emulation in internal/mpiexp and the concurrent live
-// runtime in internal/live — drives a Scheduler through identical
-// bookkeeping: the admitted task list, the pending (released, unsent)
-// queue, the dispatch Ledger, per-task schedule records, and the
-// observation feed of actual send/computation durations.
+// Driver is the master-side half of the one-port model: the admitted task
+// list, the pending (released, unsent) queue, the dispatch Ledger,
+// per-task schedule records, slave liveness, and the observation feed of
+// actual send/computation durations. Every concrete master — the
+// discrete-event engine, the message-passing emulation in internal/mpiexp
+// and the concurrent live runtime in internal/live — keeps these books in
+// a Driver and consults its Scheduler through the Driver's View.
 //
-// The Driver implements exactly the state a real master can know. It is
-// told about admissions, dispatch decisions, arrivals and completions by
-// the substrate that owns ground truth (virtual-time kernel, goroutine
-// workers, or a physical cluster) and exposes the scheduler-visible
-// projection of that state as a DynamicView, so the same unmodified
-// Scheduler implementations run on every substrate and — on deterministic
-// substrates — reproduce the engine's decisions bit for bit.
+// The Driver holds exactly the state a real master can know. It is told
+// about admissions, dispatch decisions, arrivals, completions and
+// membership changes by the substrate that owns ground truth (the event
+// heap, a virtual-time kernel, goroutine workers, or a physical cluster),
+// so the same unmodified Scheduler implementations run on every substrate
+// and — on deterministic substrates — make the same decisions bit for bit.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -25,7 +25,7 @@ import (
 // Driver is master-side bookkeeping for one run. It is not safe for
 // concurrent use: all mutation must come from the single master loop.
 type Driver struct {
-	pl      core.Platform
+	pl      core.Platform // nominal costs: what the master believes
 	now     func() float64
 	tasks   []core.Task
 	records []core.Record
@@ -33,12 +33,16 @@ type Driver struct {
 	sent    []bool
 	done    []bool
 	ledger  *Ledger
-	obsComm []ewma
-	obsComp []ewma
+	obsComm []ewma // observed send durations per slave
+	obsComp []ewma // observed computation durations per slave
+
+	// Membership (dynamics.go): a static master never changes these.
+	alive    []bool
+	departed []bool
 
 	completed int
 	retracted int
-	view      driverView
+	lost      int // attempts destroyed by Fail/Leave
 }
 
 // NewDriver creates bookkeeping for a master serving the given platform.
@@ -47,37 +51,66 @@ type Driver struct {
 func NewDriver(pl core.Platform, now func() float64) *Driver {
 	m := pl.M()
 	d := &Driver{
-		pl:      pl.Clone(),
-		now:     now,
-		ledger:  NewLedger(m),
-		obsComm: make([]ewma, m),
-		obsComp: make([]ewma, m),
+		pl:       pl.Clone(),
+		now:      now,
+		ledger:   NewLedger(m),
+		obsComm:  make([]ewma, m),
+		obsComp:  make([]ewma, m),
+		alive:    make([]bool, m),
+		departed: make([]bool, m),
 	}
-	d.view.d = d
+	for j := range d.alive {
+		d.alive[j] = true
+	}
 	return d
 }
 
-// Admit registers a task the master just learned about and appends it to
-// the pending queue. Task IDs are assigned densely in admission order
-// (the Release field is kept as given: for streaming masters it is the
-// moment the submission arrived). The assigned ID is returned.
-func (d *Driver) Admit(task core.Task) core.TaskID {
-	idx := len(d.tasks)
-	task.ID = core.TaskID(idx)
+// reserve sizes the per-task bookkeeping for n more tasks, so a master
+// that knows its workload up front never grows it again.
+func (d *Driver) reserve(n int) {
+	d.tasks = slices.Grow(d.tasks, n)
+	d.records = slices.Grow(d.records, n)
+	d.sent = slices.Grow(d.sent, n)
+	d.done = slices.Grow(d.done, n)
+	d.pending.grow(n)
+}
+
+// register makes a task known to the master without releasing it: the
+// ID is assigned densely in registration order and the record opened.
+func (d *Driver) register(task core.Task) core.TaskID {
+	task.ID = core.TaskID(len(d.tasks))
 	d.tasks = append(d.tasks, task)
 	d.records = append(d.records, core.Record{Task: task.ID, Slave: -1, Release: task.Release})
 	d.sent = append(d.sent, false)
 	d.done = append(d.done, false)
-	d.pending.Push(idx)
 	return task.ID
+}
+
+// markReleased appends a registered task to the pending queue.
+func (d *Driver) markReleased(task core.TaskID) { d.pending.Push(int(task)) }
+
+// Admit registers a task the master just learned about and appends it to
+// the pending queue. Task IDs are assigned densely in admission order
+// (the Release field is kept as given: for streaming masters it is the
+// moment the submission arrived). The assigned ID is returned. The engine,
+// which knows tasks before their release dates, takes the two halves
+// (register, markReleased) separately.
+func (d *Driver) Admit(task core.Task) core.TaskID {
+	id := d.register(task)
+	d.markReleased(id)
+	return id
 }
 
 // MarkSent validates and records a dispatch decision made at the current
 // time: the task leaves the pending queue, its send start is stamped, and
-// the ledger predicts its arrival with the nominal link cost. Like the
-// engine, scheduler protocol violations (unknown task, unknown slave,
-// re-send, unreleased task) are programming errors and panic.
-func (d *Driver) MarkSent(scheduler string, task core.TaskID, j int) {
+// the ledger predicts its arrival with the nominal link cost. Scheduler
+// protocol violations (unknown task, unknown slave, re-send, unreleased
+// task) are programming errors and panic. A dead or departed target is an
+// observable runtime condition instead: MarkSent changes nothing and
+// reports false, and the substrate decides what that means (the engine
+// halts with a DeadSlaveError; masters of static platforms cannot get
+// there without a bug).
+func (d *Driver) MarkSent(scheduler string, task core.TaskID, j int) bool {
 	idx := int(task)
 	if idx < 0 || idx >= len(d.tasks) {
 		panic(fmt.Sprintf("sim: scheduler %s sent unknown task %d", scheduler, task))
@@ -92,12 +125,16 @@ func (d *Driver) MarkSent(scheduler string, task core.TaskID, j int) {
 	if pos < 0 {
 		panic(fmt.Sprintf("sim: scheduler %s sent unreleased task %d at %v", scheduler, task, d.now()))
 	}
+	if !d.alive[j] {
+		return false
+	}
 	d.pending.RemoveAt(pos)
 	d.sent[idx] = true
 	now := d.now()
 	d.records[idx].Slave = j
 	d.records[idx].SendStart = now
 	d.ledger.Assign(j, idx, now+d.pl.C[j])
+	return true
 }
 
 // MarkArrived records the observed send completion: the master
@@ -112,7 +149,7 @@ func (d *Driver) MarkArrived(task core.TaskID, j int, at float64) {
 
 // MarkCompleted records a completion notification carrying the slave's
 // reported computation window. The actual computation duration feeds the
-// observation stream, mirroring the engine's evComputeComplete handling.
+// observation stream.
 func (d *Driver) MarkCompleted(task core.TaskID, j int, start, complete float64) {
 	idx := int(task)
 	d.records[idx].Start = start
@@ -170,66 +207,65 @@ func (d *Driver) Task(id core.TaskID) core.Task { return d.tasks[id] }
 func (d *Driver) Platform() core.Platform { return d.pl }
 
 // View returns the scheduler-visible projection of the master's state.
-// It implements DynamicView: on a static platform every slave is alive,
-// and the observation feed carries the actual durations the master
-// measured, exactly as the engine's view does.
-func (d *Driver) View() View { return &d.view }
+func (d *Driver) View() View { return View{d} }
 
 // Schedule assembles the schedule recorded so far. On a completed run it
 // is a full, validatable core.Schedule; mid-run, records of unfinished
-// tasks have zero fields (like Engine.Snapshot).
+// tasks have zero fields.
 func (d *Driver) Schedule() core.Schedule {
 	inst := core.Instance{Platform: d.pl.Clone(), Tasks: append([]core.Task(nil), d.tasks...)}
 	return core.Schedule{Instance: inst, Records: append([]core.Record(nil), d.records...)}
 }
 
-// driverView is the Driver-backed DynamicView. Its float expressions
-// mirror engineView operation for operation: bit-identical inputs must
-// yield bit-identical scheduler decisions.
-type driverView struct {
-	d *Driver
-}
+// View is the scheduler-visible projection of a master's books: static
+// platform costs, the pending queue, the dispatch ledger, slave liveness
+// and the observation feed — never future releases or actual perturbed
+// sizes. It is a handle on the one Driver every substrate keeps, so a
+// Scheduler sees the same surface, computed by the same float
+// expressions, wherever it runs.
+type View struct{ d *Driver }
 
 // Now returns the current time.
-func (v *driverView) Now() float64 { return v.d.now() }
+func (v View) Now() float64 { return v.d.now() }
 
 // M returns the number of slaves.
-func (v *driverView) M() int { return v.d.pl.M() }
+func (v View) M() int { return v.d.pl.M() }
 
 // Comm returns the nominal communication time c_j.
-func (v *driverView) Comm(j int) float64 { return v.d.pl.C[j] }
+func (v View) Comm(j int) float64 { return v.d.pl.C[j] }
 
 // Comp returns the nominal computation time p_j.
-func (v *driverView) Comp(j int) float64 { return v.d.pl.P[j] }
+func (v View) Comp(j int) float64 { return v.d.pl.P[j] }
 
 // PendingCount returns the number of released, unsent tasks.
-func (v *driverView) PendingCount() int { return v.d.pending.Len() }
+func (v View) PendingCount() int { return v.d.pending.Len() }
 
 // PendingAt returns the i-th pending task in release (FIFO) order.
-func (v *driverView) PendingAt(i int) core.TaskID { return core.TaskID(v.d.pending.At(i)) }
+func (v View) PendingAt(i int) core.TaskID { return core.TaskID(v.d.pending.At(i)) }
 
 // FirstPending returns the oldest pending task.
-func (v *driverView) FirstPending() (core.TaskID, bool) {
+func (v View) FirstPending() (core.TaskID, bool) {
 	t, ok := v.d.pending.Front()
 	return core.TaskID(t), ok
 }
 
 // Release returns the release time of a task.
-func (v *driverView) Release(task core.TaskID) float64 { return v.d.tasks[task].Release }
+func (v View) Release(task core.TaskID) float64 { return v.d.tasks[task].Release }
 
 // Outstanding returns the number of tasks assigned to slave j and not yet
 // completed (in flight, queued, or computing).
-func (v *driverView) Outstanding(j int) int { return v.d.ledger.Outstanding(j) }
+func (v View) Outstanding(j int) int { return v.d.ledger.Outstanding(j) }
 
 // ReadyEstimate returns the master's nominal-cost estimate of when slave
 // j will drain its outstanding backlog.
-func (v *driverView) ReadyEstimate(j int) float64 { return v.d.ledger.Ready(j, v.d.pl.P[j]) }
+func (v View) ReadyEstimate(j int) float64 { return v.d.ledger.Ready(j, v.d.pl.P[j]) }
 
 // PredictFinish estimates the completion time of a task sent to slave j
-// right now, under nominal costs. The float expression mirrors
-// engineView.PredictFinish operation for operation (bit-identical
-// inputs must yield bit-identical decisions).
-func (v *driverView) PredictFinish(j int) float64 {
+// right now, under nominal costs: the send occupies [now, now+c_j], the
+// computation starts when both the task has arrived and the slave is
+// free. The max is spelled out (finite operands) — this runs once per
+// slave per list-scheduler decision.
+func (v View) PredictFinish(j int) float64 {
 	start := v.d.now() + v.d.pl.C[j]
 	if ready := v.ReadyEstimate(j); ready > start {
 		start = ready
@@ -237,26 +273,20 @@ func (v *driverView) PredictFinish(j int) float64 {
 	return start + v.d.pl.P[j]
 }
 
-// ReleasedCount returns how many tasks have been released so far: a
-// master admits a task the moment it is released (or submitted), so this
-// is the admission count.
-func (v *driverView) ReleasedCount() int { return len(v.d.tasks) }
+// Alive reports whether slave j currently accepts sends. On a static
+// platform every slave does.
+func (v View) Alive(j int) bool { return v.d.alive[j] }
 
-// CompletedCount returns how many tasks have finished.
-func (v *driverView) CompletedCount() int { return v.d.completed }
-
-// Alive implements DynamicView: Driver-backed masters run static
-// platforms, where every slave accepts sends.
-func (v *driverView) Alive(int) bool { return true }
-
-// ObservedComm implements DynamicView.
-func (v *driverView) ObservedComm(j int) (float64, bool) {
+// ObservedComm returns a recency-weighted average of the actual send
+// durations to slave j, and whether any send has completed yet.
+func (v View) ObservedComm(j int) (float64, bool) {
 	o := v.d.obsComm[j]
 	return o.mean, o.seen
 }
 
-// ObservedComp implements DynamicView.
-func (v *driverView) ObservedComp(j int) (float64, bool) {
+// ObservedComp returns a recency-weighted average of the actual
+// computation durations on slave j, and whether any task has finished.
+func (v View) ObservedComp(j int) (float64, bool) {
 	o := v.d.obsComp[j]
 	return o.mean, o.seen
 }

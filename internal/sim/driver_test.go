@@ -5,6 +5,7 @@ package sim
 // by the mpiexp cross-validation and the live conformance suite.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -28,11 +29,16 @@ func TestDriverLifecycle(t *testing.T) {
 	if got, ok := v.FirstPending(); !ok || got != 0 {
 		t.Fatalf("FirstPending %v %v", got, ok)
 	}
-	if v.ReleasedCount() != 1 || v.Outstanding(0) != 0 {
+	if v.PendingCount() != 1 || v.Outstanding(0) != 0 {
 		t.Fatal("view counts wrong")
 	}
+	if _, ok := v.ObservedComm(0); ok {
+		t.Fatal("observation before any send completed")
+	}
 	// Dispatch at t=0: ledger predicts arrival with the nominal cost.
-	d.MarkSent("test", 0, 0)
+	if !d.MarkSent("test", 0, 0) {
+		t.Fatal("send to a live slave refused")
+	}
 	if d.PendingCount() != 0 || v.Outstanding(0) != 1 {
 		t.Fatal("dispatch bookkeeping wrong")
 	}
@@ -43,7 +49,7 @@ func TestDriverLifecycle(t *testing.T) {
 	// ledger both switch to the measurement.
 	now = 1.5
 	d.MarkArrived(0, 0, 1.5)
-	if obs, ok := v.(DynamicView).ObservedComm(0); !ok || obs != 1.5 {
+	if obs, ok := v.ObservedComm(0); !ok || obs != 1.5 {
 		t.Fatalf("ObservedComm %v %v", obs, ok)
 	}
 	if got := v.ReadyEstimate(0); got != 4.5 {
@@ -51,10 +57,10 @@ func TestDriverLifecycle(t *testing.T) {
 	}
 	now = 5.0
 	d.MarkCompleted(0, 0, 1.5, 5.0)
-	if d.Done() != 1 || v.Outstanding(0) != 0 || v.CompletedCount() != 1 {
+	if d.Done() != 1 || v.Outstanding(0) != 0 {
 		t.Fatal("completion bookkeeping wrong")
 	}
-	if obs, ok := v.(DynamicView).ObservedComp(0); !ok || obs != 3.5 {
+	if obs, ok := v.ObservedComp(0); !ok || obs != 3.5 {
 		t.Fatalf("ObservedComp %v %v", obs, ok)
 	}
 	s := d.Schedule()
@@ -76,9 +82,8 @@ func TestDriverLifecycle(t *testing.T) {
 func TestDriverAlive(t *testing.T) {
 	now := 0.0
 	d := driverAt(&now)
-	dv := d.View().(DynamicView)
 	for j := 0; j < 2; j++ {
-		if !dv.Alive(j) {
+		if !d.View().Alive(j) {
 			t.Fatalf("slave %d dead on a static platform", j)
 		}
 	}
@@ -142,4 +147,98 @@ func TestDriverProtocolViolationsPanic(t *testing.T) {
 			c.run(driverAt(&now))
 		}()
 	}
+}
+
+func TestDriverRefusedSend(t *testing.T) {
+	now := 1.0
+	d := driverAt(&now)
+	d.Admit(core.Task{Release: 1})
+	d.Fail(0)
+	before := d.Schedule().Records[0]
+	if d.MarkSent("test", 0, 0) {
+		t.Fatal("send to a failed slave accepted")
+	}
+	v := d.View()
+	if id, ok := v.FirstPending(); !ok || id != 0 || v.PendingCount() != 1 {
+		t.Fatalf("refused send left the pending queue at %v %v (len %d)", id, ok, v.PendingCount())
+	}
+	if v.Outstanding(0) != 0 || v.ReadyEstimate(0) != 1 {
+		t.Fatalf("refused send reached the ledger: outstanding %d, ready %v", v.Outstanding(0), v.ReadyEstimate(0))
+	}
+	if got := d.Schedule().Records[0]; got != before || got.Slave != -1 {
+		t.Fatalf("refused send changed the record: %+v, was %+v", got, before)
+	}
+	now = 2
+	d.Recover(0)
+	if !d.MarkSent("test", 0, 0) {
+		t.Fatal("send refused after recovery")
+	}
+	if got := d.Schedule().Records[0]; got.Slave != 0 || got.SendStart != 2 || v.Outstanding(0) != 1 {
+		t.Fatalf("send after recovery booked as %+v, outstanding %d", got, v.Outstanding(0))
+	}
+}
+
+func TestDriverAddSlave(t *testing.T) {
+	now := 4.0
+	d := driverAt(&now)
+	v := d.View() // taken before the join: the view follows the Driver
+	if j := d.AddSlave(0.5, 7); j != 2 || v.M() != 3 {
+		t.Fatalf("AddSlave index %d, M %d", j, v.M())
+	}
+	if v.Comm(2) != 0.5 || v.Comp(2) != 7 || !v.Alive(2) || v.Outstanding(2) != 0 {
+		t.Fatal("joined slave not advertised as given, alive and idle")
+	}
+	if obs, ok := v.ObservedComm(2); ok || obs != 0 {
+		t.Fatalf("ObservedComm on a joined slave = %v %v, want nothing seen", obs, ok)
+	}
+	if obs, ok := v.ObservedComp(2); ok || obs != 0 {
+		t.Fatalf("ObservedComp on a joined slave = %v %v, want nothing seen", obs, ok)
+	}
+	if got := v.PredictFinish(2); got != 4+0.5+7 {
+		t.Fatalf("PredictFinish on a joined slave = %v, want idle since the join", got)
+	}
+	d.Admit(core.Task{Release: 4})
+	if !d.MarkSent("test", 0, 2) {
+		t.Fatal("send to a joined slave refused")
+	}
+}
+
+func TestDriverFailMarksUnfinishedAttempts(t *testing.T) {
+	now := 0.0
+	d := driverAt(&now)
+	for i := 0; i < 6; i++ {
+		d.Admit(core.Task{})
+	}
+	// Slave 0 holds 0 (finished), 2 (arrived), 4 (in flight); slave 1
+	// holds 1; tasks 3 and 5 are still pending.
+	for _, send := range []struct{ task, slave int }{{0, 0}, {1, 1}, {2, 0}, {4, 0}} {
+		d.MarkSent("test", core.TaskID(send.task), send.slave)
+		if send.task != 4 {
+			d.MarkArrived(core.TaskID(send.task), send.slave, 1)
+		}
+	}
+	d.MarkCompleted(0, 0, 1, 4)
+	if got := d.Fail(0); !slices.Equal(got, []core.TaskID{2, 4}) {
+		t.Fatalf("lost %v, want [2 4] in task-ID order", got)
+	}
+	for id, r := range d.Schedule().Records {
+		if r.Lost != (id == 2 || id == 4) {
+			t.Fatalf("record %d Lost=%v", id, r.Lost)
+		}
+	}
+	if d.View().Outstanding(0) != 0 || d.View().Outstanding(1) != 1 {
+		t.Fatal("failure must clear exactly the dead slave's ledger")
+	}
+	// A second failure destroys only what was sent since the recovery.
+	d.Recover(0)
+	d.MarkSent("test", 5, 0)
+	if got := d.Leave(0); !slices.Equal(got, []core.TaskID{5}) {
+		t.Fatalf("lost %v on the second failure, want [5]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Recover on a departed slave did not panic")
+		}
+	}()
+	d.Recover(0)
 }

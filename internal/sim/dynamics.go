@@ -3,7 +3,10 @@ package sim
 // Dynamic-platform support: the hooks internal/scenario uses to script
 // slave failures, recoveries, joins, departures and speed drift on top of
 // the one-port engine. A static simulation never calls anything in this
-// file and is bit-for-bit unaffected by it.
+// file and is bit-for-bit unaffected by it. Each hook has two halves: what
+// the master learns (liveness, the ledger, Lost marks, the advertised
+// platform) is the Driver's; what actually happens to the slave (cancelled
+// events, its queue, actual costs, the port) is the Engine's.
 //
 // Semantics, in one place:
 //
@@ -54,50 +57,6 @@ func (e *DeadSlaveError) Error() string {
 		e.Scheduler, e.Task, state, e.Slave, e.Time)
 }
 
-// DynamicView is the optional extension of View that engines with
-// liveness or an observation feed provide: slave liveness plus the actual
-// durations of completed sends and computations, smoothed. The engine and
-// every Driver-backed master (internal/mpiexp, internal/live) implement
-// it; use the IsAlive/ObservedComm/ObservedComp helpers to degrade
-// gracefully on views that do not.
-type DynamicView interface {
-	View
-	// Alive reports whether slave j currently accepts sends.
-	Alive(j int) bool
-	// ObservedComm returns a recency-weighted average of the actual send
-	// durations to slave j, and whether any send has completed yet.
-	ObservedComm(j int) (float64, bool)
-	// ObservedComp returns a recency-weighted average of the actual
-	// computation durations on slave j, and whether any task has finished.
-	ObservedComp(j int) (float64, bool)
-}
-
-// IsAlive reports slave liveness through any View: views without dynamics
-// have no failures, so every slave is alive.
-func IsAlive(v View, j int) bool {
-	if dv, ok := v.(DynamicView); ok {
-		return dv.Alive(j)
-	}
-	return true
-}
-
-// ObservedComm reads the observation feed through any View; views without
-// dynamics report no observations.
-func ObservedComm(v View, j int) (float64, bool) {
-	if dv, ok := v.(DynamicView); ok {
-		return dv.ObservedComm(j)
-	}
-	return 0, false
-}
-
-// ObservedComp is ObservedComm for computation durations.
-func ObservedComp(v View, j int) (float64, bool) {
-	if dv, ok := v.(DynamicView); ok {
-		return dv.ObservedComp(j)
-	}
-	return 0, false
-}
-
 // ewma is a recency-weighted duration average. Smoothing at 1/2 tracks
 // speed drift within a couple of completions while damping the per-task
 // size perturbation.
@@ -116,16 +75,78 @@ func (o *ewma) observe(x float64) {
 
 // checkSlave panics on out-of-range slave indices: dynamics callers are
 // trusted scenario code, so a bad index is a programming error.
-func (e *Engine) checkSlave(j int) {
-	if j < 0 || j >= e.pl.M() {
-		panic(fmt.Sprintf("sim: dynamics on unknown slave %d (m=%d)", j, e.pl.M()))
+func (d *Driver) checkSlave(j int) {
+	if j < 0 || j >= d.pl.M() {
+		panic(fmt.Sprintf("sim: dynamics on unknown slave %d (m=%d)", j, d.pl.M()))
 	}
+}
+
+// Fail records that slave j died at the current time: it stops accepting
+// sends, the master's ledger for it is cleared, and every attempt it held
+// unfinished (in flight, queued or computing) is marked Lost in its
+// record. The destroyed attempts are returned in task-ID order;
+// re-releasing them (or not) is the caller's policy.
+func (d *Driver) Fail(j int) []core.TaskID {
+	d.checkSlave(j)
+	if !d.alive[j] {
+		panic(fmt.Sprintf("sim: failing slave %d which is already down", j))
+	}
+	d.alive[j] = false
+	var lost []core.TaskID
+	for idx := range d.records {
+		r := &d.records[idx]
+		if d.sent[idx] && !d.done[idx] && !r.Lost && r.Slave == j {
+			r.Lost = true
+			d.lost++
+			lost = append(lost, core.TaskID(idx))
+		}
+	}
+	d.ledger.Fail(j, d.now())
+	return lost
+}
+
+// Leave is a permanent departure: Fail plus the guarantee that the slave
+// never recovers (Recover panics on it).
+func (d *Driver) Leave(j int) []core.TaskID {
+	lost := d.Fail(j)
+	d.departed[j] = true
+	return lost
+}
+
+// Recover brings a failed slave back at the current time, known idle.
+func (d *Driver) Recover(j int) {
+	d.checkSlave(j)
+	if d.departed[j] {
+		panic(fmt.Sprintf("sim: recovering slave %d which departed for good", j))
+	}
+	if d.alive[j] {
+		panic(fmt.Sprintf("sim: recovering slave %d which is alive", j))
+	}
+	d.alive[j] = true
+	d.ledger.Sync(j, d.now())
+}
+
+// AddSlave appends a new slave with the given nominal costs and returns
+// its index. The scheduler sees the platform grow through View.M() on its
+// next decision; the observation feed has seen nothing of it yet.
+func (d *Driver) AddSlave(c, p float64) int {
+	if c <= 0 || p <= 0 {
+		panic(fmt.Sprintf("sim: joining slave has non-positive costs c=%v p=%v", c, p))
+	}
+	d.pl.C = append(d.pl.C, c)
+	d.pl.P = append(d.pl.P, p)
+	d.alive = append(d.alive, true)
+	d.departed = append(d.departed, false)
+	d.obsComm = append(d.obsComm, ewma{})
+	d.obsComp = append(d.obsComp, ewma{})
+	d.ledger.AddSlave(d.now())
+	return d.pl.M() - 1
 }
 
 // SlaveAlive reports whether slave j currently accepts sends.
 func (e *Engine) SlaveAlive(j int) bool {
-	e.checkSlave(j)
-	return e.alive[j]
+	e.drv.checkSlave(j)
+	return e.drv.alive[j]
 }
 
 // Err returns the halting validation error, if the scheduler committed
@@ -134,13 +155,7 @@ func (e *Engine) SlaveAlive(j int) bool {
 func (e *Engine) Err() error { return e.halt }
 
 // Task returns the task with the given ID (including injected ones).
-func (e *Engine) Task(id core.TaskID) core.Task { return e.tasks[id] }
-
-// Record returns the execution record of the task so far.
-func (e *Engine) Record(id core.TaskID) core.Record { return e.records[id] }
-
-// Lost reports whether a slave failure destroyed the task's attempt.
-func (e *Engine) Lost(id core.TaskID) bool { return e.lost[id] }
+func (e *Engine) Task(id core.TaskID) core.Task { return e.drv.Task(id) }
 
 // FailSlave kills slave j at the current time. Its in-flight send is
 // aborted (freeing the master's port immediately), its queue and the task
@@ -148,14 +163,25 @@ func (e *Engine) Lost(id core.TaskID) bool { return e.lost[id] }
 // cleared. The destroyed attempts are marked Lost and returned in task-ID
 // order; re-releasing them (or not) is the caller's policy.
 func (e *Engine) FailSlave(j int) []core.TaskID {
-	e.checkSlave(j)
-	if !e.alive[j] {
-		panic(fmt.Sprintf("sim: failing slave %d which is already down", j))
-	}
-	e.alive[j] = false
+	lost := e.drv.Fail(j)
+	e.destroySlave(j)
+	return lost
+}
 
-	// Cancel the slave's scheduled events: the in-flight send (at most one
-	// under the one-port model) and the completion of the task it computes.
+// LeaveSlave is a permanent departure: FailSlave plus the guarantee that
+// the slave never recovers (RecoverSlave panics on it).
+func (e *Engine) LeaveSlave(j int) []core.TaskID {
+	lost := e.drv.Leave(j)
+	e.destroySlave(j)
+	return lost
+}
+
+// destroySlave is the ground-truth half of a failure: the slave's
+// scheduled events are cancelled, its queue emptied, and the port freed
+// if it was transmitting to it.
+func (e *Engine) destroySlave(j int) {
+	// Cancel the in-flight send (at most one under the one-port model) and
+	// the completion of the task the slave computes.
 	canceledSend := false
 	e.events.Filter(func(ev event) bool {
 		if (ev.Kind == evSendComplete || ev.Kind == evComputeComplete) && int(ev.Dest) == j {
@@ -169,66 +195,25 @@ func (e *Engine) FailSlave(j int) []core.TaskID {
 	if canceledSend && !e.unboundedPort {
 		e.portFree = e.now // the master stops transmitting into a dead link
 	}
-
-	var lost []core.TaskID
-	for idx := range e.tasks {
-		if e.sent[idx] && !e.done[idx] && !e.lost[idx] && e.records[idx].Slave == j {
-			e.lost[idx] = true
-			e.lostCount++
-			e.records[idx].Lost = true
-			lost = append(lost, core.TaskID(idx))
-		}
-	}
-
 	s := &e.slaves[j]
 	s.queue.Reset()
 	s.computing = -1
-	s.busyUntil = e.now
-	e.model.Fail(j, e.now)
-	return lost
-}
-
-// LeaveSlave is a permanent departure: FailSlave plus the guarantee that
-// the slave never recovers (RecoverSlave panics on it).
-func (e *Engine) LeaveSlave(j int) []core.TaskID {
-	lost := e.FailSlave(j)
-	e.departed[j] = true
-	return lost
 }
 
 // RecoverSlave brings a failed slave back at the current time, with an
 // empty queue. Call Kick afterwards to give the scheduler an immediate
 // decision opportunity.
-func (e *Engine) RecoverSlave(j int) {
-	e.checkSlave(j)
-	if e.departed[j] {
-		panic(fmt.Sprintf("sim: recovering slave %d which departed for good", j))
-	}
-	if e.alive[j] {
-		panic(fmt.Sprintf("sim: recovering slave %d which is alive", j))
-	}
-	e.alive[j] = true
-	e.model.Sync(j, e.now)
-}
+func (e *Engine) RecoverSlave(j int) { e.drv.Recover(j) }
 
 // AddSlave appends a new slave with the given nominal (= initial actual)
 // costs and returns its index. The scheduler sees the platform grow
 // through View.M() on its next decision.
 func (e *Engine) AddSlave(c, p float64) int {
-	if c <= 0 || p <= 0 {
-		panic(fmt.Sprintf("sim: joining slave has non-positive costs c=%v p=%v", c, p))
-	}
-	e.pl.C = append(e.pl.C, c)
-	e.pl.P = append(e.pl.P, p)
+	j := e.drv.AddSlave(c, p)
 	e.actual.C = append(e.actual.C, c)
 	e.actual.P = append(e.actual.P, p)
-	e.slaves = append(e.slaves, slaveState{computing: -1, busyUntil: e.now})
-	e.alive = append(e.alive, true)
-	e.departed = append(e.departed, false)
-	e.obsComm = append(e.obsComm, ewma{})
-	e.obsComp = append(e.obsComp, ewma{})
-	e.model.AddSlave(e.now)
-	return e.pl.M() - 1
+	e.slaves = append(e.slaves, slaveState{computing: -1})
+	return j
 }
 
 // DriftCosts changes slave j's actual per-task costs from now on. The
@@ -237,7 +222,7 @@ func (e *Engine) AddSlave(c, p float64) int {
 // observation feed. Tasks already in flight or computing keep the
 // durations they started with.
 func (e *Engine) DriftCosts(j int, c, p float64) {
-	e.checkSlave(j)
+	e.drv.checkSlave(j)
 	if c <= 0 || p <= 0 {
 		panic(fmt.Sprintf("sim: drifting slave %d to non-positive costs c=%v p=%v", j, c, p))
 	}
@@ -253,19 +238,4 @@ func (e *Engine) Kick() {
 	if e.halt == nil {
 		e.consult()
 	}
-}
-
-// Alive implements DynamicView.
-func (v *engineView) Alive(j int) bool { return v.e.alive[j] }
-
-// ObservedComm implements DynamicView.
-func (v *engineView) ObservedComm(j int) (float64, bool) {
-	o := v.e.obsComm[j]
-	return o.mean, o.seen
-}
-
-// ObservedComp implements DynamicView.
-func (v *engineView) ObservedComp(j int) (float64, bool) {
-	o := v.e.obsComp[j]
-	return o.mean, o.seen
 }

@@ -21,7 +21,7 @@ func (aliveGreedy) Decide(v View) Action {
 	}
 	best, bestFinish := -1, math.Inf(1)
 	for j := 0; j < v.M(); j++ {
-		if !IsAlive(v, j) {
+		if !v.Alive(j) {
 			continue
 		}
 		if f := v.PredictFinish(j); f < bestFinish {
@@ -164,25 +164,14 @@ func TestDriftChangesActualNotNominal(t *testing.T) {
 	if got := s.Makespan(); got != 3 {
 		t.Fatalf("makespan %v, want 3 (1 comm + 2 actual comp)", got)
 	}
-	if got := e.view.Comp(0); got != 10 {
+	if got := e.drv.View().Comp(0); got != 10 {
 		t.Fatalf("nominal comp %v changed by drift, want 10", got)
 	}
 	// The observation feed reports the actual durations.
-	if obs, ok := e.view.ObservedComp(0); !ok || obs != 2 {
+	if obs, ok := e.drv.View().ObservedComp(0); !ok || obs != 2 {
 		t.Fatalf("observed comp %v/%v, want 2", obs, ok)
 	}
-	if obs, ok := e.view.ObservedComm(0); !ok || obs != 1 {
+	if obs, ok := e.drv.View().ObservedComm(0); !ok || obs != 1 {
 		t.Fatalf("observed comm %v/%v, want 1", obs, ok)
-	}
-}
-
-func TestStaticViewHelpersDegrade(t *testing.T) {
-	pl := core.NewPlatform([]float64{1, 1}, []float64{3, 3})
-	e := New(pl, &fifoTo{slave: 0}, core.Bag(1))
-	if !IsAlive(&e.view, 1) {
-		t.Fatal("fresh slave not alive")
-	}
-	if _, ok := ObservedComm(&e.view, 0); ok {
-		t.Fatal("observation before any send completed")
 	}
 }

@@ -60,49 +60,11 @@ type Scheduler interface {
 	Decide(v View) Action
 }
 
-// View is the scheduler-visible projection of the execution state: static
-// platform costs, the master's own bookkeeping, and pending tasks — never
-// future releases or actual perturbed sizes. The discrete-event engine
-// provides one implementation; the message-passing emulation in
-// internal/mpiexp provides another, so the same Scheduler values drive
-// both substrates.
-type View interface {
-	// Now returns the current time.
-	Now() float64
-	// M returns the number of slaves.
-	M() int
-	// Comm returns the nominal communication time c_j.
-	Comm(j int) float64
-	// Comp returns the nominal computation time p_j.
-	Comp(j int) float64
-	// PendingCount returns the number of released, unsent tasks.
-	PendingCount() int
-	// PendingAt returns the i-th pending task in release (FIFO) order.
-	PendingAt(i int) core.TaskID
-	// FirstPending returns the oldest pending task.
-	FirstPending() (core.TaskID, bool)
-	// Release returns the release time of a task.
-	Release(task core.TaskID) float64
-	// Outstanding returns the number of tasks assigned to slave j and not
-	// yet completed (in flight, queued, or computing).
-	Outstanding(j int) int
-	// ReadyEstimate returns the master's nominal-cost estimate of when
-	// slave j will drain its outstanding backlog.
-	ReadyEstimate(j int) float64
-	// PredictFinish estimates the completion time of a task sent to slave
-	// j right now, under nominal costs.
-	PredictFinish(j int) float64
-	// ReleasedCount returns how many tasks have been released so far.
-	ReleasedCount() int
-	// CompletedCount returns how many tasks have finished.
-	CompletedCount() int
-}
-
 // slaveState is the ground-truth state of one slave.
 type slaveState struct {
 	queue     taskFIFO // arrived tasks waiting, FIFO (task indices)
 	computing int      // task index, or -1
-	busyUntil float64
+	started   float64  // when the computing task began
 }
 
 // Option configures an Engine.
@@ -118,12 +80,16 @@ func WithUnboundedPort() Option {
 	return func(e *Engine) { e.unboundedPort = true }
 }
 
-// Engine simulates one scheduler on one platform. The platform may change
-// mid-run through the dynamics hooks in dynamics.go (slave failures,
-// recoveries, joins, departures and speed drift); a static run never
-// touches them and behaves exactly as before.
+// Engine simulates one scheduler on one platform. It owns ground truth
+// only — the event heap, each slave's FIFO, actual costs, the port — and
+// keeps everything the master knows in a Driver, told through the same
+// calls the live runtime and the MPI emulation make, so the scheduler is
+// consulted through the same View on every substrate. The platform may
+// change mid-run through the dynamics hooks in dynamics.go (slave
+// failures, recoveries, joins, departures and speed drift); a static run
+// never touches them.
 type Engine struct {
-	pl     core.Platform // nominal costs: what the master (and View) believes
+	drv    *Driver       // the master's books: what the scheduler may know
 	actual core.Platform // ground-truth costs: what sends and computations take
 	sched  Scheduler
 
@@ -140,29 +106,13 @@ type Engine struct {
 	// merge in peekNext keeps the combined order identical to a heap
 	// holding everything.
 	nextRelease int
-	initial     int // tasks[0:initial] are the sorted initial workload
-	tasks       []core.Task
-	records     []core.Record
-	sent        []bool
-	done        []bool
-	pending     taskFIFO // released, unsent task indices, FIFO
-	released    int      // tasks whose release event has been processed
+	initial     int // the Driver's tasks[0:initial] are the sorted initial workload
 	portFree    float64
 	slaves      []slaveState
-	model       *Ledger
 
-	// Dynamic-platform state (dynamics.go). halt is the typed error that
-	// stops the simulation when the scheduler targets a dead slave.
-	alive     []bool
-	departed  []bool
-	lost      []bool // per task: true once a failure destroyed the attempt
-	lostCount int
-	obsComm   []ewma // observed send durations per slave
-	obsComp   []ewma // observed computation durations per slave
-	halt      error
-
-	completed int
-	view      engineView
+	// halt is the typed error that stops the simulation when the
+	// scheduler targets a dead slave.
+	halt error
 }
 
 // New builds an engine for the given platform, scheduler and initial task
@@ -171,26 +121,12 @@ type Engine struct {
 func New(pl core.Platform, sched Scheduler, tasks []core.Task, opts ...Option) *Engine {
 	inst := core.NewInstance(pl, tasks)
 	m := inst.Platform.M()
-	n := len(inst.Tasks)
 	e := &Engine{
-		pl:       inst.Platform.Clone(),
-		actual:   inst.Platform.Clone(),
-		sched:    sched,
-		slaves:   make([]slaveState, m),
-		model:    NewLedger(m),
-		alive:    make([]bool, m),
-		departed: make([]bool, m),
-		obsComm:  make([]ewma, m),
-		obsComp:  make([]ewma, m),
-		// Every per-task slice is sized for the initial workload up front;
-		// a run without injection or churn never grows them again.
-		tasks:   make([]core.Task, 0, n),
-		records: make([]core.Record, 0, n),
-		sent:    make([]bool, 0, n),
-		done:    make([]bool, 0, n),
-		lost:    make([]bool, 0, n),
+		actual: inst.Platform.Clone(),
+		sched:  sched,
+		slaves: make([]slaveState, m),
 	}
-	e.pending.grow(n)
+	e.drv = NewDriver(inst.Platform, func() float64 { return e.now })
 	// Beyond the streamed initial releases, a task queues at most two
 	// coexisting events (send completion, compute completion).
 	e.events.Grow(2*m + 8)
@@ -199,28 +135,18 @@ func New(pl core.Platform, sched Scheduler, tasks []core.Task, opts ...Option) *
 	}
 	for j := range e.slaves {
 		e.slaves[j].computing = -1
-		e.alive[j] = true
 	}
-	sched.Reset(e.pl.Clone())
+	sched.Reset(inst.Platform.Clone())
 	// The initial workload is sorted by release (NewInstance normalizes),
 	// so it is streamed by nextRelease rather than queued as heap events.
+	// The master's per-task books are sized for it up front; a run without
+	// injection or churn never grows them again.
+	e.initial = len(inst.Tasks)
+	e.drv.reserve(e.initial)
 	for _, task := range inst.Tasks {
-		e.addTask(task)
+		e.drv.register(task)
 	}
-	e.initial = len(e.tasks)
-	e.view = engineView{e: e}
 	return e
-}
-
-func (e *Engine) addTask(task core.Task) int {
-	idx := len(e.tasks)
-	task.ID = core.TaskID(idx)
-	e.tasks = append(e.tasks, task)
-	e.records = append(e.records, core.Record{Task: task.ID, Slave: -1, Release: task.Release})
-	e.sent = append(e.sent, false)
-	e.done = append(e.done, false)
-	e.lost = append(e.lost, false)
-	return idx
 }
 
 // InjectTask adds a task mid-run. Its release time must not precede the
@@ -229,12 +155,12 @@ func (e *Engine) InjectTask(task core.Task) core.TaskID {
 	if task.Release < e.now {
 		panic(fmt.Sprintf("sim: injecting task released at %v before now %v", task.Release, e.now))
 	}
-	idx := e.addTask(task)
+	id := e.drv.register(task)
 	// Injected tasks release through the heap; ties with streamed initial
 	// releases resolve in favor of the stream (see peekNext), matching
 	// the old all-in-heap insertion order.
-	e.events.Push(event{Time: task.Release, Kind: evRelease, Task: int32(idx)})
-	return core.TaskID(idx)
+	e.events.Push(event{Time: task.Release, Kind: evRelease, Task: int32(id)})
+	return id
 }
 
 // peekNext returns the next event in the merged order of the queued
@@ -246,7 +172,7 @@ func (e *Engine) InjectTask(task core.Task) core.TaskID {
 func (e *Engine) peekNext() (event, bool) {
 	top, ok := e.events.Peek()
 	if e.nextRelease < e.initial {
-		rel := e.tasks[e.nextRelease].Release
+		rel := e.drv.tasks[e.nextRelease].Release
 		if !ok || rel <= top.Time {
 			return event{Time: rel, Kind: evRelease, Task: int32(e.nextRelease)}, true
 		}
@@ -258,41 +184,39 @@ func (e *Engine) peekNext() (event, bool) {
 func (e *Engine) Now() float64 { return e.now }
 
 // Platform returns the platform under simulation.
-func (e *Engine) Platform() core.Platform { return e.pl }
+func (e *Engine) Platform() core.Platform { return e.drv.Platform() }
 
 // TaskCount returns the number of tasks known so far.
-func (e *Engine) TaskCount() int { return len(e.tasks) }
+func (e *Engine) TaskCount() int { return e.drv.Admitted() }
 
 // Started reports whether the algorithm has begun sending the task, and
 // if so to which slave and when. This is the observation primitive used by
 // the Section-3 adversaries ("we check whether A made a decision
 // concerning the scheduling of i, and which one").
 func (e *Engine) Started(task core.TaskID) (slave int, at float64, ok bool) {
-	if int(task) >= len(e.records) || !e.sent[task] {
+	if int(task) >= len(e.drv.records) || !e.drv.sent[task] {
 		return 0, 0, false
 	}
-	r := e.records[task]
+	r := e.drv.records[task]
 	return r.Slave, r.SendStart, true
 }
 
 // Completed reports whether the task has finished computing.
 func (e *Engine) Completed(task core.TaskID) bool {
-	return int(task) < len(e.done) && e.done[task]
+	return int(task) < len(e.drv.done) && e.drv.done[task]
 }
 
-// processEvent applies one event to the ground-truth state.
+// processEvent applies one event to the ground-truth state and tells the
+// master what it would observe.
 func (e *Engine) processEvent(ev event) {
 	e.now = ev.Time
 	task := int(ev.Task)
 	switch ev.Kind {
 	case evRelease:
-		e.pending.Push(task)
-		e.released++
+		e.drv.markReleased(core.TaskID(task))
 	case evSendComplete:
 		j := int(ev.Dest)
-		e.records[task].Arrive = e.now
-		e.obsComm[j].observe(e.now - e.records[task].SendStart)
-		e.model.Arrived(j, task, e.now)
+		e.drv.MarkArrived(core.TaskID(task), j, e.now)
 		s := &e.slaves[j]
 		if s.computing < 0 {
 			e.startCompute(j, task)
@@ -305,11 +229,7 @@ func (e *Engine) processEvent(ev event) {
 		if s.computing != task {
 			panic(fmt.Sprintf("sim: slave %d completed task %d while computing %d", j, task, s.computing))
 		}
-		e.records[task].Complete = e.now
-		e.done[task] = true
-		e.completed++
-		e.obsComp[j].observe(e.now - e.records[task].Start)
-		e.model.Completed(j, task, e.now)
+		e.drv.MarkCompleted(core.TaskID(task), j, s.started, e.now)
 		s.computing = -1
 		if s.queue.Len() > 0 {
 			e.startCompute(j, s.queue.PopFront())
@@ -321,19 +241,18 @@ func (e *Engine) processEvent(ev event) {
 
 func (e *Engine) startCompute(j, task int) {
 	s := &e.slaves[j]
-	dur := e.actual.P[j] * e.tasks[task].EffComp()
 	s.computing = task
-	s.busyUntil = e.now + dur
-	e.records[task].Start = e.now
-	e.events.Push(event{Time: s.busyUntil, Kind: evComputeComplete, Task: int32(task), Dest: int32(j)})
+	s.started = e.now
+	dur := e.actual.P[j] * e.drv.tasks[task].EffComp()
+	e.events.Push(event{Time: e.now + dur, Kind: evComputeComplete, Task: int32(task), Dest: int32(j)})
 }
 
 // consult gives the scheduler a chance to act. Called only when the port
 // is free. Returns after the scheduler sends (port busy again), waits,
 // idles, or commits a halting violation (dead-slave dispatch).
 func (e *Engine) consult() {
-	for e.halt == nil && e.portFree <= e.now && e.pending.Len() > 0 {
-		act := e.sched.Decide(&e.view)
+	for e.halt == nil && e.portFree <= e.now && e.drv.PendingCount() > 0 {
+		act := e.sched.Decide(e.drv.View())
 		switch act.Kind {
 		case ActSend:
 			e.startSend(act.Task, act.Slave)
@@ -359,41 +278,23 @@ func (e *Engine) consult() {
 	}
 }
 
+// startSend has the master book the dispatch, then occupies the port for
+// the actual transfer time. The master predicts arrival with the nominal
+// link cost; the actual arrival (evSendComplete) corrects its books.
 func (e *Engine) startSend(task core.TaskID, j int) {
-	idx := int(task)
-	if idx < 0 || idx >= len(e.tasks) {
-		panic(fmt.Sprintf("sim: scheduler %s sent unknown task %d", e.sched.Name(), task))
-	}
-	if j < 0 || j >= e.pl.M() {
-		panic(fmt.Sprintf("sim: scheduler %s used unknown slave %d", e.sched.Name(), j))
-	}
-	if e.sent[idx] {
-		panic(fmt.Sprintf("sim: scheduler %s re-sent task %d", e.sched.Name(), task))
-	}
-	pos := e.pending.IndexOf(idx)
-	if pos < 0 {
-		panic(fmt.Sprintf("sim: scheduler %s sent unreleased task %d at %v", e.sched.Name(), task, e.now))
-	}
-	if !e.alive[j] {
+	if !e.drv.MarkSent(e.sched.Name(), task, j) {
 		// A dead or departed target is an observable runtime condition, not
 		// a programming error: surface it as a typed validation error and
 		// halt the simulation instead of panicking or silently dropping.
-		e.halt = &DeadSlaveError{Scheduler: e.sched.Name(), Task: task, Slave: j, Time: e.now, Departed: e.departed[j]}
+		e.halt = &DeadSlaveError{Scheduler: e.sched.Name(), Task: task, Slave: j, Time: e.now, Departed: e.drv.departed[j]}
 		return
 	}
-	e.pending.RemoveAt(pos)
-	e.sent[idx] = true
-	dur := e.actual.C[j] * e.tasks[idx].EffComm()
-	e.records[idx].Slave = j
-	e.records[idx].SendStart = e.now
+	dur := e.actual.C[j] * e.drv.tasks[task].EffComm()
 	arrive := e.now + dur
 	if !e.unboundedPort {
 		e.portFree = arrive
 	}
-	// The master predicts arrival with the nominal link cost; the actual
-	// arrival (evSendComplete) corrects the bookkeeping.
-	e.model.Assign(j, idx, e.now+e.pl.C[j])
-	e.events.Push(event{Time: arrive, Kind: evSendComplete, Task: int32(idx), Dest: int32(j)})
+	e.events.Push(event{Time: arrive, Kind: evSendComplete, Task: int32(task), Dest: int32(j)})
 }
 
 // step drains every event at the next event time, then consults the
@@ -406,7 +307,7 @@ func (e *Engine) step() bool {
 	var t float64
 	switch {
 	case e.nextRelease < e.initial:
-		t = e.tasks[e.nextRelease].Release
+		t = e.drv.tasks[e.nextRelease].Release
 		if hasTop && top.Time < t {
 			t = top.Time
 		}
@@ -418,10 +319,9 @@ func (e *Engine) step() bool {
 	// Streamed initial releases at t precede every queued event at t
 	// (evRelease is the lowest kind and initial tasks predate all queued
 	// events of that kind), so the whole batch drains first, inline.
-	for e.nextRelease < e.initial && e.tasks[e.nextRelease].Release == t {
+	for e.nextRelease < e.initial && e.drv.tasks[e.nextRelease].Release == t {
 		e.now = t
-		e.pending.Push(e.nextRelease)
-		e.released++
+		e.drv.markReleased(core.TaskID(e.nextRelease))
 		e.nextRelease++
 	}
 	for hasTop && top.Time == t {
@@ -459,9 +359,9 @@ func (e *Engine) Run() (core.Schedule, error) {
 	if e.halt != nil {
 		return core.Schedule{}, e.halt
 	}
-	if e.completed != len(e.tasks)-e.lostCount {
+	if want := e.drv.Admitted() - e.drv.lost; e.drv.Done() != want {
 		return core.Schedule{}, fmt.Errorf("sim: scheduler %s completed %d of %d tasks (idle deadlock at t=%v with %d pending)",
-			e.sched.Name(), e.completed, len(e.tasks)-e.lostCount, e.now, e.pending.Len())
+			e.sched.Name(), e.drv.Done(), want, e.now, e.drv.PendingCount())
 	}
 	return e.Snapshot(), nil
 }
@@ -469,10 +369,7 @@ func (e *Engine) Run() (core.Schedule, error) {
 // Snapshot assembles the schedule from the records produced so far. It is
 // primarily useful after Run; during a run, records of unfinished tasks
 // have zero fields.
-func (e *Engine) Snapshot() core.Schedule {
-	inst := core.Instance{Platform: e.pl.Clone(), Tasks: append([]core.Task(nil), e.tasks...)}
-	return core.Schedule{Instance: inst, Records: append([]core.Record(nil), e.records...)}
-}
+func (e *Engine) Snapshot() core.Schedule { return e.drv.Schedule() }
 
 // Simulate is the one-call convenience wrapper: build, run, validate.
 func Simulate(pl core.Platform, sched Scheduler, tasks []core.Task) (core.Schedule, error) {
@@ -499,66 +396,3 @@ func SimulateMultiport(pl core.Platform, sched Scheduler, tasks []core.Task) (co
 	}
 	return s, nil
 }
-
-// engineView is the Engine-backed View implementation.
-type engineView struct {
-	e *Engine
-}
-
-// Now returns the current time.
-func (v *engineView) Now() float64 { return v.e.now }
-
-// M returns the number of slaves.
-func (v *engineView) M() int { return v.e.pl.M() }
-
-// Comm returns the nominal communication time c_j.
-func (v *engineView) Comm(j int) float64 { return v.e.pl.C[j] }
-
-// Comp returns the nominal computation time p_j.
-func (v *engineView) Comp(j int) float64 { return v.e.pl.P[j] }
-
-// PendingCount returns the number of released, unsent tasks.
-func (v *engineView) PendingCount() int { return v.e.pending.Len() }
-
-// PendingAt returns the i-th pending task in release (FIFO) order.
-func (v *engineView) PendingAt(i int) core.TaskID { return core.TaskID(v.e.pending.At(i)) }
-
-// FirstPending returns the oldest pending task.
-func (v *engineView) FirstPending() (core.TaskID, bool) {
-	t, ok := v.e.pending.Front()
-	return core.TaskID(t), ok
-}
-
-// Release returns the release time of a task.
-func (v *engineView) Release(task core.TaskID) float64 { return v.e.tasks[task].Release }
-
-// Outstanding returns the number of tasks assigned to slave j and not yet
-// completed (in flight, queued, or computing).
-func (v *engineView) Outstanding(j int) int { return v.e.model.Outstanding(j) }
-
-// ReadyEstimate returns the master's nominal-cost estimate of when slave j
-// will drain its outstanding backlog.
-func (v *engineView) ReadyEstimate(j int) float64 { return v.e.model.Ready(j, v.e.pl.P[j]) }
-
-// PredictFinish estimates the completion time of a task sent to slave j
-// right now, under nominal costs: the send occupies [now, now+c_j], the
-// computation starts when both the task has arrived and the slave is
-// free. The max is spelled out (finite operands) — this runs once per
-// slave per list-scheduler decision.
-func (v *engineView) PredictFinish(j int) float64 {
-	start := v.e.now + v.e.pl.C[j]
-	if ready := v.ReadyEstimate(j); ready > start {
-		start = ready
-	}
-	return start + v.e.pl.P[j]
-}
-
-// ReleasedCount returns how many tasks have been released so far: the
-// count of processed release events. The engine drains every event at a
-// timestamp before consulting the scheduler, so by the time any View
-// method runs, each task with Release ≤ now has been counted — the
-// incremental counter replaces what used to be an O(n) scan per call.
-func (v *engineView) ReleasedCount() int { return v.e.released }
-
-// CompletedCount returns how many tasks have finished.
-func (v *engineView) CompletedCount() int { return v.e.completed }

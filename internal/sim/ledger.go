@@ -4,10 +4,8 @@ package sim
 // it records its own dispatch decisions, the actual send durations (the
 // master experiences its own port), and completion notifications, and
 // estimates slave readiness using nominal computation times for
-// everything still outstanding. Both the discrete-event engine and the
-// message-passing emulation (internal/mpiexp) keep their scheduler-facing
-// state in a Ledger, which is what makes the two substrates agree
-// decision-for-decision.
+// everything still outstanding. Every master's Driver keeps one, so the
+// substrates agree decision-for-decision.
 //
 // Ready used to re-fold the whole outstanding backlog on every call;
 // list schedulers call it for every slave on every decision, which made

@@ -34,7 +34,7 @@ func Summarize(xs []float64) Summary {
 
 // SummarizeInPlace is Summarize for a caller-owned sample: the slice is
 // sorted in place instead of copied. Reporting surfaces that already
-// hold a private snapshot of their sample (schedd's /stats path) use it
+// hold a private snapshot of their sample (schedd's /v1/stats path) use it
 // to avoid one full copy per request.
 func SummarizeInPlace(xs []float64) Summary {
 	if len(xs) == 0 {

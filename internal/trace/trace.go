@@ -15,7 +15,7 @@ import (
 )
 
 // SlaveStats describes one slave's activity over a schedule. The JSON
-// field names are a stable wire format shared by schedd's GET /stats and
+// field names are a stable wire format shared by schedd's GET /v1/stats and
 // the CLI -json paths (see TestReportJSONGolden).
 type SlaveStats struct {
 	Slave       int     `json:"slave"`
@@ -31,7 +31,7 @@ type SlaveStats struct {
 }
 
 // Report is the full analysis of one schedule. Its JSON encoding is the
-// one stable wire format for schedule analyses: schedd's GET /stats and
+// one stable wire format for schedule analyses: schedd's GET /v1/stats and
 // the CLI -json paths both emit it, and a golden test pins the field
 // names.
 type Report struct {
