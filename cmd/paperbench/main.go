@@ -81,6 +81,20 @@ func main() {
 		}
 	}
 	classPtr := func(c core.Class) *core.Class { return &c }
+	// selectClasses applies the -classes filter to an artifact's class
+	// pool, and says so when that leaves the artifact nothing to run.
+	selectClasses := func(pool []core.Class) []core.Class {
+		var selected []core.Class
+		for _, class := range pool {
+			if classes[class] {
+				selected = append(selected, class)
+			}
+		}
+		if len(selected) == 0 {
+			fmt.Println("(skipped: every platform class of this artifact is excluded by -classes)")
+		}
+		return selected
+	}
 	artifacts := []artifact{
 		{"table1", nil, func() []runner.Result {
 			rows := experiment.Table1Parallel(*parallel)
@@ -97,14 +111,8 @@ func main() {
 			return []runner.Result{r.Raw}
 		}},
 		{"scenario", nil, func() []runner.Result {
-			var selected []core.Class
-			for _, class := range experiment.ScenarioClasses {
-				if classes[class] {
-					selected = append(selected, class)
-				}
-			}
+			selected := selectClasses(experiment.ScenarioClasses)
 			if len(selected) == 0 {
-				fmt.Println("(skipped: every platform class of this artifact is excluded by -classes)")
 				return nil
 			}
 			r := experiment.ScenarioStudyOver(selected, cfg)
@@ -112,14 +120,8 @@ func main() {
 			return []runner.Result{r.Raw}
 		}},
 		{"sharding", nil, func() []runner.Result {
-			var selected []core.Class
-			for _, class := range core.Classes {
-				if classes[class] {
-					selected = append(selected, class)
-				}
-			}
+			selected := selectClasses(core.Classes)
 			if len(selected) == 0 {
-				fmt.Println("(skipped: every platform class of this artifact is excluded by -classes)")
 				return nil
 			}
 			r := experiment.ShardingStudyOver(selected, cfg)
@@ -127,14 +129,8 @@ func main() {
 			return []runner.Result{r.Raw}
 		}},
 		{"steal", nil, func() []runner.Result {
-			var selected []core.Class
-			for _, class := range core.Classes {
-				if classes[class] {
-					selected = append(selected, class)
-				}
-			}
+			selected := selectClasses(core.Classes)
 			if len(selected) == 0 {
-				fmt.Println("(skipped: every platform class of this artifact is excluded by -classes)")
 				return nil
 			}
 			r := experiment.StealStudyOver(selected, cfg)
@@ -143,16 +139,10 @@ func main() {
 		}},
 		{"ablation-rr", nil, func() []runner.Result {
 			var out []runner.Result
-			for _, class := range []core.Class{core.Homogeneous, core.CommHomogeneous} {
-				if !classes[class] {
-					continue
-				}
+			for _, class := range selectClasses([]core.Class{core.Homogeneous, core.CommHomogeneous}) {
 				r := experiment.AblationRRCap(class, cfg)
 				fmt.Println(r.Render())
 				out = append(out, r.Raw)
-			}
-			if len(out) == 0 {
-				fmt.Println("(skipped: every platform class of this artifact is excluded by -classes)")
 			}
 			return out
 		}},
@@ -172,16 +162,10 @@ func main() {
 		}},
 		{"ablation-model", nil, func() []runner.Result {
 			var out []runner.Result
-			for _, class := range []core.Class{core.CompHomogeneous, core.Heterogeneous} {
-				if !classes[class] {
-					continue
-				}
+			for _, class := range selectClasses([]core.Class{core.CompHomogeneous, core.Heterogeneous}) {
 				r := experiment.AblationModel(class, cfg)
 				fmt.Println(r.Render())
 				out = append(out, r.Raw)
-			}
-			if len(out) == 0 {
-				fmt.Println("(skipped: every platform class of this artifact is excluded by -classes)")
 			}
 			return out
 		}},

@@ -340,6 +340,11 @@ func parseSLOs(s string) ([]obs.Objective, error) {
 		if err := o.Validate(); err != nil {
 			return nil, fmt.Errorf("-slo entry %d (%q): %w", i, entry, err)
 		}
+		for _, prev := range out {
+			if prev.Name == o.Name {
+				return nil, fmt.Errorf("-slo entry %d (%q): duplicate objective name %q", i, entry, o.Name)
+			}
+		}
 		out = append(out, o)
 	}
 	return out, nil
@@ -364,13 +369,15 @@ func parseSlaves(s string) (core.Platform, error) {
 		if err != nil {
 			return core.Platform{}, fmt.Errorf("-slaves entry %d (%q): bad computation time %q: %w", i, token, parts[1], err)
 		}
-		if cv <= 0 || pv <= 0 {
-			return core.Platform{}, fmt.Errorf("-slaves entry %d (%q): costs must be positive", i, token)
+		// One validator for every way a platform gets in: it also refuses
+		// NaN and Inf, which ParseFloat accepts and "<= 0" lets through.
+		if (core.Platform{C: []float64{cv}, P: []float64{pv}}).Validate() != nil {
+			return core.Platform{}, fmt.Errorf("-slaves entry %d (%q): costs must be positive and finite", i, token)
 		}
 		c = append(c, cv)
 		p = append(p, pv)
 	}
-	return core.NewPlatform(c, p), nil
+	return core.Platform{C: c, P: p}, nil
 }
 
 // buildPlatform parses -slaves "c:p,c:p,..." or draws a random platform

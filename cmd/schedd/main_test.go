@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -41,6 +42,10 @@ func TestParseSLOs(t *testing.T) {
 		"availability:1.5",        // target outside (0,1)
 		"p=latency:-1:0.9",        // non-positive threshold
 		"latency:0.5:0.99,,x:0.9", // empty entry then junk
+		"latency:NaN:0.9",         // NaN compares false with everything
+		"availability:NaN",
+		"a=availability:0.9,a=latency:1:0.9",       // duplicate explicit name
+		"latency-1=availability:0.9,latency:1:0.9", // default name collides
 	} {
 		if _, err := parseSLOs(bad); err == nil {
 			t.Fatalf("-slo %q accepted", bad)
@@ -72,6 +77,10 @@ func TestParseSlavesErrorsNameTokenAndIndex(t *testing.T) {
 		{"0.5:2,1:zap", []string{"entry 1", `"1:zap"`, "computation"}},
 		{"1:1,-2:3", []string{"entry 1", `"-2:3"`, "positive"}},
 		{"1:1,2:0", []string{"entry 1", `"2:0"`, "positive"}},
+		{"NaN:1", []string{"entry 0", `"NaN:1"`, "finite"}},
+		{"1:NaN", []string{"entry 0", `"1:NaN"`, "finite"}},
+		{"Inf:1", []string{"entry 0", `"Inf:1"`, "finite"}},
+		{"2:3,1:+Inf", []string{"entry 1", `"1:+Inf"`, "finite"}},
 		{"", []string{"entry 0", "c:p"}},
 		{"1:2,", []string{"entry 1", "c:p"}},
 	}
@@ -169,4 +178,51 @@ func TestServerClosesUnfinishedHeader(t *testing.T) {
 	if _, err := io.Copy(io.Discard, conn); err != nil {
 		t.Fatalf("connection with an unfinished header was not closed: %v", err)
 	}
+}
+
+// FuzzParseSlaves: no -slaves string may panic the parser, and whatever
+// it accepts is a platform a master can serve — the one validator agrees
+// and every cost is finite and positive.
+func FuzzParseSlaves(f *testing.F) {
+	f.Add("0.5:2, 1:4 ,2:5")
+	f.Fuzz(func(t *testing.T, s string) {
+		pl, err := parseSlaves(s)
+		if err != nil {
+			return
+		}
+		if err := pl.Validate(); err != nil {
+			t.Fatalf("parseSlaves(%q) accepted an invalid platform: %v", s, err)
+		}
+		for _, x := range append(append([]float64(nil), pl.C...), pl.P...) {
+			if !(x > 0) || math.IsInf(x, 0) {
+				t.Fatalf("parseSlaves(%q) accepted cost %v", s, x)
+			}
+		}
+	})
+}
+
+// FuzzParseSLOs: no -slo string may panic the parser, and whatever it
+// accepts is a list of valid objectives with unique names and targets
+// strictly inside (0, 1).
+func FuzzParseSLOs(f *testing.F) {
+	f.Add("p99=latency:0.5:0.99, availability:0.999")
+	f.Fuzz(func(t *testing.T, s string) {
+		slos, err := parseSLOs(s)
+		if err != nil {
+			return
+		}
+		seen := map[string]bool{}
+		for _, o := range slos {
+			if err := o.Validate(); err != nil {
+				t.Fatalf("parseSLOs(%q) accepted an invalid objective: %v", s, err)
+			}
+			if !(o.Target > 0 && o.Target < 1) || (o.Kind == obs.ObjectiveLatency && !(o.ThresholdSeconds > 0)) {
+				t.Fatalf("parseSLOs(%q) accepted %+v", s, o)
+			}
+			if seen[o.Name] {
+				t.Fatalf("parseSLOs(%q) accepted duplicate name %q", s, o.Name)
+			}
+			seen[o.Name] = true
+		}
+	})
 }

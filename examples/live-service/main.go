@@ -63,20 +63,11 @@ func main() {
 
 	// --- Part 2: virtual clock — bit-identical to the simulator. ---
 	tasks := core.ReleasesAt(0, 0, 0.5, 1, 1, 2, 3, 3)
-	inst := core.NewInstance(pl, tasks)
 	res, err := live.Run(live.Config{
 		Platform:  pl,
 		Scheduler: sched.New("SRPT"),
 		World:     live.NewVirtual(),
-		Sources: []func(*live.Source){func(src *live.Source) {
-			for _, task := range inst.Tasks {
-				if task.Release > src.Now() {
-					src.SleepUntil(task.Release)
-				}
-				src.Submit(live.JobSpec{})
-			}
-			src.Drain()
-		}},
+		Sources:   []func(*live.Source){live.Replay(tasks)},
 	})
 	if err != nil {
 		panic(err)

@@ -1,10 +1,10 @@
 // MPI determinant experiment: the paper's Section-4.2 setup end to end on
-// the emulated message-passing cluster — calibrate five heterogeneous
-// machines with a probe matrix, derive the repetition counts nc_i and
-// np_i that shape them into the desired platform, then drive one thousand
-// matrix-determinant tasks through the calibrated cluster with two
-// schedulers, with the slaves really computing (checksummed) LU
-// determinants.
+// the emulated cluster (the live runtime on its virtual clock) —
+// calibrate five heterogeneous machines with a probe matrix, derive the
+// repetition counts nc_i and np_i that shape them into the desired
+// platform, then drive one thousand matrix-determinant tasks through the
+// calibrated cluster with three schedulers, really computing each task's
+// (checksummed) LU determinant as it completes.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 			Tasks:          tasks,
 			Scheduler:      sched.New(s),
 			MatrixSize:     16,
-			ComputePayload: true, // the slaves really factor matrices
+			ComputePayload: true, // really factor each matrix
 			Seed:           7,
 		})
 		if err != nil {

@@ -97,7 +97,7 @@ type Shard struct {
 	tracker *live.Tracker
 	// nominalRate is the shard's throughput estimate from its cost
 	// vectors (tasks per model second), precomputed for het-aware
-	// placement; see shardNominalRate.
+	// placement; see NominalRate.
 	nominalRate float64
 
 	// Declarative slave liveness, fed by Router.SetSlaveLive from
@@ -333,7 +333,7 @@ func New(cfg Config) (*Router, error) {
 			pl:          part.Platform,
 			rt:          rt,
 			tracker:     tracker,
-			nominalRate: shardNominalRate(part.Platform),
+			nominalRate: NominalRate(part.Platform),
 			deadLocal:   make([]bool, part.Platform.M()),
 		}
 		sh.liveCount.Store(int32(part.Platform.M()))

@@ -34,22 +34,13 @@ func conformancePlatforms() map[string]core.Platform {
 // times (external Submit would be nondeterministic under vclock).
 func runSingleShardVirtual(t *testing.T, pl core.Platform, name string, tasks []core.Task) core.Schedule {
 	t.Helper()
-	inst := core.NewInstance(pl, tasks)
 	r, err := New(Config{
 		Platform:     pl,
 		NewScheduler: func() sim.Scheduler { return sched.New(name) },
 		Shards:       1,
 		Placement:    PlacementRoundRobin,
 		World:        func(int) live.World { return live.NewVirtual() },
-		Sources: []func(*live.Source){func(src *live.Source) {
-			for _, task := range inst.Tasks {
-				if task.Release > src.Now() {
-					src.SleepUntil(task.Release)
-				}
-				src.Submit(live.JobSpec{CommScale: task.CommScale, CompScale: task.CompScale})
-			}
-			src.Drain()
-		}},
+		Sources:      []func(*live.Source){live.Replay(tasks)},
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
@@ -111,22 +102,13 @@ func TestSingleShardConformanceEveryPartitionStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range core.PartitionStrategies {
-		inst := core.NewInstance(pl, tasks)
 		r, err := New(Config{
 			Platform:     pl,
 			NewScheduler: func() sim.Scheduler { return sched.New("LS") },
 			Shards:       1,
 			Partition:    strategy,
 			World:        func(int) live.World { return live.NewVirtual() },
-			Sources: []func(*live.Source){func(src *live.Source) {
-				for _, task := range inst.Tasks {
-					if task.Release > src.Now() {
-						src.SleepUntil(task.Release)
-					}
-					src.Submit(live.JobSpec{})
-				}
-				src.Drain()
-			}},
+			Sources:      []func(*live.Source){live.Replay(tasks)},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", strategy, err)

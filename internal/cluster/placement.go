@@ -242,18 +242,13 @@ func (s *Shard) serviceRate(load live.Load) float64 {
 	return s.nominalRate
 }
 
-// shardNominalRate estimates a shard's sustainable task throughput from
-// its cost vectors under the one-port model: computation can absorb
-// Σ 1/p_j tasks per second; the port, feeding slave j a share of tasks
+// NominalRate estimates a shard's sustainable task throughput from its
+// cost vectors under the one-port model: computation can absorb Σ 1/p_j
+// tasks per second; the port, feeding slave j a share of tasks
 // proportional to its compute rate, needs Σ f_j·c_j seconds per task.
-// The sustainable rate is the smaller of the two.
-func shardNominalRate(pl core.Platform) float64 {
-	return NominalRate(pl)
-}
-
-// NominalRate is the exported form of the shard throughput estimate, so
-// synthetic studies (experiment.StealStudy) can feed the same rates the
-// router would compute into StealPolicy.Plan without building runtimes.
+// The sustainable rate is the smaller of the two. Exported so synthetic
+// studies (experiment.StealStudy) can feed the same rates the router
+// computes into StealPolicy.Plan without building runtimes.
 func NominalRate(pl core.Platform) float64 {
 	computeRate := 0.0
 	for _, p := range pl.P {

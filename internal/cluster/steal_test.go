@@ -519,21 +519,12 @@ func TestStealRateZeroVirtualConformance(t *testing.T) {
 				t.Fatalf("%s engine: %v", label, err)
 			}
 
-			inst := core.NewInstance(pl, tasks)
 			r, err := New(Config{
 				Platform:     pl,
 				NewScheduler: func() sim.Scheduler { return sched.New(name) },
 				Shards:       1,
 				World:        func(int) live.World { return live.NewVirtual() },
-				Sources: []func(*live.Source){func(src *live.Source) {
-					for _, task := range inst.Tasks {
-						if task.Release > src.Now() {
-							src.SleepUntil(task.Release)
-						}
-						src.Submit(live.JobSpec{CommScale: task.CommScale, CompScale: task.CompScale})
-					}
-					src.Drain()
-				}},
+				Sources:      []func(*live.Source){live.Replay(tasks)},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

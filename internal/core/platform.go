@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 )
@@ -56,15 +57,16 @@ type Platform struct {
 
 // NewPlatform builds a platform from per-slave communication and
 // computation times. It panics if the slices differ in length, are empty,
-// or contain non-positive values; platforms are constructed from trusted
-// experiment code, so misuse is a programming error.
+// or contain values that are not finite and positive; platforms are
+// constructed from trusted experiment code, so misuse is a programming
+// error.
 func NewPlatform(c, p []float64) Platform {
 	if len(c) == 0 || len(c) != len(p) {
 		panic(fmt.Sprintf("core: platform needs matching non-empty c (%d) and p (%d)", len(c), len(p)))
 	}
 	for j := range c {
-		if c[j] <= 0 || p[j] <= 0 {
-			panic(fmt.Sprintf("core: slave %d has non-positive cost c=%v p=%v", j, c[j], p[j]))
+		if badCost(c[j]) || badCost(p[j]) {
+			panic(fmt.Sprintf("core: slave %d has a cost that is not finite and positive: c=%v p=%v", j, c[j], p[j]))
 		}
 	}
 	pl := Platform{C: append([]float64(nil), c...), P: append([]float64(nil), p...)}
@@ -188,12 +190,17 @@ func (pl Platform) Validate() error {
 		return fmt.Errorf("core: mismatched cost vectors: %d communication vs %d computation", len(pl.C), len(pl.P))
 	}
 	for j := range pl.C {
-		if pl.C[j] <= 0 {
-			return fmt.Errorf("core: slave %d has non-positive communication time %v", j, pl.C[j])
+		if badCost(pl.C[j]) {
+			return fmt.Errorf("core: slave %d has non-positive or non-finite communication time %v", j, pl.C[j])
 		}
-		if pl.P[j] <= 0 {
-			return fmt.Errorf("core: slave %d has non-positive computation time %v", j, pl.P[j])
+		if badCost(pl.P[j]) {
+			return fmt.Errorf("core: slave %d has non-positive or non-finite computation time %v", j, pl.P[j])
 		}
 	}
 	return nil
 }
+
+// badCost reports a per-task cost a master cannot schedule with: zero,
+// negative, +Inf, or NaN (which compares false against everything, so the
+// test is "not greater than zero", not "at most zero").
+func badCost(x float64) bool { return !(x > 0) || math.IsInf(x, 1) }

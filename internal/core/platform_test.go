@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -26,6 +27,8 @@ func TestNewPlatformPanics(t *testing.T) {
 		{"mismatched", []float64{1}, []float64{1, 2}},
 		{"zero comm", []float64{0}, []float64{1}},
 		{"negative comp", []float64{1}, []float64{-1}},
+		{"NaN comm", []float64{math.NaN()}, []float64{1}},
+		{"Inf comp", []float64{1}, []float64{math.Inf(1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +129,16 @@ func TestPlatformValidate(t *testing.T) {
 	}
 	if err := (Platform{C: []float64{1}, P: []float64{1, 2}}).Validate(); err == nil {
 		t.Fatal("mismatched platform accepted")
+	}
+	// NaN compares false with everything, +Inf is "positive": neither is a
+	// cost a master can sleep for or divide by.
+	for _, x := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Platform{C: []float64{1, x}, P: []float64{1, 1}}).Validate(); err == nil {
+			t.Errorf("communication time %v accepted", x)
+		}
+		if err := (Platform{C: []float64{1, 1}, P: []float64{x, 1}}).Validate(); err == nil {
+			t.Errorf("computation time %v accepted", x)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package experiment
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/adversary"
@@ -113,6 +114,48 @@ func summariesByScheduler(raw *runner.Result, names []string) map[string]map[cor
 		}
 	}
 	return out
+}
+
+// groupSummaries regroups a study's cells by groupOf and summarizes every
+// value key over each group's platform replicates — the per-group tables
+// the scenario, sharding and steal studies render from.
+func groupSummaries(cells []runner.Cell, groupOf func(runner.Cell) string) map[string]map[string]stats.Summary {
+	acc := map[string]map[string][]float64{}
+	for _, c := range cells {
+		group := groupOf(c)
+		if acc[group] == nil {
+			acc[group] = map[string][]float64{}
+		}
+		for k, v := range c.Values {
+			acc[group][k] = append(acc[group][k], v)
+		}
+	}
+	groups := make(map[string]map[string]stats.Summary, len(acc))
+	for group, byKey := range acc {
+		groups[group] = make(map[string]stats.Summary, len(byKey))
+		keys := make([]string, 0, len(byKey))
+		for k := range byKey {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys) // deterministic summarize order
+		for _, k := range keys {
+			groups[group][k] = stats.Summarize(byKey[k])
+		}
+	}
+	return groups
+}
+
+// mergeShardObjectives folds one shard's schedule into the cluster-level
+// objectives: sum-flow adds up, makespan and max-flow are maxima.
+func mergeShardObjectives(merged map[core.Objective]float64, sub core.Schedule) {
+	for _, obj := range core.Objectives {
+		val := obj.Value(sub)
+		if obj == core.SumFlow {
+			merged[obj] += val
+		} else if val > merged[obj] {
+			merged[obj] = val
+		}
+	}
 }
 
 // Cell is one scheduler × objective aggregate.

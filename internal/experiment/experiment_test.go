@@ -224,3 +224,25 @@ func TestAblationArrivals(t *testing.T) {
 		t.Error("render missing study name")
 	}
 }
+
+// TestBuildPlatformRejectsBadCosts: -c/-p are operator input, so a cost
+// the engine cannot run with is an error — msched -c NaN,1 used to pass
+// NewPlatform's "<= 0" guard and simulate forever, and -c 0,1 panicked.
+func TestBuildPlatformRejectsBadCosts(t *testing.T) {
+	for _, tc := range []struct{ c, p string }{
+		{"NaN,1", "1,1"},
+		{"1,1", "1,NaN"},
+		{"Inf,1", "1,1"},
+		{"1,1", "+Inf,1"},
+		{"0,1", "1,1"},
+		{"1,1", "1,-2"},
+	} {
+		if pl, err := BuildPlatform(tc.c, tc.p, "", 0, nil); err == nil {
+			t.Errorf("-c %s -p %s accepted: %v", tc.c, tc.p, pl)
+		}
+	}
+	pl, err := BuildPlatform("1,2", "3,0x1p-2", "", 0, nil)
+	if err != nil || pl.M() != 2 || pl.P[1] != 0.25 {
+		t.Fatalf("valid vectors: %v %v", pl, err)
+	}
+}

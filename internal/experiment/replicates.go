@@ -160,7 +160,13 @@ func BuildPlatform(cFlag, pFlag, class string, m int, rng *rand.Rand) (core.Plat
 		if len(c) != len(p) {
 			return core.Platform{}, fmt.Errorf("-c has %d entries, -p has %d", len(c), len(p))
 		}
-		return core.NewPlatform(c, p), nil
+		// Operator input: refused by the one validator (zero, negative,
+		// NaN and Inf costs alike), not by NewPlatform's panic.
+		pl := core.Platform{C: c, P: p}
+		if err := pl.Validate(); err != nil {
+			return core.Platform{}, fmt.Errorf("-c/-p: %w", err)
+		}
+		return pl, nil
 	}
 	for _, cl := range core.Classes {
 		if cl.String() == class {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -185,28 +184,9 @@ func ScenarioStudyOver(classes []core.Class, cfg Config) ScenarioStudyResult {
 	}
 	raw.Summarize()
 
-	groups := map[string]map[string]stats.Summary{}
-	acc := map[string]map[string][]float64{}
-	for _, c := range cells {
-		group := strings.TrimPrefix(c.Key[:strings.LastIndex(c.Key, "/platform=")], "scenario/")
-		if acc[group] == nil {
-			acc[group] = map[string][]float64{}
-		}
-		for k, v := range c.Values {
-			acc[group][k] = append(acc[group][k], v)
-		}
-	}
-	for group, byKey := range acc {
-		groups[group] = make(map[string]stats.Summary, len(byKey))
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys) // deterministic summarize order
-		for _, k := range keys {
-			groups[group][k] = stats.Summarize(byKey[k])
-		}
-	}
+	groups := groupSummaries(cells, func(c runner.Cell) string {
+		return strings.TrimPrefix(c.Key[:strings.LastIndex(c.Key, "/platform=")], "scenario/")
+	})
 
 	return ScenarioStudyResult{
 		Config:      cfg.canonical(),

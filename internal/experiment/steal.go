@@ -19,7 +19,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
@@ -136,17 +135,7 @@ func StealStudyOver(classes []core.Class, cfg Config) StealStudyResult {
 								return cell, fmt.Errorf("%s: %s shard %d of k=%d skew=%.1f steal=%s: %w",
 									key, name, s, k, skew, policyName, err)
 							}
-							for _, obj := range core.Objectives {
-								val := obj.Value(sub)
-								switch obj {
-								case core.SumFlow:
-									merged[obj] += val
-								default: // makespan, max-flow: cluster-level maxima
-									if val > merged[obj] {
-										merged[obj] = val
-									}
-								}
-							}
+							mergeShardObjectives(merged, sub)
 						}
 						vk := stealVariantKey(k, skew, policyName)
 						if policyName == cluster.StealNone {
@@ -179,28 +168,7 @@ func StealStudyOver(classes []core.Class, cfg Config) StealStudyResult {
 	}
 	raw.Summarize()
 
-	groups := map[string]map[string]stats.Summary{}
-	acc := map[string]map[string][]float64{}
-	for _, c := range cells {
-		group := c.Labels["class"]
-		if acc[group] == nil {
-			acc[group] = map[string][]float64{}
-		}
-		for k, v := range c.Values {
-			acc[group][k] = append(acc[group][k], v)
-		}
-	}
-	for group, byKey := range acc {
-		groups[group] = make(map[string]stats.Summary, len(byKey))
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys) // deterministic summarize order
-		for _, k := range keys {
-			groups[group][k] = stats.Summarize(byKey[k])
-		}
-	}
+	groups := groupSummaries(cells, func(c runner.Cell) string { return c.Labels["class"] })
 
 	return StealStudyResult{
 		Config:  cfg.canonical(),

@@ -25,20 +25,11 @@ import (
 // submitted by an in-world source at their exact release times.
 func runVirtual(t *testing.T, pl core.Platform, s sim.Scheduler, tasks []core.Task) Result {
 	t.Helper()
-	inst := core.NewInstance(pl, tasks)
 	res, err := Run(Config{
 		Platform:  pl,
 		Scheduler: s,
 		World:     NewVirtual(),
-		Sources: []func(*Source){func(src *Source) {
-			for _, task := range inst.Tasks {
-				if task.Release > src.Now() {
-					src.SleepUntil(task.Release)
-				}
-				src.Submit(JobSpec{CommScale: task.CommScale, CompScale: task.CompScale})
-			}
-			src.Drain()
-		}},
+		Sources:   []func(*Source){Replay(tasks)},
 	})
 	if err != nil {
 		t.Fatalf("live run: %v", err)
@@ -190,6 +181,37 @@ func TestConformanceEventLog(t *testing.T) {
 			if got != c.want {
 				t.Fatalf("task %d: %v event at %v, record says %v", i, c.kind, got, c.want)
 			}
+		}
+	}
+}
+
+// TestReplay pins the one replay source: on a virtual world every job is
+// submitted at exactly its task's release (no accumulated sleep error),
+// IDs follow release order whatever order the tasks were given in, the
+// perturbation scales travel with the job, and the run drains.
+func TestReplay(t *testing.T) {
+	tasks := []core.Task{
+		{Release: 0.7, CommScale: 1.25, CompScale: 0.8},
+		{Release: 0.1},
+		{Release: 0.1 + 0.2, CompScale: 1.1}, // 0.30000000000000004
+		{Release: 0.3},
+		{Release: 0},
+		{Release: 0.7, CommScale: 0.9},
+	}
+	pl := conformancePlatforms()["fully-hetero"]
+	res := runVirtual(t, pl, sched.New("LS"), tasks)
+	want := core.NewInstance(pl, tasks).Tasks
+	if len(res.Schedule.Records) != len(want) {
+		t.Fatalf("%d records for %d tasks", len(res.Schedule.Records), len(want))
+	}
+	for i, r := range res.Schedule.Records {
+		got := res.Schedule.Instance.Tasks[i]
+		if int(r.Task) != i || r.Release != want[i].Release || got.Release != want[i].Release ||
+			got.CommScale != want[i].CommScale || got.CompScale != want[i].CompScale {
+			t.Fatalf("job %d: record %+v task %+v, want task %+v", i, r, got, want[i])
+		}
+		if r.Complete <= r.Release {
+			t.Fatalf("job %d never ran: %+v", i, r)
 		}
 	}
 }

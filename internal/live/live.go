@@ -19,9 +19,11 @@
 //     runtime can never drift apart.
 //
 // The master keeps its scheduler-facing bookkeeping in a sim.Driver, the
-// same exported master-side surface the message-passing emulation uses,
-// and produces an event log plus a core.Schedule, so trace.Analyze, the
-// validity checks and the paper's objectives all apply to live runs.
+// same master-side books the discrete-event engine keeps, and produces an
+// event log plus a core.Schedule, so trace.Analyze, the validity checks
+// and the paper's objectives all apply to live runs. The paper's
+// Section-4 cluster experiment (internal/mpiexp) is a configuration of
+// this runtime on the virtual clock, not a loop of its own.
 package live
 
 import (
@@ -351,6 +353,24 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("live: run ended before every admitted job completed")
 	}
 	return rt.Result(), nil
+}
+
+// Replay returns the source that streams a recorded workload: sleep until
+// each task's release, submit it with its perturbation scales, and drain
+// after the last. Tasks are taken in release order (ties keep their given
+// order, like core.NewInstance), so on a virtual world job IDs, release
+// stamps and the schedule are the engine's bit for bit.
+func Replay(tasks []core.Task) func(*Source) {
+	tasks = core.NewInstance(core.Platform{}, tasks).Tasks
+	return func(src *Source) {
+		for _, task := range tasks {
+			if task.Release > src.Now() {
+				src.SleepUntil(task.Release)
+			}
+			src.Submit(JobSpec{CommScale: task.CommScale, CompScale: task.CompScale})
+		}
+		src.Drain()
+	}
 }
 
 // Source is an in-world job producer's handle: a clock plus the

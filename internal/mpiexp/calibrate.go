@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linalg"
-	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 // HardwareSpec models the physical machines of the paper's testbed: five
@@ -27,7 +27,9 @@ func (hw HardwareSpec) validate() error {
 			hw.M(), len(hw.LinkLatency), len(hw.LinkBandwidth))
 	}
 	for j := 0; j < hw.M(); j++ {
-		if hw.LinkBandwidth[j] <= 0 || hw.Speed[j] <= 0 || hw.LinkLatency[j] < 0 {
+		// Written so that NaN, which compares false with everything, fails.
+		bw, sp, lat := hw.LinkBandwidth[j], hw.Speed[j], hw.LinkLatency[j]
+		if !(bw > 0) || !(sp > 0) || !(lat >= 0) || math.IsInf(bw, 1) || math.IsInf(sp, 1) || math.IsInf(lat, 1) {
 			return fmt.Errorf("mpiexp: non-physical hardware for slave %d", j)
 		}
 	}
@@ -59,9 +61,10 @@ func (cal Calibration) MaxRelativeError() float64 {
 }
 
 // Calibrate runs the probe protocol on the emulated hardware: the master
-// ships one matrix to each slave in turn and times the transfer and the
-// determinant; repetition counts are then the rounded ratios to the
-// target costs, exactly as the paper scales its physical machines.
+// ships one matrix to each slave in turn and the transfer and the
+// determinant are timed off the run's records; repetition counts are then
+// the rounded ratios to the target costs, exactly as the paper scales its
+// physical machines.
 func Calibrate(hw HardwareSpec, target core.Platform, matrixN int) (Calibration, error) {
 	if err := hw.validate(); err != nil {
 		return Calibration{}, err
@@ -73,40 +76,22 @@ func Calibrate(hw HardwareSpec, target core.Platform, matrixN int) (Calibration,
 		matrixN = 30
 	}
 	m := hw.M()
-	world := mpi.NewWorld(m + 1)
 	bytes := linalg.Bytes(matrixN)
 	flops := linalg.DetFlops(matrixN)
+	machines := core.Platform{C: make([]float64, m), P: make([]float64, m)}
 	for j := 0; j < m; j++ {
-		world.SetLink(0, j+1, mpi.LinkCost{
-			Latency:  hw.LinkLatency[j],
-			ByteTime: 1 / hw.LinkBandwidth[j],
-		})
-		world.SetLink(j+1, 0, mpi.LinkCost{})
+		machines.C[j] = hw.LinkLatency[j] + bytes/hw.LinkBandwidth[j]
+		machines.P[j] = flops / hw.Speed[j]
 	}
-
+	probe, err := Run(Config{Platform: machines, Tasks: core.Bag(m), Scheduler: prober{}, MatrixSize: matrixN})
+	if err != nil {
+		return Calibration{}, fmt.Errorf("mpiexp: calibration run failed: %w", err)
+	}
 	baseComm := make([]float64, m)
 	baseComp := make([]float64, m)
-	world.Rank(0, "prober", func(r *mpi.Rank) {
-		for j := 0; j < m; j++ {
-			sendStart := r.Now()
-			r.Send(j+1, tagTask, bytes, taskMsg{task: j, compDur: flops / hw.Speed[j], reps: 1})
-			baseComm[j] = r.Now() - sendStart
-			msg := r.Recv()
-			ack := msg.Payload.(ackMsg)
-			baseComp[j] = ack.complete - ack.start
-		}
-		for j := 0; j < m; j++ {
-			r.Send(j+1, tagQuit, 0, nil)
-		}
-	})
-	for j := 0; j < m; j++ {
-		j := j
-		world.Rank(j+1, fmt.Sprintf("slave-%d", j+1), func(r *mpi.Rank) {
-			slaveLoop(r, j, false)
-		})
-	}
-	if err := world.Run(); err != nil {
-		return Calibration{}, fmt.Errorf("mpiexp: calibration run failed: %w", err)
+	for _, r := range probe.Schedule.Records {
+		baseComm[r.Slave] = r.Arrive - r.SendStart
+		baseComp[r.Slave] = r.Complete - r.Start
 	}
 
 	cal := Calibration{
@@ -127,6 +112,17 @@ func Calibrate(hw HardwareSpec, target core.Platform, matrixN int) (Calibration,
 	}
 	cal.Achieved = core.NewPlatform(achC, achP)
 	return cal, nil
+}
+
+// prober is the calibration master's policy: probe matrix j goes to
+// slave j.
+type prober struct{}
+
+func (prober) Name() string        { return "prober" }
+func (prober) Reset(core.Platform) {}
+func (prober) Decide(v sim.View) sim.Action {
+	task, _ := v.FirstPending()
+	return sim.Send(task, int(task))
 }
 
 // repetitions rounds the ratio target/base to the nearest positive count.

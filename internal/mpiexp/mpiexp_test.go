@@ -3,6 +3,8 @@ package mpiexp
 import (
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,9 +14,9 @@ import (
 )
 
 // TestCrossValidationAgainstDES is the substrate-equivalence check called
-// out in DESIGN.md: the same scheduler, platform and workload must produce
-// the same schedule on the goroutine-based message-passing emulation as
-// on the discrete-event engine — for every paper heuristic, on every
+// out in DESIGN.md (M1): the same scheduler, platform and workload must
+// produce the same schedule, bit for bit, on the emulated cluster as on
+// the discrete-event engine — for every paper heuristic, on every
 // platform class, with and without size perturbation.
 func TestCrossValidationAgainstDES(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -35,31 +37,15 @@ func TestCrossValidationAgainstDES(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s DES: %v", trial, name, err)
 			}
-			emu, err := Run(Config{
-				Platform:   pl,
-				Tasks:      tasks,
-				Scheduler:  sched.New(name),
-				MatrixSize: 32, // power-of-two payload keeps float costs bitwise equal
-			})
+			emu, err := Run(Config{Platform: pl, Tasks: tasks, Scheduler: sched.New(name)})
 			if err != nil {
 				t.Fatalf("trial %d %s emulation: %v", trial, name, err)
 			}
 			for i := range des.Records {
 				a, b := des.Records[i], emu.Schedule.Records[i]
-				if a.Slave != b.Slave {
-					t.Fatalf("trial %d %s task %d: DES slave %d, emulation slave %d",
-						trial, name, i, a.Slave, b.Slave)
-				}
-				for _, pair := range [][2]float64{
-					{a.SendStart, b.SendStart},
-					{a.Arrive, b.Arrive},
-					{a.Start, b.Start},
-					{a.Complete, b.Complete},
-				} {
-					if math.Abs(pair[0]-pair[1]) > 1e-9 {
-						t.Fatalf("trial %d %s task %d: DES %+v vs emulation %+v",
-							trial, name, i, a, b)
-					}
+				if a.Slave != b.Slave || a.SendStart != b.SendStart || a.Arrive != b.Arrive ||
+					a.Start != b.Start || a.Complete != b.Complete {
+					t.Fatalf("trial %d %s task %d: DES %+v vs emulation %+v", trial, name, i, a, b)
 				}
 			}
 		}
@@ -87,7 +73,7 @@ func TestEmulatedScheduleIsValid(t *testing.T) {
 
 func TestComputePayloadChecksum(t *testing.T) {
 	pl := core.NewPlatform([]float64{0.1, 0.1}, []float64{0.5, 0.9})
-	run := func() float64 {
+	run := func() Result {
 		res, err := Run(Config{
 			Platform:       pl,
 			Tasks:          core.Bag(6),
@@ -99,14 +85,57 @@ func TestComputePayloadChecksum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Checksum
+		return res
 	}
-	a, b := run(), run()
-	if a == 0 {
+	res := run()
+	if res.Checksum == 0 {
 		t.Fatal("payload checksum is zero — determinants not computed")
 	}
-	if a != b {
-		t.Fatalf("checksum not reproducible: %v vs %v", a, b)
+	if again := run().Checksum; res.Checksum != again {
+		t.Fatalf("checksum not reproducible: %v vs %v", res.Checksum, again)
+	}
+	// The checksum is every task's determinant, summed in the order the
+	// master learned of the completions (same-instant ones by slave).
+	order := append([]core.Record(nil), res.Schedule.Records...)
+	sort.SliceStable(order, func(i, j int) bool {
+		if order[i].Complete != order[j].Complete {
+			return order[i].Complete < order[j].Complete
+		}
+		return order[i].Slave < order[j].Slave
+	})
+	want := 0.0
+	for _, r := range order {
+		want += checksumMatrix(99, int(r.Task), 8).Det()
+	}
+	if res.Checksum != want {
+		t.Fatalf("checksum %v, want the completion-order sum %v", res.Checksum, want)
+	}
+}
+
+// TestRunRejectsEmptyPlatform: a platform with no slaves is the runtime's
+// validation error, not a crash inside the master.
+func TestRunRejectsEmptyPlatform(t *testing.T) {
+	_, err := Run(Config{Platform: core.Platform{}, Tasks: core.Bag(3), Scheduler: sched.NewLS()})
+	if err == nil || !strings.Contains(err.Error(), "platform has no slaves") {
+		t.Fatalf("empty platform: %v", err)
+	}
+}
+
+// TestProberProbesEachSlaveOnce: the calibration policy sends probe j to
+// slave j, so the run leaves exactly one record per slave.
+func TestProberProbesEachSlaveOnce(t *testing.T) {
+	pl := core.NewPlatform([]float64{0.3, 0.1, 0.2}, []float64{1, 5, 2})
+	res, err := Run(Config{Platform: pl, Tasks: core.Bag(pl.M()), Scheduler: prober{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Schedule.Records) != pl.M() {
+		t.Fatalf("%d records for %d slaves", len(res.Schedule.Records), pl.M())
+	}
+	for j, r := range res.Schedule.Records {
+		if r.Slave != j {
+			t.Fatalf("probe %d went to slave %d", j, r.Slave)
+		}
 	}
 }
 
@@ -172,6 +201,17 @@ func TestCalibrationGuards(t *testing.T) {
 	bad := HardwareSpec{LinkLatency: []float64{0}, LinkBandwidth: []float64{-1}, Speed: []float64{1}}
 	if _, err := Calibrate(bad, target, 10); err == nil {
 		t.Error("negative bandwidth accepted")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		for _, hw := range []HardwareSpec{
+			{LinkLatency: []float64{x}, LinkBandwidth: []float64{1}, Speed: []float64{1}},
+			{LinkLatency: []float64{0}, LinkBandwidth: []float64{x}, Speed: []float64{1}},
+			{LinkLatency: []float64{0}, LinkBandwidth: []float64{1}, Speed: []float64{x}},
+		} {
+			if _, err := Calibrate(hw, target, 10); err == nil {
+				t.Errorf("hardware %+v accepted", hw)
+			}
+		}
 	}
 	two := HardwareSpec{LinkLatency: []float64{0, 0}, LinkBandwidth: []float64{1, 1}, Speed: []float64{1, 1}}
 	if _, err := Calibrate(two, target, 10); err == nil {

@@ -29,15 +29,7 @@ func runVirtual(t *testing.T, pl core.Platform, s sim.Scheduler, tasks []core.Ta
 		Platform:  pl,
 		Scheduler: s,
 		World:     live.NewVirtual(),
-		Sources: []func(*live.Source){func(src *live.Source) {
-			for _, task := range tasks {
-				if task.Release > src.Now() {
-					src.SleepUntil(task.Release)
-				}
-				src.Submit(live.JobSpec{CommScale: task.CommScale, CompScale: task.CompScale})
-			}
-			src.Drain()
-		}},
+		Sources:   []func(*live.Source){live.Replay(tasks)},
 	})
 	if err != nil {
 		t.Fatalf("live run: %v", err)

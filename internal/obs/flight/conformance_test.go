@@ -41,15 +41,7 @@ func recordVirtual(t *testing.T, cfg flight.Config, pl core.Platform, name strin
 		Observer: func(ev live.Event) {
 			rec.Observe(0, ev, tracker.Observe(ev))
 		},
-		Sources: []func(*live.Source){func(src *live.Source) {
-			for _, task := range tasks {
-				if task.Release > src.Now() {
-					src.SleepUntil(task.Release)
-				}
-				src.Submit(live.JobSpec{CommScale: task.CommScale, CompScale: task.CompScale})
-			}
-			src.Drain()
-		}},
+		Sources: []func(*live.Source){live.Replay(tasks)},
 	})
 	if err != nil {
 		t.Fatalf("live run: %v", err)

@@ -55,14 +55,14 @@ func (o Objective) Validate() error {
 	}
 	switch o.Kind {
 	case ObjectiveLatency:
-		if o.ThresholdSeconds <= 0 {
+		if !(o.ThresholdSeconds > 0) { // NaN fails too
 			return fmt.Errorf("obs: latency objective %q needs a positive threshold", o.Name)
 		}
 	case ObjectiveAvailability:
 	default:
 		return fmt.Errorf("obs: objective %q has unknown kind %q", o.Name, o.Kind)
 	}
-	if o.Target <= 0 || o.Target >= 1 {
+	if !(o.Target > 0 && o.Target < 1) { // NaN fails too
 		return fmt.Errorf("obs: objective %q target %v outside (0, 1)", o.Name, o.Target)
 	}
 	return nil

@@ -3,10 +3,11 @@ package sim
 // Driver is the master-side half of the one-port model: the admitted task
 // list, the pending (released, unsent) queue, the dispatch Ledger,
 // per-task schedule records, slave liveness, and the observation feed of
-// actual send/computation durations. Every concrete master — the
-// discrete-event engine, the message-passing emulation in internal/mpiexp
-// and the concurrent live runtime in internal/live — keeps these books in
-// a Driver and consults its Scheduler through the Driver's View.
+// actual send/computation durations. Both concrete masters — the
+// discrete-event engine and the concurrent live runtime in internal/live,
+// which the Section-4 cluster experiment (internal/mpiexp) also runs on —
+// keep these books in a Driver and consult their Scheduler through the
+// Driver's View.
 //
 // The Driver holds exactly the state a real master can know. It is told
 // about admissions, dispatch decisions, arrivals, completions and

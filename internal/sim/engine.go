@@ -83,8 +83,8 @@ func WithUnboundedPort() Option {
 // Engine simulates one scheduler on one platform. It owns ground truth
 // only — the event heap, each slave's FIFO, actual costs, the port — and
 // keeps everything the master knows in a Driver, told through the same
-// calls the live runtime and the MPI emulation make, so the scheduler is
-// consulted through the same View on every substrate. The platform may
+// calls the live runtime makes, so the scheduler is consulted through the
+// same View on both substrates. The platform may
 // change mid-run through the dynamics hooks in dynamics.go (slave
 // failures, recoveries, joins, departures and speed drift); a static run
 // never touches them.

@@ -7,8 +7,8 @@
 // or goroutine scheduling nondeterminism can leak into results.
 //
 // The kernel provides timed message delivery (Post) and a per-process
-// mailbox with deadline-bounded receive, which is exactly what the
-// message-passing emulation in internal/mpi needs.
+// mailbox with deadline-bounded receive, which is exactly what the live
+// runtime's virtual world (internal/live) builds its actors on.
 package vclock
 
 import (
@@ -31,9 +31,6 @@ const (
 
 // Message is one mailbox entry.
 type Message struct {
-	From    int
-	Tag     int
-	Size    float64
 	Payload any
 
 	deliverAt float64
@@ -89,7 +86,6 @@ func (p *Proc) Post(dst int, msg Message, delay float64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("vclock: negative delivery delay %v", delay))
 	}
-	msg.From = p.id
 	msg.deliverAt = p.c.now + delay
 	msg.seq = p.c.seq
 	p.c.seq++

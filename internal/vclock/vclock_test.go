@@ -78,7 +78,7 @@ func TestPostAndRecv(t *testing.T) {
 	})
 	c.Spawn("tx", func(p *Proc) {
 		p.Sleep(1)
-		p.Post(receiver, Message{Tag: 7, Size: 64, Payload: "hi"}, 2.5)
+		p.Post(receiver, Message{Payload: "hi"}, 2.5)
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestPostAndRecv(t *testing.T) {
 	if at != 3.5 {
 		t.Fatalf("received at %v, want 3.5", at)
 	}
-	if got.Tag != 7 || got.Size != 64 || got.Payload != "hi" || got.From != 1 {
+	if got.Payload != "hi" {
 		t.Fatalf("message %+v", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestRecvDeadlinePolls(t *testing.T) {
 		}
 	})
 	c.Spawn("tx", func(p *Proc) {
-		p.Post(rx, Message{Tag: 1}, 1)
+		p.Post(rx, Message{Payload: 1}, 1)
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -136,13 +136,13 @@ func TestMessagesDeliveredInOrder(t *testing.T) {
 	var tags []int
 	rx := c.Spawn("rx", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			tags = append(tags, p.Recv().Tag)
+			tags = append(tags, p.Recv().Payload.(int))
 		}
 	})
 	c.Spawn("tx", func(p *Proc) {
-		p.Post(rx, Message{Tag: 3}, 3)
-		p.Post(rx, Message{Tag: 1}, 1)
-		p.Post(rx, Message{Tag: 2}, 2)
+		p.Post(rx, Message{Payload: 3}, 3)
+		p.Post(rx, Message{Payload: 1}, 1)
+		p.Post(rx, Message{Payload: 2}, 2)
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -157,13 +157,13 @@ func TestSimultaneousDeliveriesKeepPostOrder(t *testing.T) {
 	var tags []int
 	rx := c.Spawn("rx", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			tags = append(tags, p.Recv().Tag)
+			tags = append(tags, p.Recv().Payload.(int))
 		}
 	})
 	c.Spawn("tx", func(p *Proc) {
-		p.Post(rx, Message{Tag: 10}, 1)
-		p.Post(rx, Message{Tag: 11}, 1)
-		p.Post(rx, Message{Tag: 12}, 1)
+		p.Post(rx, Message{Payload: 10}, 1)
+		p.Post(rx, Message{Payload: 11}, 1)
+		p.Post(rx, Message{Payload: 12}, 1)
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestDeterministicReplay(t *testing.T) {
 			c.Spawn("tx", func(p *Proc) {
 				for i := 0; i < 5; i++ {
 					p.Sleep(float64(w+1) * 0.7)
-					p.Post(rx, Message{Tag: w}, 0.3)
+					p.Post(rx, Message{Payload: w}, 0.3)
 				}
 			})
 		}
@@ -308,7 +308,7 @@ func TestImmediateDeliveryVisibleToSameInstantPoll(t *testing.T) {
 	})
 	c.Spawn("tx", func(p *Proc) {
 		p.Sleep(2)
-		p.Post(rx, Message{Tag: 7}, 0)
+		p.Post(rx, Message{Payload: 7}, 0)
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -324,11 +324,11 @@ func TestImmediateDeliveryWakesReceiver(t *testing.T) {
 	var gotAt float64
 	rx := c.Spawn("rx", func(p *Proc) {
 		m := p.Recv()
-		gotTag, gotAt = m.Tag, p.Now()
+		gotTag, gotAt = m.Payload.(int), p.Now()
 	})
 	c.Spawn("tx", func(p *Proc) {
 		p.Sleep(1.5)
-		p.Post(rx, Message{Tag: 9}, 0)
+		p.Post(rx, Message{Payload: 9}, 0)
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -348,15 +348,15 @@ func TestImmediateDeliveryKeepsHeapOrder(t *testing.T) {
 	rx := c.Spawn("rx", func(p *Proc) {
 		for i := 0; i < 2; i++ {
 			m := p.Recv()
-			tags = append(tags, m.Tag)
+			tags = append(tags, m.Payload.(int))
 		}
 	})
 	c.Spawn("early", func(p *Proc) {
-		p.Post(rx, Message{Tag: 1}, 3) // posted at t=0, due t=3: seq 0
+		p.Post(rx, Message{Payload: 1}, 3) // posted at t=0, due t=3: seq 0
 	})
 	c.Spawn("late", func(p *Proc) {
 		p.Sleep(3)
-		p.Post(rx, Message{Tag: 2}, 0) // posted at t=3: seq 1
+		p.Post(rx, Message{Payload: 2}, 0) // posted at t=3: seq 1
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)

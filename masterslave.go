@@ -107,20 +107,11 @@ func RunScheduler(s Scheduler, pl Platform, tasks []Task) (Schedule, error) {
 // the result is bit-identical to Run; this facade exists to exercise the
 // serving runtime itself.
 func RunLive(algorithm string, pl Platform, tasks []Task) (Schedule, error) {
-	inst := core.NewInstance(pl, tasks)
 	res, err := live.Run(live.Config{
 		Platform:  pl,
 		Scheduler: sched.New(algorithm),
 		World:     live.NewVirtual(),
-		Sources: []func(*live.Source){func(src *live.Source) {
-			for _, task := range inst.Tasks {
-				if task.Release > src.Now() {
-					src.SleepUntil(task.Release)
-				}
-				src.Submit(live.JobSpec{CommScale: task.CommScale, CompScale: task.CompScale})
-			}
-			src.Drain()
-		}},
+		Sources:   []func(*live.Source){live.Replay(tasks)},
 	})
 	if err != nil {
 		return Schedule{}, err
