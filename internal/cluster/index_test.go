@@ -187,3 +187,34 @@ func TestFirehoseReadUnderIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestJobIndexReadZeroAlloc is the read path's hard contract, the one
+// GET /v1/jobs/{id} rests on: resolving a global ID through the chunked
+// index (ShardOf + Job) allocates nothing. The population crosses many
+// chunk boundaries and is read after the drain, so no shard goroutine's
+// allocation lands in the count.
+func TestJobIndexReadZeroAlloc(t *testing.T) {
+	r := firehoseCluster(t, fourShardPlatform(), 4, PlacementLeastLoaded, FirehoseConfig{QueueDepth: 16384})
+	const jobs = 10_000
+	for batch := 0; batch < 10; batch++ {
+		if _, err := r.SubmitRange(live.JobSpec{}, jobs/10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	gid := 0
+	allocs := testing.AllocsPerRun(jobs, func() {
+		if _, ok := r.ShardOf(gid); !ok {
+			t.Fatalf("gid %d unrouted", gid)
+		}
+		if info, ok := r.Job(gid); !ok || info.ID != gid {
+			t.Fatalf("gid %d: read back %+v, %v", gid, info, ok)
+		}
+		gid = (gid + 7919) % jobs
+	})
+	if allocs != 0 {
+		t.Fatalf("ShardOf + Job: %v allocs per lookup, want 0", allocs)
+	}
+}

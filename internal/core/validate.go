@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 )
 
 // Eps is the tolerance used when validating floating-point schedules.
@@ -74,17 +74,10 @@ func validate(s Schedule, onePort bool) error {
 		}
 	}
 
-	// One-port: the master's sends must not overlap. Every registered
-	// scheduler dispatches the oldest pending task, so engine schedules
-	// arrive here already in send order — check adjacency in place and
-	// fall back to a sorted copy only for out-of-order record lists
-	// (hand-built schedules in tests, adversarial traces).
+	// One-port: the master's sends must not overlap — adjacency in send
+	// order is the whole check.
 	if onePort {
-		byPort := s.Records
-		if !slices.IsSortedFunc(byPort, cmpSendStart) {
-			byPort = append([]Record(nil), s.Records...)
-			slices.SortFunc(byPort, cmpSendStart)
-		}
+		byPort := bySendStart(s.Records)
 		for i := 1; i < len(byPort); i++ {
 			if byPort[i].SendStart < byPort[i-1].Arrive-Eps {
 				return fmt.Errorf("core: one-port violation: send of task %d at %v overlaps send of task %d ending %v",
@@ -155,25 +148,51 @@ func cmpSendStart(a, b Record) int {
 	}
 }
 
+// bySendStart returns the records in send order. Every registered
+// scheduler dispatches the oldest pending task, so engine schedules and
+// tracker snapshots arrive already in that order and are returned as they
+// are; only an out-of-order list (hand-built schedules in tests,
+// adversarial traces) pays for a sorted copy.
+func bySendStart(recs []Record) []Record {
+	if slices.IsSortedFunc(recs, cmpSendStart) {
+		return recs
+	}
+	recs = slices.Clone(recs)
+	slices.SortFunc(recs, cmpSendStart)
+	return recs
+}
+
+// SendOrder returns the records in send order (the caller's slice itself
+// when it already is) and, beside them, earliest[i] = the earliest release
+// among sorted[i:] — the tasks still unsent while the port waits to send
+// sorted[i]. Every question about the port idling beside pending work is
+// one forward sweep over the pair: O(n) for sorted input, O(n log n) else.
+func SendOrder(recs []Record) (sorted []Record, earliest []float64) {
+	sorted = bySendStart(recs)
+	earliest = make([]float64, len(sorted))
+	low := math.Inf(1)
+	for i := len(sorted) - 1; i >= 0; i-- {
+		if sorted[i].Release < low {
+			low = sorted[i].Release
+		}
+		earliest[i] = low
+	}
+	return sorted, earliest
+}
+
 // WorkConserving reports whether the schedule keeps the port busy whenever
 // a released, unsent task exists and the port is idle. The on-line model
 // permits deliberate idling (some adversarial branches hinge on it), so
 // this is a diagnostic, not a validity requirement.
 func WorkConserving(s Schedule) bool {
-	recs := append([]Record(nil), s.Records...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].SendStart < recs[j].SendStart })
+	recs, earliest := SendOrder(s.Records)
 	portFree := 0.0
-	for _, r := range recs {
-		if r.SendStart > portFree+Eps {
-			// Port idled during (portFree, r.SendStart). Violation only if a
-			// released unsent task existed throughout; the earliest pending
-			// release among unsent tasks at time portFree is enough to check.
-			for _, other := range recs {
-				if other.SendStart >= r.SendStart-Eps && other.Release < r.SendStart-Eps &&
-					other.Release <= portFree+Eps {
-					return false
-				}
-			}
+	for i, r := range recs {
+		// Port idled during (portFree, r.SendStart). Violation only if a
+		// released unsent task existed throughout, and the earliest-released
+		// one decides that.
+		if r.SendStart > portFree+Eps && earliest[i] <= portFree+Eps && earliest[i] < r.SendStart-Eps {
+			return false
 		}
 		if r.Arrive > portFree {
 			portFree = r.Arrive

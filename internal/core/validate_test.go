@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -177,5 +180,96 @@ func TestWorkConserving(t *testing.T) {
 	}
 	if WorkConserving(lazy) {
 		t.Fatal("idling schedule reported as work-conserving")
+	}
+}
+
+// workConservingAllPairs is the loop WorkConserving replaced, kept as the
+// differential reference: for every idle gap it asks every record whether it
+// was unsent and released throughout.
+func workConservingAllPairs(s Schedule) bool {
+	recs := append([]Record(nil), s.Records...)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].SendStart < recs[j].SendStart })
+	portFree := 0.0
+	for _, r := range recs {
+		if r.SendStart > portFree+Eps {
+			for _, other := range recs {
+				if other.SendStart >= r.SendStart-Eps && other.Release < r.SendStart-Eps &&
+					other.Release <= portFree+Eps {
+					return false
+				}
+			}
+		}
+		if r.Arrive > portFree {
+			portFree = r.Arrive
+		}
+	}
+	return true
+}
+
+// TestWorkConservingMatchesAllPairs: the earliest-unsent-release sweep
+// answers as the all-pairs loop did on seeded one-port record lists — sends
+// in and out of release order, record lists in and out of send order, idle
+// gaps and release offsets on both sides of Eps.
+func TestWorkConservingMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1604))
+	step := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return Eps * (0.5 + rng.Float64()) // within or just beyond tolerance
+		}
+		return float64(rng.Intn(5)) * 0.5
+	}
+	verdicts := [2]int{}
+	for c := 0; c < 4000; c++ {
+		recs := make([]Record, 1+rng.Intn(10))
+		portFree := 0.0
+		for i := range recs {
+			r := &recs[i]
+			r.Task = TaskID(i)
+			r.Release = math.Max(0, portFree+step()-step())
+			r.SendStart = math.Max(portFree, r.Release) + step()
+			r.Arrive = r.SendStart + 0.5
+			portFree = r.Arrive
+		}
+		if c%2 == 1 {
+			rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		}
+		s := Schedule{Records: recs}
+		got, want := WorkConserving(s), workConservingAllPairs(s)
+		if got != want {
+			t.Fatalf("case %d: sweep says %v, all-pairs loop %v\n%+v", c, got, want, recs)
+		}
+		if got {
+			verdicts[1]++
+		} else {
+			verdicts[0]++
+		}
+	}
+	if verdicts[0] < 400 || verdicts[1] < 400 {
+		t.Fatalf("lopsided cases: %d idling, %d work-conserving", verdicts[0], verdicts[1])
+	}
+}
+
+// TestSendOrderKeepsSortedInput: records already in send order come back
+// as the caller's own slice (no copy on the served path), out-of-order ones
+// as a sorted copy that leaves the input alone.
+func TestSendOrderKeepsSortedInput(t *testing.T) {
+	recs := []Record{{Release: 2, SendStart: 3}, {Release: 0, SendStart: 5}, {Release: 4, SendStart: 6}}
+	sorted, earliest := SendOrder(recs)
+	if &sorted[0] != &recs[0] {
+		t.Fatal("sorted input was copied")
+	}
+	if earliest[0] != 0 || earliest[1] != 0 || earliest[2] != 4 {
+		t.Fatalf("earliest %v, want [0 0 4]", earliest)
+	}
+	recs[0], recs[2] = recs[2], recs[0]
+	sorted, earliest = SendOrder(recs)
+	if &sorted[0] == &recs[0] || recs[0].SendStart != 6 {
+		t.Fatal("out-of-order input was sorted in place")
+	}
+	if sorted[0].SendStart != 3 || sorted[2].SendStart != 6 || earliest[0] != 0 || earliest[2] != 4 {
+		t.Fatalf("sorted %+v earliest %v", sorted, earliest)
 	}
 }

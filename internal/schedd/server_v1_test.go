@@ -14,11 +14,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // TestRouteTableGolden pins the service's one route generation: the exact
@@ -382,6 +384,63 @@ func TestStreamEndToEnd(t *testing.T) {
 	acks = streamLines(t, ts, "{\"count\":1}\n")
 	if len(acks) != 1 || acks[0].Error == "" || !strings.Contains(acks[0].Error, "draining") {
 		t.Fatalf("drained stream acks %+v", acks)
+	}
+}
+
+// TestStatsTraceMatchesDrainedSchedule is the served-vs-drained oracle:
+// what GET /v1/stats reports from the live trackers equals, field for
+// field, the analysis of what each shard's master actually executed. After
+// the drain every shard section's trace is trace.Analyze of that shard's
+// own schedule (rebased to its first submission, slaves relabelled to
+// global indices) and the merged trace is trace.MergeReports of those.
+func TestStatsTraceMatchesDrainedSchedule(t *testing.T) {
+	s, ts := virtualServer(t, 4)
+	var body strings.Builder
+	const jobs = 600
+	for i := 0; i < jobs; i++ {
+		fmt.Fprintf(&body, "{\"comm_scale\":%.2f,\"comp_scale\":%.2f}\n", 0.9+float64(i%5)*0.05, 0.9+float64(i%7)*0.03)
+	}
+	if acks := streamLines(t, ts, body.String()); len(acks) != jobs {
+		t.Fatalf("%d acks for %d one-job lines", len(acks), jobs)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	var served StatsResponse
+	if code := getJSON(t, ts.URL+"/v1/stats", &served); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
+	}
+	shards := s.Router().Shards()
+	if len(served.PerShard) != len(shards) || served.Jobs.Completed != jobs {
+		t.Fatalf("served %d shard sections, %d completed", len(served.PerShard), served.Jobs.Completed)
+	}
+	var parts []trace.Report
+	for i, sh := range shards {
+		sch := sh.Result().Schedule
+		first, _, _ := sh.Tracker().Span()
+		recs := append([]core.Record(nil), sch.Records...)
+		for k := range recs {
+			recs[k].Release -= first
+			recs[k].SendStart -= first
+			recs[k].Arrive -= first
+			recs[k].Start -= first
+			recs[k].Complete -= first
+		}
+		want := trace.Analyze(core.Schedule{Instance: sch.Instance, Records: recs})
+		for k := range want.Slaves {
+			want.Slaves[k].Slave = sh.GlobalSlave(want.Slaves[k].Slave)
+		}
+		got := served.PerShard[i].Trace
+		if got == nil || len(recs) == 0 {
+			t.Fatalf("shard %d: %d drained records, served trace %v", i, len(recs), got)
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("shard %d: served trace differs from the drained schedule's\nserved  %+v\ndrained %+v", i, *got, want)
+		}
+		parts = append(parts, want)
+	}
+	if want := trace.MergeReports(parts...); served.Trace == nil || !reflect.DeepEqual(*served.Trace, want) {
+		t.Fatalf("merged trace differs\nserved %+v\nmerged %+v", served.Trace, want)
 	}
 }
 

@@ -3,12 +3,16 @@
 // The paper reasons about exactly these quantities informally (idle
 // links, pipelined communication, saturated ports); this package makes
 // them measurable for any run.
+//
+// Analyze is one pass over the records plus one earliest-unsent-release
+// sweep in send order (core.SendOrder): O(n) and copy-free for records
+// already in send order, which is what engines and live trackers hand it;
+// O(n log n) for an arbitrary list.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -42,7 +46,9 @@ type Report struct {
 	// transmitting.
 	PortBusy float64 `json:"port_busy"`
 	// PortIdleWithPending accumulates port idle time while at least one
-	// released task was unsent — zero for work-conserving schedules.
+	// released task was unsent: each idle gap is charged from the release
+	// of the earliest-released unsent task (or the gap's start, if later)
+	// to the next send. Zero for work-conserving schedules.
 	PortIdleWithPending float64      `json:"port_idle_with_pending"`
 	Slaves              []SlaveStats `json:"slaves"`
 	// MeanCommWait is the average task wait between release and send
@@ -60,20 +66,23 @@ func Analyze(s core.Schedule) Report {
 	if len(s.Records) == 0 {
 		return Report{}
 	}
-	mk := s.Makespan()
-	r := Report{
-		Makespan: mk,
-		MaxFlow:  s.MaxFlow(),
-		SumFlow:  s.SumFlow(),
-	}
-	m := s.Instance.Platform.M()
-	r.Slaves = make([]SlaveStats, m)
+	r := Report{Slaves: make([]SlaveStats, s.Instance.Platform.M())}
 	for j := range r.Slaves {
 		r.Slaves[j] = SlaveStats{Slave: j, FirstStart: math.Inf(1)}
 	}
 
 	commBusy := 0.0
 	for _, rec := range s.Records {
+		// The three objectives accumulate as the Schedule methods of the
+		// same names do, in the same record order, so they agree to the bit.
+		if rec.Complete > r.Makespan {
+			r.Makespan = rec.Complete
+		}
+		flow := rec.Flow()
+		if flow > r.MaxFlow {
+			r.MaxFlow = flow
+		}
+		r.SumFlow += flow
 		st := &r.Slaves[rec.Slave]
 		st.Tasks++
 		st.BusyTime += rec.Complete - rec.Start
@@ -93,6 +102,7 @@ func Analyze(s core.Schedule) Report {
 	r.MeanCommWait /= n
 	r.MeanQueueWait /= n
 	r.MeanService /= n
+	mk := r.Makespan
 	if mk > 0 {
 		r.PortBusy = commBusy / mk
 	}
@@ -108,29 +118,20 @@ func Analyze(s core.Schedule) Report {
 			st.FirstStart = 0
 		}
 	}
-	r.PortIdleWithPending = portIdleWithPending(s)
+	r.PortIdleWithPending = portIdleWithPending(s.Records)
 	return r
 }
 
 // portIdleWithPending measures deliberate (non-work-conserving) idling:
 // time the port sat idle while a released task remained unsent.
-func portIdleWithPending(s core.Schedule) float64 {
-	recs := append([]core.Record(nil), s.Records...)
-	sort.Slice(recs, func(a, b int) bool { return recs[a].SendStart < recs[b].SendStart })
-	idle := 0.0
-	portFree := 0.0
+func portIdleWithPending(records []core.Record) float64 {
+	recs, earliest := core.SendOrder(records)
+	idle, portFree := 0.0, 0.0
 	for i, rec := range recs {
-		if rec.SendStart > portFree {
-			// The port idled during [portFree, rec.SendStart); charge only
-			// the part where some not-yet-sent task was already released.
-			for _, later := range recs[i:] {
-				lo := math.Max(portFree, later.Release)
-				hi := rec.SendStart
-				if lo < hi {
-					idle += hi - lo
-					break // one witness suffices; intervals would overlap
-				}
-			}
+		// The port idled during [portFree, rec.SendStart); charge the part
+		// of it after the earliest-released unsent task became available.
+		if gap := rec.SendStart - math.Max(portFree, earliest[i]); gap > 0 {
+			idle += gap
 		}
 		if rec.Arrive > portFree {
 			portFree = rec.Arrive
