@@ -1,6 +1,7 @@
 package live
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -140,5 +141,51 @@ func TestTrackerStolenAt(t *testing.T) {
 	j, ok := tr.Job(0)
 	if !ok || j.State != StateStolen || j.StolenAt != 5 {
 		t.Fatalf("job = %+v", j)
+	}
+}
+
+// TestTrackerAcrossPages drives the tracker over page boundaries: a first
+// event for an ID pages ahead of the population leaves the IDs it skipped
+// as unknown placeholders that Job reports absent, events arriving out of
+// ID order land on their own jobs, and Stats lists the done jobs — not
+// the one still queued — in ID order whichever pages they sit in.
+func TestTrackerAcrossPages(t *testing.T) {
+	tr := NewTracker()
+	complete := func(id int, at float64) {
+		tr.Observe(Event{T: at, Kind: EvSubmitted, Task: id, Slave: -1})
+		tr.Observe(Event{T: at + 1, Kind: EvSent, Task: id, Slave: id % 2})
+		tr.Observe(Event{T: at + 4, Kind: EvCompleted, Task: id, Slave: id % 2})
+	}
+	far := 2*trackerPage + 7
+	got := tr.Observe(Event{T: 1, Kind: EvSubmitted, Task: far, Slave: -1})
+	if want := (JobInfo{ID: far, State: StateQueued, Slave: -1, Submitted: 1}); got != want {
+		t.Fatalf("first event %d IDs ahead: %+v, want %+v", far, got, want)
+	}
+	for _, id := range []int{-1, 0, trackerPage - 1, trackerPage, far - 1, far + 1, 3 * trackerPage, 1 << 40} {
+		if j, ok := tr.Job(id); ok {
+			t.Fatalf("Job(%d) = %+v for an ID never seen", id, j)
+		}
+	}
+	// Fill in out of ID order, on both sides of each boundary.
+	ids := []int{trackerPage, 0, far + 1, 2 * trackerPage, trackerPage - 1, 2*trackerPage - 1, 5}
+	for k, id := range ids {
+		complete(id, float64(10*k))
+	}
+	if j, ok := tr.Job(trackerPage - 2); ok || tr.job(trackerPage-2).State != StateUnknown || tr.job(trackerPage-2).ID != trackerPage-2 {
+		t.Fatalf("skipped ID: Job = %+v, %v; slot %+v", j, ok, *tr.job(trackerPage - 2))
+	}
+	snap := tr.Stats()
+	if c := snap.Counts; c.Submitted != len(ids)+1 || c.Completed != len(ids) {
+		t.Fatalf("counts %+v", c)
+	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	for k, rec := range snap.Records {
+		if int(rec.Task) != sorted[k] || rec.Slave != sorted[k]%2 || snap.Latencies[k] != 4 {
+			t.Fatalf("Stats record %d: %+v with latency %v, want job %d (ID order)", k, rec, snap.Latencies[k], sorted[k])
+		}
+	}
+	if len(snap.Records) != len(ids) || len(snap.Latencies) != len(ids) {
+		t.Fatalf("%d records, %d latencies, want %d", len(snap.Records), len(snap.Latencies), len(ids))
 	}
 }

@@ -80,14 +80,22 @@ type Counts struct {
 // report — are defined over the whole history. That bounds a single
 // runtime's service life by memory; an indefinitely running deployment
 // should drain and restart its runtime at epoch boundaries. See
-// DESIGN.md §9.
+// DESIGN.md §9. Jobs are stored by ID in fixed-size pages, so growth
+// allocates one page and never copies or re-scans the population held (a
+// page is also the unit a retention window would age out).
 type Tracker struct {
 	mu           sync.RWMutex
-	jobs         []JobInfo
+	pages        []*[trackerPage]JobInfo
 	counts       Counts
 	firstSubmit  float64
 	lastComplete float64
 }
+
+// trackerPage is the jobs per page: 80 KB, so the part-filled last page
+// is noise beside even a small runtime's heap.
+const trackerPage = 1 << 10
+
+func (tr *Tracker) job(id int) *JobInfo { return &tr.pages[id/trackerPage][id%trackerPage] }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
@@ -99,10 +107,14 @@ func NewTracker() *Tracker { return &Tracker{} }
 func (tr *Tracker) Observe(ev Event) JobInfo {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for len(tr.jobs) <= ev.Task {
-		tr.jobs = append(tr.jobs, JobInfo{ID: len(tr.jobs), State: StateUnknown, Slave: -1})
+	for base := len(tr.pages) * trackerPage; base <= ev.Task; base += trackerPage {
+		page := new([trackerPage]JobInfo)
+		for i := range page {
+			page[i] = JobInfo{ID: base + i, State: StateUnknown, Slave: -1}
+		}
+		tr.pages = append(tr.pages, page)
 	}
-	j := &tr.jobs[ev.Task]
+	j := tr.job(ev.Task)
 	switch ev.Kind {
 	case EvSubmitted:
 		j.State = StateQueued
@@ -161,8 +173,8 @@ func (tr *Tracker) Stats() Snapshot {
 		Last:      tr.lastComplete,
 		Records:   make([]core.Record, 0, tr.counts.Completed),
 	}
-	for _, j := range tr.jobs {
-		if j.State == StateDone {
+	for id := 0; id < len(tr.pages)*trackerPage; id++ {
+		if j := tr.job(id); j.State == StateDone {
 			snap.Latencies = append(snap.Latencies, j.Latency())
 			snap.Records = append(snap.Records, j.Record())
 		}
@@ -174,10 +186,10 @@ func (tr *Tracker) Stats() Snapshot {
 func (tr *Tracker) Job(id int) (JobInfo, bool) {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
-	if id < 0 || id >= len(tr.jobs) || tr.jobs[id].State == StateUnknown {
+	if id < 0 || id >= len(tr.pages)*trackerPage || tr.job(id).State == StateUnknown {
 		return JobInfo{}, false
 	}
-	return tr.jobs[id], true
+	return *tr.job(id), true
 }
 
 // CountsSnapshot returns the current population counters.

@@ -7,6 +7,7 @@ package sim
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -241,4 +242,46 @@ func TestDriverFailMarksUnfinishedAttempts(t *testing.T) {
 		}
 	}()
 	d.Recover(0)
+}
+
+// TestDriverDeepBacklogScale is the scale guard on the master's books: a
+// Driver whose one slave stands 50,000 units behind serves 200,000
+// nominal jobs — dispatch, arrival, completion, and a ReadyEstimate after
+// each, as a list scheduler would ask — inside a bound that a per-job
+// cost growing with the backlog (re-folding it, or splicing its head
+// out) misses by more than an order of magnitude: the re-folding, splicing
+// ledger took 27 s on two shared cores, this one under 0.1 s.
+func TestDriverDeepBacklogScale(t *testing.T) {
+	const backlog, jobs = 50_000, 200_000
+	const c, p = 0.001, 1.0
+	now := 0.0
+	d := NewDriver(core.NewPlatform([]float64{c}, []float64{p}), func() float64 { return now })
+	v := d.View()
+	send := func() {
+		id := d.Admit(core.Task{Release: now})
+		d.MarkSent("test", id, 0)
+		now += c
+		d.MarkArrived(id, 0, now)
+	}
+	for i := 0; i < backlog; i++ {
+		send()
+	}
+	start := time.Now()
+	free := 0.0
+	for k := 0; k < jobs; k++ {
+		// The FIFO slave's own arithmetic: start when both free and arrived.
+		begin := max(free, d.records[k].Arrive)
+		free = begin + p
+		now = max(now, free)
+		d.MarkCompleted(core.TaskID(k), 0, begin, free)
+		got := v.ReadyEstimate(0)
+		send()
+		if want := got + p; v.ReadyEstimate(0) != want || v.Outstanding(0) != backlog {
+			t.Fatalf("job %d: ReadyEstimate %v with %d outstanding, want %v with %d",
+				k, v.ReadyEstimate(0), v.Outstanding(0), want, backlog)
+		}
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("%d jobs behind a %d-unit backlog took %v: the ledger's per-job cost grows with the backlog again", jobs, backlog, took)
+	}
 }

@@ -7,46 +7,55 @@ package sim
 // everything still outstanding. Every master's Driver keeps one, so the
 // substrates agree decision-for-decision.
 //
-// Ready used to re-fold the whole outstanding backlog on every call;
-// list schedulers call it for every slave on every decision, which made
-// dispatch O(m·backlog). The estimate is now memoized per slave and
-// invalidated only by the mutations that can change it, so between state
-// changes every Ready call is O(1) and a decision touches only the
-// backlogs that actually moved. The memo stores the value the fold
-// would produce — recomputation runs the identical float operations —
-// so cached and uncached runs are bit-identical by construction (pinned
-// by the differential suite).
+// Ready is a fold over the slave's backlog, and list schedulers call it
+// for every slave on every decision. The fold is kept incrementally:
+// every unit carries the fold's value after it, so a mutation re-folds
+// only from the unit it touched. Assign extends the fold by one step,
+// Arrived re-folds from the corrected unit (the newest, under one port),
+// and a completion at the head that lands exactly on the head's own
+// prefix — every nominal job on a FIFO slave — leaves the later prefixes
+// standing. A job then costs O(1) however deep the backlog it waits in;
+// only a perturbed completion, Sync, or a changed nominalComp re-folds
+// the whole backlog. Every step is the float operation the plain fold
+// would run, in its order, so answers are bit-identical to it by
+// construction (pinned by the differential suite).
 type Ledger struct {
-	units    [][]ledgerUnit // per slave, in dispatch order
-	lastSync []float64      // latest time the slave was known idle
-	ready    []float64      // memoized Ready value per slave
-	readyFor []float64      // the nominalComp each memo was computed with
-	fresh    []bool         // memo validity
+	slaves []slaveLedger
+}
+
+// slaveLedger is one slave's backlog and the fold over it.
+type slaveLedger struct {
+	units    []ledgerUnit // units[head:] are outstanding, in dispatch order
+	head     int
+	lastSync float64 // latest time the slave was known idle
+	foldedAt float64 // the nominalComp the standing prefixes were folded with
+	folded   int     // outstanding units, from the head, whose ready stands
 }
 
 // ledgerUnit is one outstanding task: the arrival time is actual once the
-// send completed, predicted before that.
+// send completed, predicted before that. ready is the fold's prefix value:
+// when the slave finishes this unit, by the master's estimate.
 type ledgerUnit struct {
 	task    int
 	arrival float64
+	ready   float64
 }
 
 // NewLedger creates bookkeeping for m slaves.
 func NewLedger(m int) *Ledger {
-	return &Ledger{
-		units:    make([][]ledgerUnit, m),
-		lastSync: make([]float64, m),
-		ready:    make([]float64, m),
-		readyFor: make([]float64, m),
-		fresh:    make([]bool, m),
-	}
+	return &Ledger{slaves: make([]slaveLedger, m)}
 }
 
 // Assign records that a task's send to slave j has started, with the
 // nominal-cost arrival prediction.
 func (l *Ledger) Assign(j, task int, predictedArrival float64) {
-	l.units[j] = append(l.units[j], ledgerUnit{task: task, arrival: predictedArrival})
-	l.fresh[j] = false
+	s := &l.slaves[j]
+	if n := len(s.units); n == cap(s.units) && s.head > n/2 {
+		// Mostly consumed: slide the outstanding units down instead of
+		// growing behind the advancing head.
+		s.units, s.head = s.units[:copy(s.units, s.units[s.head:])], 0
+	}
+	s.units = append(s.units, ledgerUnit{task: task, arrival: predictedArrival})
 }
 
 // Arrived corrects the task's arrival to the observed send completion.
@@ -55,11 +64,12 @@ func (l *Ledger) Assign(j, task int, predictedArrival float64) {
 // is the most recently assigned unit — the backward scan finds it in one
 // step (and stays correct, just longer, under the unbounded-port model).
 func (l *Ledger) Arrived(j, task int, actual float64) {
-	units := l.units[j]
+	s := &l.slaves[j]
+	units := s.units[s.head:]
 	for i := len(units) - 1; i >= 0; i-- {
 		if units[i].task == task {
 			units[i].arrival = actual
-			l.fresh[j] = false
+			s.folded = min(s.folded, i)
 			return
 		}
 	}
@@ -68,67 +78,75 @@ func (l *Ledger) Arrived(j, task int, actual float64) {
 // Completed removes the task from slave j's backlog after a completion
 // notification at the given time.
 func (l *Ledger) Completed(j, task int, at float64) {
-	units := l.units[j]
+	s := &l.slaves[j]
+	if at > s.lastSync {
+		s.lastSync = at
+	}
+	units, standing := s.units[s.head:], 0
 	for i := range units {
 		if units[i].task == task {
-			l.units[j] = append(units[:i], units[i+1:]...)
+			// The fold now starts from lastSync where it used to continue
+			// from the head's prefix: equal bits, equal prefixes after it.
+			if i == 0 && s.folded > 0 && units[0].ready == s.lastSync {
+				standing = s.folded - 1
+			}
+			copy(units[1:i+1], units[:i]) // no-op at the head, a FIFO slave's only case
+			s.head++
 			break
 		}
 	}
-	if at > l.lastSync[j] {
-		l.lastSync[j] = at
+	s.folded = standing
+	if s.head == len(s.units) {
+		s.units, s.head = s.units[:0], 0
 	}
-	l.fresh[j] = false
 }
 
 // Fail clears slave j's backlog after a failure notification at the given
 // time: every outstanding unit is gone with the slave.
 func (l *Ledger) Fail(j int, at float64) {
-	l.units[j] = l.units[j][:0]
-	if at > l.lastSync[j] {
-		l.lastSync[j] = at
+	s := &l.slaves[j]
+	s.units, s.head, s.folded = s.units[:0], 0, 0
+	if at > s.lastSync {
+		s.lastSync = at
 	}
-	l.fresh[j] = false
 }
 
 // Sync records that slave j was known idle at the given time (e.g. it
 // just recovered with an empty queue).
 func (l *Ledger) Sync(j int, at float64) {
-	if at > l.lastSync[j] {
-		l.lastSync[j] = at
-		l.fresh[j] = false
+	if s := &l.slaves[j]; at > s.lastSync {
+		s.lastSync, s.folded = at, 0
 	}
 }
 
 // AddSlave extends the bookkeeping for a slave joining at the given time.
 func (l *Ledger) AddSlave(at float64) {
-	l.units = append(l.units, nil)
-	l.lastSync = append(l.lastSync, at)
-	l.ready = append(l.ready, 0)
-	l.readyFor = append(l.readyFor, 0)
-	l.fresh = append(l.fresh, false)
+	l.slaves = append(l.slaves, slaveLedger{lastSync: at})
 }
 
 // Outstanding returns the number of assigned, unfinished tasks on slave j.
-func (l *Ledger) Outstanding(j int) int { return len(l.units[j]) }
+func (l *Ledger) Outstanding(j int) int { return len(l.slaves[j].units) - l.slaves[j].head }
 
 // Ready estimates when slave j drains its backlog, charging nominalComp
-// per outstanding task. The estimate is served from the memo when no
-// mutation has touched the slave since it was computed (with the same
-// nominalComp); otherwise the fold below recomputes it.
+// per outstanding task: the last unit's prefix, after folding whatever
+// the mutations since the previous call left unfolded.
 func (l *Ledger) Ready(j int, nominalComp float64) float64 {
-	if l.fresh[j] && l.readyFor[j] == nominalComp {
-		return l.ready[j]
+	s := &l.slaves[j]
+	if s.foldedAt != nominalComp {
+		s.foldedAt, s.folded = nominalComp, 0
 	}
-	t := l.lastSync[j]
-	for _, u := range l.units[j] {
-		if u.arrival > t {
-			t = u.arrival
+	units := s.units[s.head:]
+	t := s.lastSync
+	if s.folded > 0 {
+		t = units[s.folded-1].ready
+	}
+	for i := s.folded; i < len(units); i++ {
+		if units[i].arrival > t {
+			t = units[i].arrival
 		}
 		t += nominalComp
+		units[i].ready = t
 	}
-	l.ready[j] = t
-	l.readyFor[j] = nominalComp
-	l.fresh[j] = true
+	s.folded = len(units)
 	return t
 }

@@ -1,10 +1,11 @@
 // Package vclock is a deterministic virtual-time kernel for goroutine
 // logical processes. Processes run one at a time under a cooperative
-// scheduler: when the running process blocks (Sleep, Recv) control
-// returns to the kernel, which resumes the next runnable process, and —
-// when none is runnable — advances the virtual clock to the next timer or
-// message delivery. Runs are bit-for-bit reproducible: no wall-clock time
-// or goroutine scheduling nondeterminism can leak into results.
+// scheduler with no goroutine of its own: the process that blocks (Sleep,
+// Recv) picks the next runnable process in id order — advancing the
+// virtual clock to the next timer or delivery when none is — and resumes
+// it directly, or carries on when it is itself the next. Runs are bit-for-
+// bit reproducible: no wall-clock time or goroutine scheduling
+// nondeterminism can leak into results.
 //
 // The kernel provides timed message delivery (Post) and a per-process
 // mailbox with deadline-bounded receive, which is exactly what the live
@@ -15,7 +16,9 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // procState enumerates the lifecycle of a logical process.
@@ -46,9 +49,9 @@ type Proc struct {
 
 	state   procState
 	wakeAt  float64
-	mailbox []Message
-	resume  chan struct{}
-	err     error
+	mailbox []Message // mailbox[head:] is unread
+	head    int
+	resume  chan struct{} // the baton; closed by fail to release a parked process
 }
 
 // ID returns the process identifier (its spawn order).
@@ -90,14 +93,26 @@ func (p *Proc) Post(dst int, msg Message, delay float64) {
 	msg.seq = p.c.seq
 	p.c.seq++
 	if msg.deliverAt <= p.c.now {
-		d := p.c.procs[dst]
-		d.mailbox = append(d.mailbox, msg)
-		if d.state == receiving {
-			d.state = ready
-		}
+		p.c.procs[dst].deliver(msg)
 		return
 	}
 	heap.Push(&p.c.mail, msg2dst{msg: msg, dst: dst})
+}
+
+// deliver puts msg in p's mailbox and makes p runnable if it waits for
+// mail. The mailbox is head-indexed: a pop clears its slot and a drained
+// mailbox rewinds; one that never drains (a slave the port outruns)
+// slides its unread mail down once most of the array is read, so append
+// neither regrows behind the head nor keeps what was consumed.
+func (p *Proc) deliver(msg Message) {
+	if n := len(p.mailbox); n == cap(p.mailbox) && p.head > n/2 {
+		clear(p.mailbox[copy(p.mailbox, p.mailbox[p.head:]):])
+		p.mailbox, p.head = p.mailbox[:n-p.head], 0
+	}
+	p.mailbox = append(p.mailbox, msg)
+	if p.state == receiving {
+		p.state = ready
+	}
 }
 
 // Recv blocks until a message is available and returns the oldest one
@@ -115,9 +130,12 @@ func (p *Proc) Recv() Message {
 // message was received. A deadline at or before now polls the mailbox.
 func (p *Proc) RecvDeadline(deadline float64) (Message, bool) {
 	for {
-		if len(p.mailbox) > 0 {
-			msg := p.mailbox[0]
-			p.mailbox = p.mailbox[1:]
+		if p.head < len(p.mailbox) {
+			msg := p.mailbox[p.head]
+			p.mailbox[p.head] = Message{}
+			if p.head++; p.head == len(p.mailbox) {
+				p.mailbox, p.head = p.mailbox[:0], 0
+			}
 			return msg, true
 		}
 		if deadline <= p.c.now {
@@ -132,10 +150,19 @@ func (p *Proc) RecvDeadline(deadline float64) (Message, bool) {
 	}
 }
 
-// yield hands control back to the kernel until the process is resumed.
+// yield blocks p until it is next in the resume order: it hands the baton
+// to whichever process is and parks — unless that is p itself.
 func (p *Proc) yield() {
-	p.c.yielded <- p
-	<-p.resume
+	q := p.c.next()
+	if q == p {
+		return
+	}
+	if q != nil {
+		q.resume <- struct{}{}
+	}
+	if _, ok := <-p.resume; !ok {
+		runtime.Goexit() // released by fail: here (deadlock) or elsewhere
+	}
 }
 
 // msg2dst pairs a message with its destination for the delivery heap.
@@ -163,20 +190,21 @@ func (h *mailHeap) Pop() any {
 	return v
 }
 
-// Cluster is a set of logical processes sharing one virtual clock.
+// Cluster is a set of logical processes sharing one virtual clock. Its
+// state belongs to whoever holds the baton: the one running process.
 type Cluster struct {
 	now     float64
 	procs   []*Proc
+	cursor  int // where the id-order sweep continues
 	mail    mailHeap
 	seq     int
-	yielded chan *Proc
 	started bool
+	err     error // why the run failed: set by fail, before it releases anyone
+	wg      sync.WaitGroup
 }
 
 // New creates an empty cluster at time 0.
-func New() *Cluster {
-	return &Cluster{yielded: make(chan *Proc)}
-}
+func New() *Cluster { return &Cluster{} }
 
 // Now returns the current virtual time.
 func (c *Cluster) Now() float64 { return c.now }
@@ -195,14 +223,25 @@ func (c *Cluster) Spawn(name string, fn func(p *Proc)) int {
 		resume: make(chan struct{}),
 	}
 	c.procs = append(c.procs, p)
+	c.wg.Add(1)
 	go func() {
-		<-p.resume
+		defer c.wg.Done()
+		if _, ok := <-p.resume; !ok {
+			return
+		}
 		defer func() {
-			if r := recover(); r != nil {
-				p.err = fmt.Errorf("vclock: process %q panicked: %v", p.name, r)
+			r := recover()
+			if c.err != nil {
+				return // released (Goexit in yield): unwinding, not finishing
+			}
+			if r != nil {
+				c.fail(fmt.Errorf("vclock: process %q panicked: %v", p.name, r))
+				return
 			}
 			p.state = done
-			c.yielded <- p
+			if q := c.next(); q != nil {
+				q.resume <- struct{}{}
+			}
 		}()
 		fn(p)
 	}()
@@ -211,25 +250,45 @@ func (c *Cluster) Spawn(name string, fn func(p *Proc)) int {
 
 // Run drives the cluster until every process finishes. It returns an
 // error if a process panicked or if the system deadlocks (processes
-// blocked forever with no pending timers or messages).
+// blocked forever with no pending timers or messages); either way every
+// process goroutine has exited by the time it returns.
 func (c *Cluster) Run() error {
 	c.started = true
+	if q := c.next(); q != nil {
+		q.resume <- struct{}{}
+	}
+	c.wg.Wait()
+	return c.err
+}
+
+// fail ends the run with an error and releases every process still
+// parked: its resume channel closes and it leaves through runtime.Goexit,
+// running its deferred calls (which must not block on the Proc again), so
+// no goroutine outlives Run.
+func (c *Cluster) fail(err error) {
+	c.err = err
+	for _, p := range c.procs {
+		if p.state != done {
+			close(p.resume)
+		}
+	}
+}
+
+// next is the scheduling step: it returns the process to resume, or nil
+// when the run is over. Ready processes are resumed in cyclic id
+// order from the cursor — a sweep over the ids, repeated while it makes
+// progress — and every clock advance restarts the sweep at id 0, so same-
+// instant wakers run in spawn order: internal/live's determinism rests on it.
+func (c *Cluster) next() *Proc {
 	for {
-		// Resume every ready process, one at a time, in id order.
-		progress := true
-		for progress {
-			progress = false
-			for _, p := range c.procs {
-				if p.state != ready {
-					continue
-				}
+		for range c.procs {
+			if c.cursor == len(c.procs) {
+				c.cursor = 0
+			}
+			p := c.procs[c.cursor]
+			if c.cursor++; p.state == ready {
 				p.state = running
-				p.resume <- struct{}{}
-				<-c.yielded
-				if p.err != nil {
-					return p.err
-				}
-				progress = true
+				return p
 			}
 		}
 
@@ -247,25 +306,21 @@ func (c *Cluster) Run() error {
 			next = c.mail[0].msg.deliverAt
 		}
 		if math.IsInf(next, 1) {
-			remaining := c.blockedNames()
-			if len(remaining) == 0 {
-				return nil // all done
+			if remaining := c.blockedNames(); len(remaining) > 0 {
+				c.fail(fmt.Errorf("vclock: deadlock at t=%v, blocked: %v", c.now, remaining))
 			}
-			return fmt.Errorf("vclock: deadlock at t=%v, blocked: %v", c.now, remaining)
+			return nil // all done, or deadlocked
 		}
 		if next < c.now {
 			next = c.now
 		}
 		c.now = next
+		c.cursor = 0
 
 		// Deliver all mail due now; wake receivers.
 		for len(c.mail) > 0 && c.mail[0].msg.deliverAt <= c.now {
 			d := heap.Pop(&c.mail).(msg2dst)
-			dst := c.procs[d.dst]
-			dst.mailbox = append(dst.mailbox, d.msg)
-			if dst.state == receiving {
-				dst.state = ready
-			}
+			c.procs[d.dst].deliver(d.msg)
 		}
 		// Wake expired sleepers and receive deadlines.
 		for _, p := range c.procs {
@@ -281,7 +336,7 @@ func (c *Cluster) blockedNames() []string {
 	for _, p := range c.procs {
 		if p.state != done {
 			names = append(names, fmt.Sprintf("%s(%d) state=%d wakeAt=%v mailbox=%d",
-				p.name, p.id, p.state, p.wakeAt, len(p.mailbox)))
+				p.name, p.id, p.state, p.wakeAt, len(p.mailbox)-p.head))
 		}
 	}
 	sort.Strings(names)

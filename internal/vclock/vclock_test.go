@@ -2,9 +2,12 @@ package vclock
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -363,5 +366,195 @@ func TestImmediateDeliveryKeepsHeapOrder(t *testing.T) {
 	}
 	if len(tags) != 2 || tags[0] != 1 || tags[1] != 2 {
 		t.Fatalf("delivery order %v, want [1 2]", tags)
+	}
+}
+
+// TestResumeOrderPinned pins the order in which processes are resumed as
+// a sequence, not as a property of whatever runs the scheduling step: the
+// expected (time, id) list was recorded from the kernel-goroutine
+// implementation ("sweep the ids in order, repeat while progress, restart
+// at id 0 after every clock advance") and every implementation since must
+// reproduce it. The scenario mixes same-instant timers, delay-0 posts to
+// lower and higher ids, Sleep(0), receive deadlines expiring in the
+// instant mail arrives, and a process finishing mid-sweep.
+func TestResumeOrderPinned(t *testing.T) {
+	type resume struct {
+		at float64
+		id int
+	}
+	var got []resume
+	c := New()
+	mark := func(p *Proc) { got = append(got, resume{p.Now(), p.ID()}) }
+	// ids are spawn order: a=0 b=1 c=2 d=3 e=4.
+	c.Spawn("a", func(p *Proc) {
+		mark(p)
+		p.Sleep(1)
+		mark(p)
+		p.Post(2, Message{}, 0) // delay 0 to a higher id, still sleeping out t=1
+		p.Post(1, Message{}, 0) // delay 0 to a higher id blocked in Recv
+		p.Sleep(0)
+		mark(p)
+		p.Recv()                             // c's delay-0 mail is already there: no yield
+		if _, ok := p.RecvDeadline(2); !ok { // e's mail lands at exactly t=2
+			t.Error("a: mail due at the deadline lost to the deadline")
+		}
+		mark(p)
+		p.Post(1, Message{}, 0)               // b's deadline expired this instant; it has not run yet
+		if _, ok := p.RecvDeadline(2.5); ok { // nothing comes: expires beside b's and c's timers
+			t.Error("a: received mail nobody sent")
+		}
+		mark(p)
+	})
+	c.Spawn("b", func(p *Proc) {
+		mark(p)
+		p.Recv()
+		mark(p)
+		p.Recv()
+		mark(p)
+		if _, ok := p.RecvDeadline(2); !ok {
+			t.Error("b: same-instant mail from a lower id lost to the deadline")
+		}
+		mark(p)
+		p.Sleep(0.5)
+		mark(p)
+	})
+	c.Spawn("c", func(p *Proc) {
+		mark(p)
+		p.Sleep(1)
+		mark(p)
+		p.Recv()                // already in the mailbox: no yield
+		p.Post(0, Message{}, 0) // delay 0 to a lower id that is sleeping(0)
+		p.Post(1, Message{}, 0) // delay 0 to a lower id back in Recv
+		p.Sleep(0)
+		mark(p)
+		p.Sleep(1.5)
+		mark(p)
+	})
+	c.Spawn("d", func(p *Proc) {
+		mark(p)
+		p.Sleep(1)
+		mark(p) // finishes mid-sweep at t=1
+	})
+	c.Spawn("e", func(p *Proc) {
+		mark(p)
+		p.Sleep(1)
+		mark(p)
+		p.Post(0, Message{}, 1) // due t=2: the instant a's deadline expires
+		p.Sleep(0)
+		mark(p)
+		p.Sleep(1)
+		mark(p)
+		p.Post(3, Message{}, 0) // to a finished proc: stays in its mailbox
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []resume{
+		{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4},
+		// t=1: the sweep reaches d and e before it wraps to b, which c made
+		// ready from a higher id; the Sleep(0)s wait for the zero-length
+		// advance, which restarts the sweep at id 0.
+		{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 1}, {1, 0}, {1, 2}, {1, 4},
+		{2, 0}, {2, 1}, {2, 4},
+		{2.5, 0}, {2.5, 1}, {2.5, 2},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("resume order\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestRunLeavesNoGoroutines checks that Run takes every process goroutine
+// down with it: after a clean run, and after a deadlock or a panic with
+// other processes parked mid-Recv, mid-Sleep and not yet started.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	bystanders := func(c *Cluster) {
+		c.Spawn("receiver", func(p *Proc) { p.Recv() })
+		c.Spawn("sleeper", func(p *Proc) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("release surfaced as a panic: %v", r)
+				}
+			}()
+			p.Sleep(10)
+			t.Error("a released process carried on")
+		})
+	}
+	cases := []struct {
+		name    string
+		build   func(c *Cluster)
+		wantErr string
+	}{
+		{"clean", func(c *Cluster) {
+			rx := c.Spawn("rx", func(p *Proc) { p.Recv() })
+			c.Spawn("tx", func(p *Proc) { p.Sleep(1); p.Post(rx, Message{}, 1) })
+		}, ""},
+		{"deadlock", func(c *Cluster) {
+			c.Spawn("stuck", func(p *Proc) { p.Recv() })
+			c.Spawn("stuck too", func(p *Proc) { p.Sleep(1); p.Recv() })
+		}, "deadlock"},
+		{"panic", func(c *Cluster) {
+			bystanders(c)
+			c.Spawn("boom", func(p *Proc) { panic("kaboom") })
+			c.Spawn("never started", func(p *Proc) { t.Error("resumed after the failure") })
+		}, "kaboom"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			c := New()
+			tc.build(c)
+			err := c.Run()
+			if (tc.wantErr == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("Run = %v, want error containing %q", err, tc.wantErr)
+			}
+			// Run has waited for every process; a goroutine past its last
+			// deferred call may still be counted for an instant.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before Run, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestStandingMailboxStaysBounded covers the mailbox a receiver never
+// drains — a slave the port outruns: a standing backlog of unread mail
+// with 50,000 messages streaming through it. Delivery order holds, the
+// backing array stays the size of the backlog rather than of the history,
+// and a consumed payload is no longer referenced from it.
+func TestStandingMailboxStaysBounded(t *testing.T) {
+	const backlog, total = 100, 50_000
+	c := New()
+	rx := c.Spawn("rx", func(p *Proc) {
+		for want := 0; want < total; want++ {
+			p.Sleep(1) // one out per tick, behind the `backlog` sent at t=0
+			if got := p.Recv().Payload.(int); got != want {
+				t.Errorf("message %d arrived in position %d", got, want)
+				return
+			}
+			if unread := len(p.mailbox) - p.head; (unread < backlog-1 && want < total-backlog) || cap(p.mailbox) > 8*backlog {
+				t.Errorf("after %d messages: %d unread (want a standing %d) in room for %d", want, unread, backlog, cap(p.mailbox))
+				return
+			}
+			for _, m := range p.mailbox[:p.head] {
+				if m.Payload != nil {
+					t.Errorf("consumed payload %v still referenced from the mailbox", m.Payload)
+					return
+				}
+			}
+		}
+	})
+	c.Spawn("tx", func(p *Proc) {
+		for i := 0; i < total; i++ {
+			if i >= backlog {
+				p.Sleep(1) // one in per tick
+			}
+			p.Post(rx, Message{Payload: i}, 0)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
