@@ -35,9 +35,10 @@
 // -clock-scale compresses model time: at 1000, a platform calibrated in
 // paper seconds serves jobs a thousand times faster than nominal.
 // -virtual goes further: every shard runs on a deterministic virtual
-// clock behind the cluster's firehose intake (pure-throughput mode —
-// ingest is bounded by placement and admission cost alone), with
-// -ingest-queue bounding the enqueued-but-unadmitted backlog.
+// clock (pure-throughput mode — ingest is bounded by placement and
+// admission cost alone). On either clock every job crosses the
+// cluster's intake, and -ingest-queue bounds its accepted-but-unadmitted
+// backlog: a submission that finds it full waits for room.
 //
 // Observability: -metrics (default true) serves the Prometheus text
 // exposition and /debug/vars; -audit-depth sizes the decision-audit
@@ -68,6 +69,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net"
@@ -88,80 +90,95 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	policy := flag.String("policy", "LS", "serving policy: "+strings.Join(sched.ExtendedNames(), ", "))
-	slaves := flag.String("slaves", "", "explicit platform as comma-separated c:p pairs, e.g. 0.5:2,1:4,2:5 (overrides -class)")
-	class := flag.String("class", "heterogeneous", "random platform class: homogeneous, comm-homogeneous, comp-homogeneous, heterogeneous")
-	m := flag.Int("m", 5, "number of slaves for random platforms")
-	seed := flag.Int64("seed", 1, "random seed for -class platforms")
-	shards := flag.Int("shards", 1, "number of master shards the platform is partitioned across")
-	placement := flag.String("placement", cluster.PlacementRoundRobin,
-		"shard placement policy: "+strings.Join(cluster.PlacementNames(), ", "))
-	partition := flag.String("partition", string(core.PartitionStriped),
-		"partition strategy: striped, balanced")
-	clockScale := flag.Float64("clock-scale", 1, "model seconds per wall second (speedup of the serving clock)")
-	virtual := flag.Bool("virtual", false,
-		"pure-throughput mode: deterministic virtual clocks behind the firehose intake (forces -clock-scale 1, incompatible with -steal)")
-	ingestQueue := flag.Int("ingest-queue", 0,
-		"bound on the enqueued-but-unadmitted job backlog behind POST /v1/jobs:stream (0: 65536)")
-	maxBatch := flag.Int("max-batch", 10000, "largest count accepted by one POST /v1/jobs and by one jobs:stream line")
-	steal := flag.String("steal", cluster.StealNone,
-		"cross-shard work-stealing policy: "+strings.Join(cluster.StealPolicyNames(), ", "))
-	stealInterval := flag.Duration("steal-interval", 50*time.Millisecond,
-		"rebalancer pass interval (with -steal threshold|het-aware)")
-	metrics := flag.Bool("metrics", true, "serve GET /metrics (Prometheus text) and GET /debug/vars")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
-	mutexProfile := flag.Int("mutexprofile", 0,
-		"mutex/block profile sampling rate for /debug/pprof/{mutex,block} (0 off; requires -pprof; 1 samples every contention event)")
-	auditDepth := flag.Int("audit-depth", 256,
-		"decision-audit ring depth behind GET /v1/decisions (0 disables auditing)")
-	record := flag.Bool("record", true, "run the flight recorder (GET /v1/flight; export with schedctl)")
-	recordDir := flag.String("record-dir", "", "persist flight segments to this directory (empty: memory-only)")
-	recordSegBytes := flag.Int("record-segment-bytes", 0, "flight segment size in bytes (0: 1 MiB)")
-	recordSegments := flag.Int("record-segments", 0, "flight segments retained (0: 8)")
-	snapshotInterval := flag.Duration("snapshot-interval", 5*time.Second,
-		"cadence of metric snapshots journaled into the flight recording")
-	sloFlag := flag.String("slo", "",
-		"comma-separated SLO objectives, each latency:<threshold-seconds>:<target> or availability:<target>, optionally name=spec (e.g. p99=latency:0.5:0.99,avail=availability:0.999)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	logFormat := flag.String("log-format", "text", "log format: text, json")
-	flag.Parse()
-
-	logger, err := buildLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stderr, stop); err != nil && !errors.Is(err, flag.ErrHelp) {
 		os.Exit(1)
 	}
-	fatal := func(msg string, args ...any) {
+}
+
+// run is the daemon: it parses args, serves until a signal arrives on
+// stop, then drains. Logs go to stderr; every failure is logged there
+// before run returns it.
+func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("schedd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
+	policy := fs.String("policy", "LS", "serving policy: "+strings.Join(sched.ExtendedNames(), ", "))
+	slaves := fs.String("slaves", "", "explicit platform as comma-separated c:p pairs, e.g. 0.5:2,1:4,2:5 (overrides -class)")
+	class := fs.String("class", "heterogeneous", "random platform class: homogeneous, comm-homogeneous, comp-homogeneous, heterogeneous")
+	m := fs.Int("m", 5, "number of slaves for random platforms")
+	seed := fs.Int64("seed", 1, "random seed for -class platforms")
+	shards := fs.Int("shards", 1, "number of master shards the platform is partitioned across")
+	placement := fs.String("placement", cluster.PlacementRoundRobin,
+		"shard placement policy: "+strings.Join(cluster.PlacementNames(), ", "))
+	partition := fs.String("partition", string(core.PartitionStriped),
+		"partition strategy: striped, balanced")
+	clockScale := fs.Float64("clock-scale", 1, "model seconds per wall second (speedup of the serving clock)")
+	virtual := fs.Bool("virtual", false,
+		"pure-throughput mode: every shard on a deterministic virtual clock (forces -clock-scale 1, incompatible with -steal)")
+	ingestQueue := fs.Int("ingest-queue", 0,
+		"bound on the accepted-but-unadmitted job backlog in the cluster intake; POST /v1/jobs and jobs:stream lines wait while it is full (0: 65536)")
+	maxBatch := fs.Int("max-batch", 10000, "largest count accepted by one POST /v1/jobs and by one jobs:stream line")
+	steal := fs.String("steal", cluster.StealNone,
+		"cross-shard work-stealing policy: "+strings.Join(cluster.StealPolicyNames(), ", "))
+	stealInterval := fs.Duration("steal-interval", 50*time.Millisecond,
+		"rebalancer pass interval (with -steal threshold|het-aware)")
+	metrics := fs.Bool("metrics", true, "serve GET /metrics (Prometheus text) and GET /debug/vars")
+	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
+	mutexProfile := fs.Int("mutexprofile", 0,
+		"mutex/block profile sampling rate for /debug/pprof/{mutex,block} (0 off; requires -pprof; 1 samples every contention event)")
+	auditDepth := fs.Int("audit-depth", 256,
+		"decision-audit ring depth behind GET /v1/decisions (0 disables auditing)")
+	record := fs.Bool("record", true, "run the flight recorder (GET /v1/flight; export with schedctl)")
+	recordDir := fs.String("record-dir", "", "persist flight segments to this directory (empty: memory-only)")
+	recordSegBytes := fs.Int("record-segment-bytes", 0, "flight segment size in bytes (0: 1 MiB)")
+	recordSegments := fs.Int("record-segments", 0, "flight segments retained (0: 8)")
+	snapshotInterval := fs.Duration("snapshot-interval", 5*time.Second,
+		"cadence of metric snapshots journaled into the flight recording")
+	sloFlag := fs.String("slo", "",
+		"comma-separated SLO objectives, each latency:<threshold-seconds>:<target> or availability:<target>, optionally name=spec (e.g. p99=latency:0.5:0.99,avail=availability:0.999)")
+	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
+	logFormat := fs.String("log-format", "text", "log format: text, json")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	logger, err := buildLogger(stderr, *logLevel, *logFormat)
+	if err != nil {
+		fmt.Fprintln(stderr, "schedd:", err)
+		return err
+	}
+	fatal := func(msg string, args ...any) error {
 		logger.Error(msg, args...)
-		os.Exit(1)
+		return errors.New(msg)
 	}
 
 	if err := sched.Validate(*policy); err != nil {
-		fatal("invalid policy", "err", err)
+		return fatal("invalid policy", "err", err)
 	}
 	if *clockScale <= 0 {
-		fatal("-clock-scale must be positive", "clock_scale", *clockScale)
+		return fatal("-clock-scale must be positive", "clock_scale", *clockScale)
 	}
 	pl, err := buildPlatform(*slaves, *class, *m, *seed)
 	if err != nil {
-		fatal("invalid platform", "err", err)
+		return fatal("invalid platform", "err", err)
 	}
 
 	slos, err := parseSLOs(*sloFlag)
 	if err != nil {
-		fatal("invalid -slo", "err", err)
+		return fatal("invalid -slo", "err", err)
 	}
 
 	// Mutex/block profiling rides behind the -pprof gate: the samples are
 	// only reachable through /debug/pprof/, so a rate without the surface
 	// is a misconfiguration, not a silent no-op.
 	if *mutexProfile < 0 {
-		fatal("-mutexprofile must be non-negative", "mutexprofile", *mutexProfile)
+		return fatal("-mutexprofile must be non-negative", "mutexprofile", *mutexProfile)
 	}
 	if *mutexProfile > 0 {
 		if !*pprofFlag {
-			fatal("-mutexprofile requires -pprof (the samples are served under /debug/pprof/)")
+			return fatal("-mutexprofile requires -pprof (the samples are served under /debug/pprof/)")
 		}
 		runtime.SetMutexProfileFraction(*mutexProfile)
 		runtime.SetBlockProfileRate(*mutexProfile)
@@ -197,12 +214,12 @@ func main() {
 		Logger:             logger,
 	})
 	if err != nil {
-		fatal("startup failed", "err", err)
+		return fatal("startup failed", "err", err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal("listen failed", "addr", *addr, "err", err)
+		return fatal("listen failed", "addr", *addr, "err", err)
 	}
 	httpServer := newHTTPServer(srv.Handler())
 	logger.Info("serving",
@@ -225,28 +242,27 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- httpServer.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
-	case s := <-sig:
+	case s := <-stop:
 		logger.Info("draining", "signal", s.String())
 	case err := <-done:
-		fatal("http server failed", "err", err)
+		return fatal("http server failed", "err", err)
 	}
 
 	// Graceful drain: finish every accepted job on every shard, then stop
 	// the listener.
 	if err := srv.Drain(); err != nil {
-		fatal("drain failed", "err", err)
+		return fatal("drain failed", "err", err)
 	}
 	counts := srv.Counts()
 	logger.Info("drained", "submitted", counts.Submitted, "completed", counts.Completed)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpServer.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal("shutdown failed", "err", err)
+		return fatal("shutdown failed", "err", err)
 	}
 	logger.Info("bye")
+	return nil
 }
 
 // Connection timeouts. A client gets readHeaderTimeout to finish its
@@ -268,7 +284,7 @@ func newHTTPServer(h http.Handler) *http.Server {
 
 // buildLogger assembles the process logger from the -log-level and
 // -log-format flags. Testable: errors name the offending flag value.
-func buildLogger(w *os.File, level, format string) (*slog.Logger, error) {
+func buildLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	var lv slog.Level
 	switch level {
 	case "debug":

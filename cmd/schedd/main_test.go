@@ -1,17 +1,151 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
+
+// TestRunServesAndDrainsOnSignal drives the daemon the way an operator
+// does: flags in, HTTP traffic, SIGTERM, graceful drain. The service
+// itself has its own end-to-end tests (internal/schedd); what only this
+// one pins is that every flag reaches the service it configures and
+// that a signal drains every accepted job before run returns.
+func TestRunServesAndDrainsOnSignal(t *testing.T) {
+	logs, logw := io.Pipe()
+	records := make(chan map[string]any, 64)
+	go func() {
+		defer close(records)
+		sc := bufio.NewScanner(logs)
+		for sc.Scan() {
+			var rec map[string]any
+			if json.Unmarshal(sc.Bytes(), &rec) == nil {
+				records <- rec
+			}
+		}
+	}()
+	next := func(msg string) map[string]any {
+		t.Helper()
+		timeout := time.After(10 * time.Second)
+		for {
+			select {
+			case rec, ok := <-records:
+				if !ok {
+					t.Fatalf("log ended before %q", msg)
+				}
+				if rec["msg"] == msg {
+					return rec
+				}
+			case <-timeout:
+				t.Fatalf("no %q log record", msg)
+			}
+		}
+	}
+
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-addr", "127.0.0.1:0", "-log-format", "json", "-policy", "LS",
+			"-slaves", "0.2:1,0.4:2,0.2:1,0.4:2,0.2:1,0.4:2",
+			"-shards", "3", "-placement", "least-loaded", "-partition", "balanced",
+			"-clock-scale", "4000", "-ingest-queue", "64", "-max-batch", "500",
+		}, logw, stop)
+		logw.Close()
+	}()
+	base := next("serving")["addr"].(string)
+
+	var stats struct {
+		Slaves     int     `json:"slaves"`
+		Shards     int     `json:"shards"`
+		Placement  string  `json:"placement"`
+		Partition  string  `json:"partition"`
+		ClockScale float64 `json:"clock_scale"`
+		Firehose   struct {
+			QueueBound int `json:"queue_bound"`
+		} `json:"firehose"`
+	}
+	getJSON(t, base+"/v1/stats", &stats)
+	if stats.Slaves != 6 || stats.Shards != 3 || stats.Placement != "least-loaded" ||
+		stats.Partition != "balanced" || stats.ClockScale != 4000 || stats.Firehose.QueueBound != 64 {
+		t.Fatalf("flags did not reach the service: %+v", stats)
+	}
+	const jobs = 300
+	for i := 0; i < jobs/100; i++ {
+		if n := postJobs(t, base, 100); n != http.StatusAccepted {
+			t.Fatalf("POST /v1/jobs: status %d", n)
+		}
+	}
+	if n := postJobs(t, base, 501); n != http.StatusBadRequest {
+		t.Fatalf("a count past -max-batch: status %d, want 400", n)
+	}
+
+	stop <- syscall.SIGTERM
+	if rec := next("draining"); rec["signal"] != syscall.SIGTERM.String() {
+		t.Fatalf("draining record %v", rec)
+	}
+	if rec := next("drained"); rec["submitted"] != float64(jobs) || rec["completed"] != float64(jobs) {
+		t.Fatalf("drained record %v, want %d submitted and completed", rec, jobs)
+	}
+	next("bye")
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after the drain")
+	}
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// postJobs submits count nominal jobs and returns the response status.
+func postJobs(t *testing.T, base string, count int) int {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(fmt.Sprintf(`{"count":%d}`, count)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestRunRejectsBadFlags pins that configuration errors end run with an
+// error rather than a served daemon.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-slaves", "Inf:2"},
+		{"-policy", "FIFO"},
+		{"-virtual", "-steal", "threshold", "-slaves", "1:1,1:1", "-shards", "2"},
+		{"-no-such-flag"},
+	} {
+		if err := run(args, io.Discard, nil); err == nil {
+			t.Fatalf("run(%q) succeeded", args)
+		}
+	}
+}
 
 func TestParseSLOs(t *testing.T) {
 	// Empty means no objectives, not an error.

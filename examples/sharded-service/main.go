@@ -88,7 +88,7 @@ func main() {
 		}
 		r.Start()
 		start := time.Now()
-		if _, err := r.SubmitBatch(live.JobSpec{}, 240); err != nil {
+		if _, err := r.SubmitRange(live.JobSpec{}, 240); err != nil {
 			panic(err)
 		}
 		if err := r.Drain(); err != nil {
@@ -130,12 +130,12 @@ func main() {
 			panic(err)
 		}
 		r.Start()
-		ids, err := r.SubmitBatch(live.JobSpec{}, 44)
+		first, err := r.SubmitRange(live.JobSpec{}, 44)
 		if err != nil {
 			panic(err)
 		}
 		perShard := make([]int, 2)
-		for _, gid := range ids {
+		for gid := first; gid < first+44; gid++ {
 			s, _ := r.ShardOf(gid)
 			perShard[s]++
 		}
@@ -198,7 +198,7 @@ func main() {
 		reb := cluster.NewRebalancer(r, policy, 2*time.Millisecond)
 		reb.Start()
 		start := time.Now()
-		if _, err := r.SubmitBatch(live.JobSpec{}, 200); err != nil {
+		if _, err := r.SubmitRange(live.JobSpec{}, 200); err != nil {
 			panic(err)
 		}
 		// Poll to completion before draining: Drain stops the rebalancer

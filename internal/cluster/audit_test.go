@@ -42,7 +42,7 @@ func TestAuditOffByDefault(t *testing.T) {
 	if r.Audit() != nil {
 		t.Fatal("AuditDepth 0 built a ring")
 	}
-	if _, err := r.SubmitBatch(live.JobSpec{}, 4); err != nil {
+	if _, err := submitIDs(r, 4); err != nil {
 		t.Fatal(err)
 	}
 	// The nil ring stays inert through the whole surface.
@@ -54,7 +54,7 @@ func TestAuditOffByDefault(t *testing.T) {
 func TestAuditRecordsPlacementsWithScores(t *testing.T) {
 	r := auditCluster(t, 2, PlacementLeastLoaded, 32)
 	defer r.Drain()
-	ids, err := r.SubmitBatch(live.JobSpec{}, 3)
+	ids, err := submitIDs(r, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAuditRecordsPlacementsWithScores(t *testing.T) {
 		t.Fatal("decision has no wall timestamp")
 	}
 	// A single Submit is a batch of one and audits the same shape.
-	gid, err := r.Submit(live.JobSpec{})
+	gid, err := r.SubmitRange(live.JobSpec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestAuditRecordsPlacementsWithScores(t *testing.T) {
 func TestAuditUnscoredPolicyRecordsNoScores(t *testing.T) {
 	r := auditCluster(t, 2, PlacementRoundRobin, 32)
 	defer r.Drain()
-	if _, err := r.SubmitBatch(live.JobSpec{}, 2); err != nil {
+	if _, err := submitIDs(r, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range r.Audit().Recent(0) {
@@ -108,9 +108,10 @@ func TestAuditUnscoredPolicyRecordsNoScores(t *testing.T) {
 
 func TestAuditRecordsMigrations(t *testing.T) {
 	r := auditCluster(t, 2, PlacementPinned, 64)
-	if _, err := r.SubmitBatch(live.JobSpec{}, 20); err != nil {
+	if _, err := submitIDs(r, 20); err != nil {
 		t.Fatal(err)
 	}
+	waitIntake(r)
 	var hookMoved int
 	var hookLatency float64
 	r.OnMigrate(func(moved int, latency float64) { hookMoved, hookLatency = moved, latency })
@@ -146,9 +147,10 @@ func TestAuditRecordsMigrations(t *testing.T) {
 
 func TestAuditRecordsStealPlans(t *testing.T) {
 	r := auditCluster(t, 2, PlacementPinned, 64)
-	if _, err := r.SubmitBatch(live.JobSpec{}, 20); err != nil {
+	if _, err := submitIDs(r, 20); err != nil {
 		t.Fatal(err)
 	}
+	waitIntake(r)
 	policy, err := NewStealPolicy(StealThreshold)
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,15 @@
 // each master optimizes its slice in isolation, which
 // experiment.ShardingStudy quantifies against the monolithic scheduler.
 //
-// With Shards = 1 the cluster is exactly the single-runtime stack of
-// internal/live — same runtime, same admission path — and the
-// conformance suite in this package pins that a one-shard cluster on the
-// virtual clock reproduces the discrete-event engine's schedules bit for
-// bit, extending the PR-3 contract through the new layer.
+// Every external job reaches its shard's runtime the same way, on
+// either clock: placed under the router's lock, appended to the shard's
+// intake queue, admitted by the shard's in-world drain source (see
+// firehose.go). With Shards = 1 and in-world sources instead of the
+// intake the cluster is exactly the single-runtime stack of
+// internal/live, and the conformance suite in this package pins that
+// such a one-shard cluster on the virtual clock reproduces the
+// discrete-event engine's schedules bit for bit, extending the PR-3
+// contract through the new layer.
 package cluster
 
 import (
@@ -33,7 +37,7 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrDraining is returned by every Submit* entry point once Drain has begun.
+// ErrDraining is returned by SubmitRange once Drain has begun.
 var ErrDraining = errors.New("cluster: draining; no new jobs accepted")
 
 // Config describes one sharded cluster.
@@ -56,10 +60,11 @@ type Config struct {
 	// at speedup 1 for every shard.
 	World func(shard int) live.World
 	// Sources are in-world job producers, only meaningful for
-	// single-shard clusters (a virtual-clock shard can only receive jobs
-	// from sources; the conformance suite uses this). Configuring sources
-	// with more than one shard is an error: in-world submissions bypass
-	// the router.
+	// single-shard clusters (the conformance suite uses this). A cluster
+	// built with sources has no intake: its jobs come from the sources
+	// alone and SubmitRange refuses every batch. Configuring sources with
+	// more than one shard is an error: in-world submissions bypass the
+	// router.
 	Sources []func(*live.Source)
 	// AuditDepth bounds the decision-audit ring: keep the newest
 	// AuditDepth placement/steal/migration decisions (with the placement
@@ -78,13 +83,9 @@ type Config struct {
 	// call back into the cluster. The flight recorder and /v1/watch stream
 	// tap in here.
 	Observer func(shard int, ev live.Event, job live.JobInfo)
-	// Firehose, when set, enables the batched intake path (see
-	// firehose.go): producers enqueue placed batches into per-shard MPSC
-	// queues and one in-world drain source per shard admits them. It is
-	// how external jobs reach virtual-clock shards (whose runtimes panic
-	// on external Submit) and the pure-throughput mode on any clock.
-	// Mutually exclusive with Sources; Migrate is disabled while it is
-	// on (the drain source must stay each shard's only submitter).
+	// Firehose sizes the intake every external job crosses (see
+	// firehose.go); nil means the defaults. Mutually exclusive with
+	// Sources, whose clusters have no intake to size.
 	Firehose *FirehoseConfig
 }
 
@@ -163,11 +164,11 @@ func (s *Shard) Result() live.Result { return s.rt.Result() }
 // Router is a running sharded cluster: the shards plus the placement
 // state and the global job-ID table. The table (idx) is lock-free for
 // readers — Job, ShardOf and Jobs never take a mutex. Every submission
-// and every migration serializes its routing decision on the one lock
-// mu; in firehose mode the lock covers nothing but that decision and the
-// rest fans out over per-shard intake locks, so concurrent producers
-// targeting different shards only meet at placement. The per-shard
-// runtimes do their own (finer-grained) locking.
+// serializes its routing decision on the one lock mu, which covers
+// nothing but that decision: the rest fans out over per-shard intake
+// locks, so concurrent producers targeting different shards only meet
+// at placement. The per-shard runtimes do their own (finer-grained)
+// locking.
 type Router struct {
 	shards    []*Shard
 	placement Placement
@@ -181,9 +182,8 @@ type Router struct {
 	draining atomic.Bool
 
 	// mu is the submission lock. It guards the placement policy's state
-	// and everything below up to shardBuf.
-	mu      sync.Mutex
-	local2g [][]int // per shard: local job ID → global ID, -1 gaps (direct mode only)
+	// and the three fields below.
+	mu sync.Mutex
 	// loads is the load snapshot placement scores against and loadsLeft
 	// the jobs it still covers before the next refresh (see refreshLoads).
 	loads     []live.Load
@@ -191,14 +191,12 @@ type Router struct {
 	// scoreBuf is the audit's per-batch score buffer (nil without
 	// auditing, so unaudited ingest computes no scores).
 	scoreBuf []float64
-	// shardBuf holds a batch bucketed by shard for direct delivery.
-	shardBuf []live.JobSpec
 
 	// migrations counts in-flight Migrate calls. A migration registers
 	// itself under mu while not draining; Drain flips the flag and then
-	// waits the group out before fanning shard drains, so every stolen
-	// job has been re-homed (and its ref updated) before any master is
-	// told to finish — no job can be stranded between shards.
+	// waits the group out before closing the intake, so every stolen job
+	// has been re-queued (and its ref updated) before any master is told
+	// to finish — no job can be stranded between shards.
 	migrations sync.WaitGroup
 	stolen     atomic.Int64 // total jobs migrated by Migrate
 
@@ -209,31 +207,30 @@ type Router struct {
 	// successful migration's realized size and wall latency.
 	onMigrate func(moved int, latencySeconds float64)
 
-	// Firehose state (nil/unused without Config.Firehose). enqueues
-	// counts batches between their placement decision and their last slab
-	// flush; Drain waits it out before closing the intake so the final
-	// take sees every slab. The drivers run each shard's Wait so the
-	// worlds execute while producers feed, and fhJoin collects them once.
-	fh       *intake
-	enqueues sync.WaitGroup
-	fhStart  sync.Once
-	fhJoin   sync.Once
-	fhErrs   chan error
-	fhErr    error
+	// fh is the intake (firehose.go). enqueues counts batches between
+	// their placement decision and their last slab flush; Drain waits it
+	// out before closing the intake so the final take sees every slab.
+	// The drivers run each shard's Wait so the worlds execute while
+	// producers feed, and join collects them once.
+	fh        *intake
+	enqueues  sync.WaitGroup
+	startOnce sync.Once
+	joinOnce  sync.Once
+	errs      chan error
+	err       error
 }
 
 // batch is one submission's scratch: the placement vector and the
-// per-shard bookkeeping that travels from the placement decision to
-// delivery and publication.
+// per-shard counts that travel from the placement decision to the
+// intake.
 type batch struct {
 	out    []int // placement per job, batch order
 	counts []int // per shard: jobs this batch placed there
-	bases  []int // per shard: the next runtime-local ID of the batch's run there
 }
 
-// batchPool recycles batch scratch — a firehose submission carries it
-// past the router lock — so the steady-state ingest path allocates
-// nothing. It is shared by every router: getBatch resizes on checkout.
+// batchPool recycles batch scratch — a submission carries it past the
+// router lock — so the steady-state ingest path allocates nothing. It
+// is shared by every router: getBatch resizes on checkout.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // getBatch checks out scratch for a count-job batch over k shards, with
@@ -241,9 +238,9 @@ var batchPool = sync.Pool{New: func() any { return new(batch) }}
 func getBatch(k, count int) *batch {
 	b := batchPool.Get().(*batch)
 	if cap(b.counts) < k {
-		b.counts, b.bases = make([]int, k), make([]int, k)
+		b.counts = make([]int, k)
 	}
-	b.counts, b.bases = b.counts[:k], b.bases[:k]
+	b.counts = b.counts[:k]
 	clear(b.counts)
 	if cap(b.out) < count {
 		b.out = make([]int, count)
@@ -279,7 +276,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: sources require a single shard (got %d): in-world submissions bypass the router", k)
 	}
 	if cfg.Firehose != nil && len(cfg.Sources) > 0 {
-		return nil, fmt.Errorf("cluster: firehose and sources are mutually exclusive: the drain source must be each shard's only submitter")
+		return nil, fmt.Errorf("cluster: firehose and sources are mutually exclusive: a cluster built with sources has no intake")
 	}
 	parts, err := cfg.Platform.Partition(k, strategy)
 	if err != nil {
@@ -288,11 +285,11 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		placement: placement,
 		partition: strategy,
-		local2g:   make([][]int, k),
 		loads:     make([]live.Load, k),
+		fh:        newIntake(cfg.Firehose, k),
 	}
-	if cfg.Firehose != nil {
-		r.fh = newIntake(*cfg.Firehose, k)
+	if len(cfg.Sources) > 0 {
+		r.fh.close(errSourced)
 	}
 	if cfg.AuditDepth > 0 {
 		r.audit = obs.NewAuditRing(cfg.AuditDepth, k)
@@ -314,13 +311,11 @@ func New(cfg Config) (*Router, error) {
 		if cfg.World != nil {
 			lcfg.World = cfg.World(i)
 		}
-		if i == 0 {
-			lcfg.Sources = cfg.Sources
-		}
-		if r.fh != nil {
+		lcfg.Sources = cfg.Sources
+		if len(cfg.Sources) == 0 {
 			shard := i
 			lcfg.Sources = []func(*live.Source){func(src *live.Source) {
-				r.fh.drainLoop(r, shard, src)
+				r.fh.drainLoop(shard, src)
 			}}
 		}
 		rt, err := live.New(lcfg)
@@ -342,22 +337,18 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Start launches every shard's runtime. In firehose mode it also starts
-// one driver goroutine per shard running the shard's Wait — a virtual
-// world only executes inside Wait, so the drivers are what make the
-// cluster serve while producers feed the intake. Drain joins them.
+// Start launches every shard's runtime and one driver goroutine per
+// shard running the shard's Wait — a virtual world only executes inside
+// Wait, so the drivers are what make the cluster serve while producers
+// feed the intake. Drain joins them. Idempotent.
 func (r *Router) Start() {
-	for _, s := range r.shards {
-		s.rt.Start()
-	}
-	if r.fh != nil {
-		r.fhStart.Do(func() {
-			r.fhErrs = make(chan error, len(r.shards))
-			for _, s := range r.shards {
-				go func(s *Shard) { r.fhErrs <- s.rt.Wait() }(s)
-			}
-		})
-	}
+	r.startOnce.Do(func() {
+		r.errs = make(chan error, len(r.shards))
+		for _, s := range r.shards {
+			s.rt.Start()
+			go func(s *Shard) { r.errs <- s.rt.Wait() }(s)
+		}
+	})
 }
 
 // Shards returns the cluster's shards. The slice is shared; treat it as
@@ -376,83 +367,40 @@ func (r *Router) Jobs() int {
 	return r.idx.count()
 }
 
-// Submit places one job and returns its global ID.
-func (r *Router) Submit(spec live.JobSpec) (int, error) {
-	return r.submit(nil, spec, 1)
-}
-
-// SubmitBatch places count identical jobs and returns their global IDs
-// in placement order — the consecutive range SubmitRange would return,
-// expanded.
-func (r *Router) SubmitBatch(spec live.JobSpec, count int) ([]int, error) {
-	base, err := r.submit(nil, spec, count)
-	if err != nil || count <= 0 {
-		return nil, err
-	}
-	ids := make([]int, count)
-	for i := range ids {
-		ids[i] = base + i
-	}
-	return ids, nil
-}
-
 // SubmitRange places count identical jobs and returns the first global
 // ID; the batch occupies the consecutive range [base, base+count).
-// Nothing per-job is allocated — the firehose's jobs-in-IDs-out contract.
-func (r *Router) SubmitRange(spec live.JobSpec, count int) (int, error) {
-	return r.submit(nil, spec, count)
-}
-
-// SubmitSpecs places a batch of heterogeneous jobs and returns the first
-// global ID (the batch occupies [base, base+len(specs))). The caller
-// keeps ownership of specs; any IDs in them are ignored.
-func (r *Router) SubmitSpecs(specs []live.JobSpec) (int, error) {
-	return r.submit(specs, live.JobSpec{}, len(specs))
-}
-
-// submit is the one admission path behind every exported entry point: a
-// batch of count jobs — specs when non-nil, else count copies of spec; a
-// single job is a batch of one. The stages, in order:
+// Nothing per-job is allocated. It is the one admission path. The
+// stages, in order:
 //
-//  1. reserve (firehose only) — block on the intake's depth bound,
-//     before any lock, so backpressure never stalls lookups or other
-//     producers.
+//  1. reserve — block on the intake's depth bound, before any lock, so
+//     backpressure never stalls lookups or other producers.
 //  2. decide, under mu — the draining check, the load snapshot, one
 //     PickBatch, the atomic global-ID range allocation and one audited
 //     decision for the whole batch. Because every batch allocates its
 //     ID range inside the critical section that ordered its placement,
 //     ID order is exactly arrival order — the sequencer contract the
 //     stream endpoint's acks rely on.
-//  3. deliver — the only mode-dependent step. Direct: still under mu,
-//     each touched shard's runtime admits its slice of the batch in one
-//     critical section. Firehose: after mu, one intake-lock hold per
-//     touched shard reserves the shard's next runtime-local IDs and
-//     appends the slice to its queue (intake.appendRun); producers whose
-//     batches land on disjoint shards run this stage in parallel.
-//  4. publish — the global table entries are stored (lock-free) and the
-//     batch's base returns to the caller. A concurrent Job lookup
-//     between allocation and publication sees "queued", never "unknown".
-func (r *Router) submit(specs []live.JobSpec, spec live.JobSpec, count int) (int, error) {
+//  3. enqueue, after mu — one intake-lock hold per touched shard
+//     reserves the shard's next runtime-local IDs, publishes the
+//     batch's global table entries there and appends the slice to the
+//     shard's queue (intake.appendRun); producers whose batches land on
+//     disjoint shards run this stage in parallel. A concurrent Job
+//     lookup between allocation and publication sees "queued", never
+//     "unknown".
+func (r *Router) SubmitRange(spec live.JobSpec, count int) (int, error) {
 	if count <= 0 {
 		return 0, nil
 	}
-	if r.fh != nil {
-		if err := r.fh.reserve(count); err != nil {
-			return 0, err
-		}
+	if err := r.fh.reserve(count); err != nil {
+		return 0, err
 	}
 	b := getBatch(len(r.shards), count)
 	defer batchPool.Put(b)
-	if specs != nil {
-		spec = specs[0]
-	}
 
 	r.mu.Lock()
 	if r.draining.Load() {
 		r.mu.Unlock()
-		if r.fh != nil {
-			r.fh.release(count)
-		}
+		r.fh.release(count)
 		return 0, ErrDraining
 	}
 	if r.loadsLeft <= 0 {
@@ -485,92 +433,41 @@ func (r *Router) submit(specs []live.JobSpec, spec live.JobSpec, count int) (int
 			Scores:  sanitizeScores(r.scoreBuf),
 		})
 	}
-	if r.fh == nil {
-		r.deliverDirect(b, specs, spec)
-		r.publish(b, base)
-		r.mu.Unlock()
-		return base, nil
-	}
 	// Registering under mu while not draining is what lets Drain wait out
 	// every in-flight append before closing the intake.
 	r.enqueues.Add(1)
 	r.mu.Unlock()
 	for s, n := range b.counts {
 		if n > 0 {
-			b.bases[s] = r.fh.appendRun(s, n, b.out, specs, spec)
+			r.fh.appendRun(s, b.out, spec, &r.idx, base)
 		}
 	}
-	r.publish(b, base)
 	r.enqueues.Done()
 	return base, nil
 }
 
-// deliverDirect admits a placed batch straight into the shard runtimes:
-// each touched shard receives its slice, in batch order, as one
-// SubmitSpecs critical section. The batch is bucketed by shard in one
-// pass, b.bases serving as each shard's write cursor into shardBuf
-// until the runtime's base replaces it. Caller holds r.mu.
-func (r *Router) deliverDirect(b *batch, specs []live.JobSpec, spec live.JobSpec) {
-	if cap(r.shardBuf) < len(b.out) {
-		r.shardBuf = make([]live.JobSpec, len(b.out))
-	}
-	buf := r.shardBuf[:len(b.out)]
-	off := 0
-	for s, n := range b.counts {
-		b.bases[s] = off
-		off += n
-	}
-	for i, s := range b.out {
-		if specs != nil {
-			spec = specs[i]
-		}
-		buf[b.bases[s]] = spec
-		b.bases[s]++
-	}
-	for s, n := range b.counts {
-		if n > 0 {
-			end := b.bases[s]
-			b.bases[s] = r.shards[s].rt.SubmitSpecs(buf[end-n : end])
-		}
-	}
-}
-
-// publish stores a delivered batch's global table entries. The i-th job
-// of the batch placed on shard s is the next job of the batch's run
-// there, so its runtime-local ID is the shard's base advanced once per
-// job — the same arithmetic the drain loop's sole-submitter invariant
-// pins. In direct mode (caller holds r.mu) it also records the reverse
-// mapping Migrate needs.
-func (r *Router) publish(b *batch, base int) {
-	for i, s := range b.out {
-		local := b.bases[s]
-		b.bases[s]++
-		r.idx.set(base+i, s, local)
-		if r.fh == nil {
-			r.indexLocal(s, local, base+i)
-		}
-	}
-}
-
-// refreshLoads re-reads every shard's load into the snapshot placement
-// scores against. Direct submissions refresh per batch. Firehose
-// submissions fold in the intake backlog and arm the snapshot for one
-// slab window of placements: between refreshes placement scores against
-// the snapshot plus its own accumulated decisions, drifting by at most
-// one window from the runtimes' ground truth, which load-sensitive
-// policies tolerate by design (they race completions either way).
-// Caller holds r.mu.
+// refreshLoads re-reads every shard's load, with its intake backlog
+// folded in, into the snapshot placement scores against, and arms the
+// snapshot for min(Σ Outstanding, slabSize) placements. Between
+// refreshes placement scores against the snapshot plus its own
+// accumulated decisions. The window is derived from the snapshot rather
+// than from the clock: an idle cluster re-reads every batch (a single
+// completion changes the ranking), a small population re-reads before
+// placement has added as many jobs as it holds, and a busy one drifts
+// by at most one slab from the runtimes' ground truth — which
+// load-sensitive policies tolerate by design (they race completions
+// either way). Caller holds r.mu.
 func (r *Router) refreshLoads() {
+	total := 0
 	for i, s := range r.shards {
+		// The intake is read before the runtime: a slab moving between them
+		// is then counted twice rather than not at all.
+		queued := int(r.fh.shards[i].queued.Load())
 		r.loads[i] = s.rt.Load()
+		r.loads[i].Submitted += queued
+		total += r.loads[i].Outstanding()
 	}
-	r.loadsLeft = 0
-	if r.fh != nil {
-		for i := range r.loads {
-			r.loads[i].Submitted += int(r.fh.shards[i].queued.Load())
-		}
-		r.loadsLeft = r.fh.slabSize
-	}
+	r.loadsLeft = min(total, slabSize)
 }
 
 // sanitizeScores prepares a PickBatch score snapshot for the audit: nil
@@ -609,19 +506,6 @@ func (r *Router) OnMigrate(fn func(moved int, latencySeconds float64)) {
 	r.onMigrate = fn
 }
 
-// indexLocal records the reverse mapping local job ID → global ID for
-// one shard, growing the table with -1 gaps (source-submitted jobs on a
-// single-shard cluster occupy local IDs the router never assigned).
-// Caller holds r.mu.
-func (r *Router) indexLocal(shard, local, gid int) {
-	t := r.local2g[shard]
-	for len(t) <= local {
-		t = append(t, -1)
-	}
-	t[local] = gid
-	r.local2g[shard] = t
-}
-
 // Job returns a routed job's lifecycle with global identifiers: the ID
 // is the global one and Slave (once dispatched) is the platform-global
 // slave index. The lookup never takes a router lock: the global table
@@ -641,8 +525,9 @@ func (r *Router) Job(gid int) (live.JobInfo, bool) {
 	sh := r.shards[shard]
 	info, ok := sh.tracker.Job(local)
 	if !ok {
-		// Accepted but not yet observed by the shard's master: report it
-		// queued rather than unknown — the router's accept is the accept.
+		// Accepted but not yet observed by the shard's master (still in
+		// the intake, or in the master's mailbox): report it queued rather
+		// than unknown — the router's accept is the accept.
 		return live.JobInfo{ID: gid, State: live.StateQueued, Slave: -1}, true
 	}
 	if info.State == live.StateStolen {
@@ -682,15 +567,13 @@ func (r *Router) Loads() []live.Load {
 	return out
 }
 
-// Pending returns the cluster-wide queue depth (accepted, undispatched
-// jobs summed over shards, plus any intake backlog in firehose mode).
+// Pending returns the cluster-wide queue depth: accepted, undispatched
+// jobs summed over shards, each shard's being what its runtime holds
+// undispatched plus what still waits in its intake queue.
 func (r *Router) Pending() int {
 	total := 0
-	for _, s := range r.shards {
-		total += s.rt.Pending()
-	}
-	if r.fh != nil {
-		total += r.fh.depth()
+	for i, s := range r.shards {
+		total += int(r.fh.shards[i].queued.Load()) + s.rt.Pending()
 	}
 	return total
 }
@@ -727,32 +610,29 @@ func (r *Router) Stolen() int { return int(r.stolen.Load()) }
 //
 //   - The source master retracts the jobs inside its own actor loop
 //     (live.Runtime.StealPending), so a stolen job was never dispatched
-//     at the source and can never be — no double-dispatch window.
-//   - The global job table entry is atomically re-pointed (under its
-//     chunk's write lock) in the same router critical section that
-//     submits to the destination, so GET /v1/jobs/{id} resolves to the old
-//     home, then (briefly) to a "queued" placeholder while the source
-//     tracker reports the job stolen, then to the new home — never to
-//     "unknown". Readers stay lock-free throughout.
+//     at the source and can never be — no double-dispatch window. A
+//     virtual-clock source refuses: its run admits no outside event.
+//   - The jobs re-enter through the destination's intake like any
+//     producer's (intake.readmit), so its drain source stays the
+//     destination runtime's only submitter. Each job's global table
+//     entry is re-pointed (under its chunk's write lock) before the job
+//     can reach the destination runtime, so GET /v1/jobs/{id} resolves
+//     to the old home, then to a "queued" placeholder while the source
+//     tracker reports the job stolen and the intake holds it, then to
+//     the new home — never to "unknown". Readers stay lock-free
+//     throughout.
 //   - Migration and Drain exclude each other through the migrations
 //     WaitGroup: a migration only begins while not draining, and Drain
-//     waits out in-flight migrations before any shard is drained, so a
-//     stolen job is always re-homed before its new master is told to
+//     waits out in-flight migrations before it closes the intake, so a
+//     stolen job is always re-queued before its new master is told to
 //     finish.
 //
-// Jobs are re-admitted in their original submission order (StealPending
-// returns newest-first; Migrate reverses), so the destination's FIFO
-// treats them no worse than it would have fresh arrivals.
+// Jobs are re-admitted in their original submission order, so the
+// destination's FIFO treats them no worse than it would have fresh
+// arrivals.
 func (r *Router) Migrate(from, to, n int) int {
 	if from == to || n <= 0 ||
 		from < 0 || from >= len(r.shards) || to < 0 || to >= len(r.shards) {
-		return 0
-	}
-	if r.fh != nil {
-		// Firehose mode disables migration: local IDs are predicted at
-		// enqueue time under the sole-submitter invariant, and a re-homed
-		// job would make the destination's drain source no longer the
-		// only submitter.
 		return 0
 	}
 	r.mu.Lock()
@@ -779,28 +659,8 @@ func (r *Router) Migrate(from, to, n int) int {
 	if len(jobs) == 0 {
 		return 0
 	}
-	dst := r.shards[to].rt
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(jobs) - 1; i >= 0; i-- { // oldest first
-		j := jobs[i]
-		local := dst.Submit(j.Spec)
-		gid := -1
-		if t := r.local2g[from]; j.Local >= 0 && j.Local < len(t) {
-			gid = t[j.Local]
-			if gid >= 0 {
-				t[j.Local] = -1
-			}
-		}
-		if gid >= 0 {
-			// Re-point the global table entry at the job's new home under
-			// the owning chunk's narrow write lock; concurrent lock-free
-			// readers see the old home, then the new one — never garbage.
-			r.idx.repoint(gid, to, local)
-			r.indexLocal(to, local, gid)
-		}
-		r.stolen.Add(1)
-	}
+	r.fh.readmit(to, jobs, r.idx.owners(from, jobs), &r.idx)
+	r.stolen.Add(int64(len(jobs)))
 	if observed {
 		latency := time.Since(begin).Seconds()
 		r.audit.Record(obs.Decision{
@@ -820,10 +680,12 @@ func (r *Router) Migrate(from, to, n int) int {
 	return len(jobs)
 }
 
-// Drain rejects further submissions, then drains every shard
-// concurrently and joins them. It blocks until all shards have fully
-// drained and returns the first shard error, if any. Safe to call more
-// than once.
+// Drain rejects further submissions, closes the intake and joins every
+// shard: each drain source admits what its queue still holds and then
+// drains its runtime from inside the world (the only legal drain on a
+// virtual clock); a cluster built with sources waits for its sources to
+// end the run. Drain blocks until every shard has finished and returns
+// the first shard error, if any. Safe to call more than once.
 func (r *Router) Drain() error {
 	// Flip the flag under the submission lock: a submission inside its
 	// critical section completes first, and everything after sees the flag.
@@ -831,77 +693,23 @@ func (r *Router) Drain() error {
 	r.draining.Store(true)
 	r.mu.Unlock()
 	// Migrations registered before the flag flipped may still be
-	// re-homing stolen jobs; new ones can no longer begin. Wait them out
-	// so every job is on its final shard before any master is told to
-	// finish — otherwise a job stolen from a draining shard could be
-	// submitted to a master that already exited.
+	// re-queueing stolen jobs, and batches registered before it may still
+	// be appending; new ones can no longer begin. Wait both out so every
+	// slab flush happens-before the close below and the drain sources'
+	// final post-close take observes every job. Producers still blocked
+	// in reserve never registered — close wakes them with ErrDraining.
 	r.migrations.Wait()
-	if r.fh != nil {
-		// Wait out in-flight firehose batches (registered under mu
-		// before the flag flipped): every one of their slab flushes
-		// happens-before the close below, so the drain sources' final
-		// post-close take observes every enqueued job. Producers still
-		// blocked in reserve never registered — close wakes them with
-		// ErrDraining.
-		r.enqueues.Wait()
-		// Firehose drain: make sure the shard drivers exist, close the
-		// intake (waking blocked producers with ErrDraining and parked
-		// drain sources), and join the drivers. Each drain source submits
-		// its remaining slabs and then drains its runtime from inside the
-		// world — the only legal drain on a virtual clock.
-		r.Start()
-		r.fh.close()
-		return r.joinFirehose()
-	}
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, s := range r.shards {
-		wg.Add(1)
-		go func(i int, s *Shard) {
-			defer wg.Done()
-			s.rt.Drain()
-			errs[i] = s.rt.Wait()
-		}(i, s)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// joinFirehose collects the shard drivers' results exactly once.
-func (r *Router) joinFirehose() error {
-	r.fhJoin.Do(func() {
+	r.enqueues.Wait()
+	r.Start()
+	r.fh.close(ErrDraining)
+	r.joinOnce.Do(func() {
 		var errs []error
 		for range r.shards {
-			if err := <-r.fhErrs; err != nil {
+			if err := <-r.errs; err != nil {
 				errs = append(errs, err)
 			}
 		}
-		r.fhErr = errors.Join(errs...)
+		r.err = errors.Join(errs...)
 	})
-	return r.fhErr
-}
-
-// Wait blocks until every shard's run completes without initiating a
-// drain — for clusters whose sources end the run from inside the world
-// (the virtual-clock conformance path).
-func (r *Router) Wait() error {
-	if r.fh != nil {
-		// The shard drivers own the runtimes' Wait in firehose mode (a
-		// second concurrent Wait on a virtual world is not allowed);
-		// joining them is the wait. It returns once Drain has closed the
-		// intake and every shard has finished.
-		r.Start()
-		return r.joinFirehose()
-	}
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, s := range r.shards {
-		wg.Add(1)
-		go func(i int, s *Shard) {
-			defer wg.Done()
-			errs[i] = s.rt.Wait()
-		}(i, s)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return r.err
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,29 @@ import (
 )
 
 func newLS() sim.Scheduler { return sched.New("LS") }
+
+// submitIDs submits n nominal jobs as one batch and returns their global
+// IDs: the range SubmitRange answers, expanded.
+func submitIDs(r *Router, n int) ([]int, error) {
+	base, err := r.SubmitRange(live.JobSpec{}, n)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = base + i
+	}
+	return ids, nil
+}
+
+// waitIntake returns once every job submitted so far has left the
+// intake for its shard's runtime, so a test can read runtime counters —
+// or steal — right after a submission.
+func waitIntake(r *Router) {
+	for r.FirehoseDepth() > 0 {
+		runtime.Gosched()
+	}
+}
 
 // testCluster builds a started real-time cluster on a fast clock.
 func testCluster(t *testing.T, pl core.Platform, shards int, placement string) *Router {
@@ -48,7 +72,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for b := 0; b < batches; b++ {
-					ids, err := r.SubmitBatch(live.JobSpec{}, per)
+					ids, err := submitIDs(r, per)
 					if err != nil {
 						t.Errorf("submit: %v", err)
 						return
@@ -118,7 +142,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 
 		// Submissions after drain are refused, not lost.
-		if _, err := r.Submit(live.JobSpec{}); err != ErrDraining {
+		if _, err := r.SubmitRange(live.JobSpec{}, 1); err != ErrDraining {
 			t.Fatalf("%s: submit after drain: %v", placement, err)
 		}
 		if !r.Draining() {
@@ -146,21 +170,32 @@ func TestClusterLeastLoadedAvoidsBackloggedShard(t *testing.T) {
 			t.Fatal("could not backlog the slow shard")
 		}
 		for i := 0; i < 8; i++ {
-			if _, err := r.Submit(live.JobSpec{}); err != nil {
+			if _, err := r.SubmitRange(live.JobSpec{}, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
+		waitIntake(r)
 	}
-	for i := 0; i < 30; i++ {
+	// The unpaced bursts armed a load snapshot (see refreshLoads) whose
+	// remaining placements were decided against loads from before the
+	// fast shard drained; the paced phase is judged once it has run out.
+	r.mu.Lock()
+	stale := r.loadsLeft
+	r.mu.Unlock()
+	for i := 0; i < stale+30; i++ {
 		// Let the fast shard absorb its queue first, so every decision
 		// compares an empty fast shard against the stuck backlog.
+		waitIntake(r)
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) && r.Loads()[0].Outstanding() > 0 {
 			time.Sleep(100 * time.Microsecond)
 		}
-		gid, err := r.Submit(live.JobSpec{})
+		gid, err := r.SubmitRange(live.JobSpec{}, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i < stale {
+			continue
 		}
 		if s, ok := r.ShardOf(gid); !ok || s != 0 {
 			t.Fatalf("paced job %d placed on backlogged shard %d", gid, s)
@@ -193,7 +228,7 @@ func TestClusterHetAwarePrefersFastShardUpFront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := r.SubmitBatch(live.JobSpec{}, 22)
+	ids, err := submitIDs(r, 22)
 	if err != nil {
 		t.Fatal(err)
 	}

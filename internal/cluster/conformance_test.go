@@ -46,7 +46,7 @@ func runSingleShardVirtual(t *testing.T, pl core.Platform, name string, tasks []
 		t.Fatalf("cluster: %v", err)
 	}
 	r.Start()
-	if err := r.Wait(); err != nil {
+	if err := r.Drain(); err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
 	return r.Shards()[0].Result().Schedule
@@ -114,7 +114,7 @@ func TestSingleShardConformanceEveryPartitionStrategy(t *testing.T) {
 			t.Fatalf("%s: %v", strategy, err)
 		}
 		r.Start()
-		if err := r.Wait(); err != nil {
+		if err := r.Drain(); err != nil {
 			t.Fatalf("%s: %v", strategy, err)
 		}
 		lv := r.Shards()[0].Result().Schedule

@@ -1,34 +1,42 @@
 package cluster
 
-// Firehose intake: the pure-throughput admission path. Producers never
-// touch a shard runtime directly — they place a whole batch under the
-// router's submission lock, then append the specs to per-shard
-// MPSC queues built from pooled slabs under per-shard intake locks
-// (appendRun), and return. Producers whose batches land on disjoint
-// shards only meet at the placement decision; the append stage runs in
-// parallel. One in-world drain source per shard moves the queued slabs
-// into its runtime with a single lock acquisition per slab
-// (live.Source.SubmitSpecs), so the virtual-clock kernel absorbs an
-// arbitrarily large backlog in one wake.
+// The intake: the one way an external job reaches a shard runtime, on
+// either clock. Producers never touch a runtime — they place a whole
+// batch under the router's submission lock, then append the specs to
+// per-shard MPSC queues built from pooled slabs under per-shard intake
+// locks (appendRun), and return. Producers whose batches land on
+// disjoint shards only meet at the placement decision; the append stage
+// runs in parallel. One in-world drain source per shard moves the
+// queued slabs into its runtime with a single lock acquisition per slab
+// (live.Source.SubmitSpecs), so a virtual-clock kernel absorbs an
+// arbitrarily large backlog in one wake. How the drain waits is the
+// substrate's business (live.Source.Await): a real-clock drain blocks
+// on its queue's notify and admits at once, a virtual one polls the
+// model clock while its shard has work and keeps an admission window.
 //
 // The intake preserves the router's global-ID contract without any
-// feedback channel: in firehose mode each drain source is its shard's
-// ONLY submitter, so a shard's runtime-local job IDs are exactly the
-// per-shard enqueue order. appendRun reserves each shard's next local
-// IDs and appends the batch's specs under one hold of that shard's
-// lock, so queue order is local-ID order by construction, and the
-// drain loop asserts the prediction against the base ID the runtime
-// actually assigned. This is also why firehose mode excludes migration
-// and in-world sources: any other submitter would desynchronize the
-// prediction.
+// feedback channel: each drain source is its shard's ONLY submitter, so
+// a shard's runtime-local job IDs are exactly the per-shard enqueue
+// order. appendRun and readmit reserve each shard's next local IDs,
+// publish them in the global index and append the specs under one hold
+// of that shard's lock, so queue order is local-ID order by
+// construction, and the drain loop asserts the prediction against the
+// base ID the runtime actually assigned. A migration's re-admission is
+// just another producer here, which is what lets stealing and the
+// prediction coexist. Publishing before the slab is flushed means a job
+// is in the index before its runtime can hold it — hence before anyone
+// can steal it.
 //
 // Backpressure is a bounded total queue depth: a producer whose batch
 // finds the intake full blocks (before taking the router lock) until
 // drains free room or Drain begins. The bound is soft by one batch —
 // a reserve admits the whole batch once depth drops below the bound —
-// so producers of any batch size make progress.
+// so producers of any batch size make progress. Re-admitted stolen jobs
+// count toward the depth but never wait on the bound: they were
+// accepted long ago.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,36 +44,40 @@ import (
 	"repro/internal/live"
 )
 
-// FirehoseConfig enables the batched intake path on a cluster.
+// FirehoseConfig sizes a cluster's intake.
 type FirehoseConfig struct {
 	// QueueDepth bounds the total number of enqueued-but-not-yet-admitted
 	// jobs across all shards; producers block when it is reached
 	// (backpressure). 0 means 65536.
 	QueueDepth int
-	// SlabSize is the number of jobs per pooled admission slab; 0 means
-	// 512. A drained slab is one runtime critical section.
-	SlabSize int
 }
 
 const (
 	defaultFirehoseDepth = 65536
-	defaultSlabSize      = 512
-	// drainPoll is the drain source's re-check cadence, in model seconds,
-	// while its shard still has outstanding work (when the shard is idle
-	// the source parks on a wake channel instead and costs nothing).
+	// slabSize is the number of jobs per pooled admission slab. A drained
+	// slab is one runtime critical section.
+	slabSize = 512
+	// drainPoll is a virtual-clock drain source's re-check cadence, in
+	// model seconds, while its shard still has outstanding work (see
+	// live.Source.Await).
 	drainPoll = 0.01
-	// admitWindow bounds each shard runtime's outstanding population: the
-	// drain source stops admitting slabs while the shard holds this many
-	// uncompleted jobs, keeping the bulk backlog in O(1)-append intake
-	// slabs instead of the master's ledgers. The scheduler's per-dispatch
-	// work grows with the in-runtime queue (LS folds each slave's assigned
-	// backlog), so unbounded admission turns a million-job ingest
-	// quadratic; the window keeps per-job cost flat.
+	// admitWindow bounds each virtual-clock shard runtime's outstanding
+	// population: the drain source stops admitting slabs while the shard
+	// holds this many uncompleted jobs, keeping the bulk backlog in
+	// O(1)-append intake slabs instead of the master's ledgers. The
+	// scheduler's per-dispatch work grows with the in-runtime queue (LS
+	// folds each slave's assigned backlog), so unbounded admission turns a
+	// million-job ingest quadratic; the window keeps per-job cost flat.
 	admitWindow = 1024
 	// slabPoolCap bounds the recycled-slab stack; beyond it slabs are
 	// dropped to the GC (the pool only needs to cover queue depth).
 	slabPoolCap = 64
 )
+
+// errSourced is what every submission to a cluster built with Sources
+// gets: its jobs come from the sources alone, so its intake is closed
+// from the start.
+var errSourced = errors.New("cluster: a cluster built with sources admits jobs from its sources only")
 
 // fhShard is one shard's MPSC queue: producers append filled slabs
 // under the shard mutex; the shard's drain source swaps the whole slice
@@ -80,27 +92,28 @@ type fhShard struct {
 	// policies see the intake backlog they themselves created.
 	queued atomic.Int64
 
-	// emu is the shard's intake lock: appendRun holds it while reserving
-	// the shard's next runtime-local IDs (nextLocal) and appending one
-	// batch's specs, which is exactly what keeps queue order equal to
-	// local-ID order under concurrent producers. It is distinct from mu
-	// so the drain source's takeInto never waits behind a producer
-	// filling slabs.
+	// emu is the shard's intake lock: appendRun and readmit hold it while
+	// reserving the shard's next runtime-local IDs (nextLocal), publishing
+	// them and appending the specs, which is exactly what keeps queue
+	// order equal to local-ID order under concurrent producers. It is
+	// distinct from mu so the drain source's takeInto never waits behind a
+	// producer filling slabs.
 	emu       sync.Mutex
 	nextLocal int
 }
 
-// intake is the cluster-wide firehose state.
+// intake is the cluster-wide admission state.
 type intake struct {
-	bound    int
-	slabSize int
+	bound int
 
-	// qmu guards the total depth and the closed flag; qcond wakes
-	// producers blocked on the bound.
+	// qmu guards the total depth and the closed state; qcond wakes
+	// producers blocked on the bound. err is what reserve answers once
+	// closed.
 	qmu    sync.Mutex
 	qcond  *sync.Cond
 	queued int
 	closed bool
+	err    error
 
 	// pmu guards the recycled-slab stack; the counters alongside it make
 	// the pool's effectiveness observable (poolGets checkouts, of which
@@ -115,17 +128,12 @@ type intake struct {
 	shards []fhShard
 }
 
-func newIntake(cfg FirehoseConfig, shards int) *intake {
-	fh := &intake{
-		bound:    cfg.QueueDepth,
-		slabSize: cfg.SlabSize,
-		shards:   make([]fhShard, shards),
-	}
-	if fh.bound <= 0 {
-		fh.bound = defaultFirehoseDepth
-	}
-	if fh.slabSize <= 0 {
-		fh.slabSize = defaultSlabSize
+// newIntake builds the intake for a k-shard cluster; a nil cfg takes
+// the defaults.
+func newIntake(cfg *FirehoseConfig, shards int) *intake {
+	fh := &intake{bound: defaultFirehoseDepth, shards: make([]fhShard, shards)}
+	if cfg != nil && cfg.QueueDepth > 0 {
+		fh.bound = cfg.QueueDepth
 	}
 	fh.qcond = sync.NewCond(&fh.qmu)
 	for i := range fh.shards {
@@ -136,7 +144,7 @@ func newIntake(cfg FirehoseConfig, shards int) *intake {
 
 // reserve blocks until the intake has room for a count-job batch (depth
 // below the bound; the batch itself may overshoot it) and accounts for
-// it. Returns ErrDraining once the intake has closed.
+// it. Once the intake has closed it returns the closing error.
 func (fh *intake) reserve(count int) error {
 	fh.qmu.Lock()
 	defer fh.qmu.Unlock()
@@ -144,7 +152,7 @@ func (fh *intake) reserve(count int) error {
 		fh.qcond.Wait()
 	}
 	if fh.closed {
-		return ErrDraining
+		return fh.err
 	}
 	fh.queued += count
 	return nil
@@ -168,19 +176,19 @@ func (fh *intake) depth() int {
 	return fh.queued
 }
 
-// close stops admission and wakes everything: blocked producers return
-// ErrDraining, parked drain sources wake to find the closed flag, drain
-// their remaining slabs and end their runtimes. The caller must
-// guarantee no enqueue is in flight (the router does: close happens
-// after the draining flag flips under the router lock that every
-// enqueue holds).
-func (fh *intake) close() {
+// close stops admission with err and wakes everything: blocked
+// producers return err, parked drain sources wake to find the closed
+// flag, drain their remaining slabs and end their runtimes. Closing
+// again is a no-op. The caller must guarantee no enqueue is in flight
+// (the router does: close happens after the draining flag flips under
+// the router lock that every enqueue registers under).
+func (fh *intake) close(err error) {
 	fh.qmu.Lock()
 	if fh.closed {
 		fh.qmu.Unlock()
 		return
 	}
-	fh.closed = true
+	fh.closed, fh.err = true, err
 	fh.qcond.Broadcast()
 	fh.qmu.Unlock()
 	for i := range fh.shards {
@@ -207,7 +215,7 @@ func (fh *intake) getSlab() []live.JobSpec {
 		return s[:0]
 	}
 	fh.pmu.Unlock()
-	return make([]live.JobSpec, 0, fh.slabSize)
+	return make([]live.JobSpec, 0, slabSize)
 }
 
 // putSlab recycles a drained slab, dropping it once the pool is full.
@@ -222,50 +230,76 @@ func (fh *intake) putSlab(s []live.JobSpec) {
 	fh.poolDrops.Add(1)
 }
 
-// appendRun admits one batch's slice for a single shard: under one hold
-// of the shard's intake lock it reserves the shard's next n
-// runtime-local IDs and appends the batch's n specs for that shard
-// (those with out[i] == s, in batch order) to the shard queue, flushing
-// a slab per slabSize jobs and the partial remainder at the end (so the
-// drain source always sees whole batches). Returns the reserved local
-// base. The reserve and the append sharing one critical section is the
-// sole-submitter invariant's load-bearing wall: whatever order
-// concurrent producers reach a shard, each batch's specs land in the
-// queue in exactly the order its local IDs were reserved.
-func (fh *intake) appendRun(s, n int, out []int, specs []live.JobSpec, spec live.JobSpec) int {
+// appendRun admits one batch's slice for shard s: under one hold of the
+// shard's intake lock, each job of the batch placed there (out[i] == s,
+// in batch order) takes the shard's next runtime-local ID, has global
+// ID base+i published at that location, and is appended to the shard
+// queue. The reserve, the publication and the append sharing one
+// critical section is the sole-submitter invariant's load-bearing wall:
+// whatever order concurrent producers reach a shard, each batch's specs
+// land in the queue in exactly the order their local IDs were reserved.
+func (fh *intake) appendRun(s int, out []int, spec live.JobSpec, idx *jobIndex, base int) {
 	sq := &fh.shards[s]
 	sq.emu.Lock()
-	base := sq.nextLocal
-	sq.nextLocal += n
 	var cur []live.JobSpec
 	for i, sh := range out {
-		if sh != s {
-			continue
-		}
-		if cur == nil {
-			cur = fh.getSlab()
-		}
-		sp := spec
-		if specs != nil {
-			sp = specs[i]
-		}
-		cur = append(cur, sp)
-		if len(cur) >= fh.slabSize {
-			fh.flush(s, cur)
-			cur = nil
+		if sh == s {
+			idx.set(base+i, s, sq.nextLocal)
+			sq.nextLocal++
+			cur = fh.push(s, cur, spec)
 		}
 	}
+	fh.flushRest(s, cur)
+	sq.emu.Unlock()
+}
+
+// readmit re-admits jobs stolen from another shard on shard s, oldest
+// first (StealPending returns them newest first), re-pointing each
+// one's global ID gids[i] at its new location. Like appendRun it
+// reserves, publishes and appends under one hold of the shard's intake
+// lock; the jobs' depth is accounted without waiting on the bound.
+func (fh *intake) readmit(s int, jobs []live.StolenJob, gids []int, idx *jobIndex) {
+	fh.qmu.Lock()
+	fh.queued += len(jobs)
+	fh.qmu.Unlock()
+	sq := &fh.shards[s]
+	sq.emu.Lock()
+	var cur []live.JobSpec
+	for i := len(jobs) - 1; i >= 0; i-- {
+		idx.repoint(gids[i], s, sq.nextLocal)
+		sq.nextLocal++
+		cur = fh.push(s, cur, jobs[i].Spec)
+	}
+	fh.flushRest(s, cur)
+	sq.emu.Unlock()
+}
+
+// push appends one spec to the slab being filled for shard s (nil: none
+// yet), flushing it once full. Caller holds the shard's intake lock.
+func (fh *intake) push(s int, cur []live.JobSpec, spec live.JobSpec) []live.JobSpec {
+	if cur == nil {
+		cur = fh.getSlab()
+	}
+	cur = append(cur, spec)
+	if len(cur) == slabSize {
+		fh.flush(s, cur)
+		return nil
+	}
+	return cur
+}
+
+// flushRest flushes a partly filled slab, so the drain source always
+// sees whole batches. Caller holds the shard's intake lock.
+func (fh *intake) flushRest(s int, cur []live.JobSpec) {
 	if len(cur) > 0 {
 		fh.flush(s, cur)
 	}
-	sq.emu.Unlock()
-	return base
 }
 
 // flush appends one filled slab to the shard queue and wakes its drain
 // source. Caller holds the shard's intake lock; flush-vs-close ordering
-// is the router's enqueues WaitGroup (every registered batch's flushes
-// complete before Drain closes the intake).
+// is the router's (every registered batch and migration flushes before
+// Drain closes the intake).
 func (fh *intake) flush(shard int, slab []live.JobSpec) {
 	sq := &fh.shards[shard]
 	sq.mu.Lock()
@@ -290,43 +324,21 @@ func (sq *fhShard) takeInto(buf [][]live.JobSpec) [][]live.JobSpec {
 
 // drainLoop is the shard's in-world drain source: the sole submitter to
 // its runtime. It moves queued slabs into the runtime (one critical
-// section per slab), parks on the wake channel while its shard is
-// fully idle, polls on the model clock while work is still in flight,
-// and — once the intake closes and empties — drains the runtime from
-// inside the world (the only legal drain on a virtual clock).
-//
-// Blocking a virtual-world actor on a plain Go channel deliberately
-// stalls the kernel: every other proc is in a kernel-visible blocked
-// state, so the world simply waits for the external wake — exactly the
-// semantics a serving ingest needs.
-func (fh *intake) drainLoop(r *Router, shard int, src *live.Source) {
+// section per slab, each after src.Await lets it past the admission
+// window), waits through src.Await while its queue is empty, and — once
+// the intake closes and empties — drains the runtime from inside the
+// world (the only legal drain on a virtual clock).
+func (fh *intake) drainLoop(shard int, src *live.Source) {
 	sq := &fh.shards[shard]
-	rt := r.shards[shard].rt
 	expected := 0 // next runtime-local ID, mirrored by fhShard.nextLocal
 	spare := make([][]live.JobSpec, 0, 8)
-	// submitAll admits every taken slab, one runtime critical section
-	// each, and recycles the containers. Before each slab it waits out
-	// the admission window: while the runtime already holds window
-	// outstanding jobs, the source sleeps on the model clock (the world
-	// keeps completing work) instead of growing the master's ledgers —
-	// the backlog stays in the intake where appends are O(1).
+	// submitAll admits every taken slab and recycles the containers.
 	submitAll := func(slabs [][]live.JobSpec) {
 		for i, slab := range slabs {
-			// The wait backs off exponentially: a fixed cadence would pay
-			// O(window/poll) yields per refill, and on a virtual clock
-			// those yields are the dominant kernel cost at millions of
-			// jobs. Backoff makes each window refill O(log) yields at the
-			// price of slightly lumpier admission timestamps.
-			wait := drainPoll
-			for rt.Load().Outstanding() >= admitWindow {
-				src.Sleep(wait)
-				if wait < drainPoll*1024 {
-					wait *= 2
-				}
-			}
+			src.Await(sq.notify, admitWindow, drainPoll)
 			base := src.SubmitSpecs(slab)
 			if base != expected {
-				panic(fmt.Sprintf("cluster: firehose shard %d drained local base %d, predicted %d (foreign submitter?)", shard, base, expected))
+				panic(fmt.Sprintf("cluster: intake shard %d drained local base %d, predicted %d (foreign submitter?)", shard, base, expected))
 			}
 			expected += len(slab)
 			sq.queued.Add(int64(-len(slab)))
@@ -353,11 +365,7 @@ func (fh *intake) drainLoop(r *Router, shard int, src *live.Source) {
 			src.Drain()
 			return
 		}
-		if rt.Load().Outstanding() == 0 {
-			<-sq.notify
-			continue
-		}
-		src.Sleep(drainPoll)
+		src.Await(sq.notify, 0, drainPoll)
 	}
 }
 
@@ -380,12 +388,8 @@ type FirehoseStats struct {
 	SlabDrops int64
 }
 
-// FirehoseStats snapshots the intake's backpressure state; ok is false
-// when the cluster is not in firehose mode.
-func (r *Router) FirehoseStats() (FirehoseStats, bool) {
-	if r.fh == nil {
-		return FirehoseStats{}, false
-	}
+// FirehoseStats snapshots the intake's backpressure state.
+func (r *Router) FirehoseStats() FirehoseStats {
 	fs := FirehoseStats{
 		QueueBound:  r.fh.bound,
 		Queued:      r.fh.depth(),
@@ -397,14 +401,11 @@ func (r *Router) FirehoseStats() (FirehoseStats, bool) {
 	for i := range r.fh.shards {
 		fs.ShardQueued[i] = r.fh.shards[i].queued.Load()
 	}
-	return fs, true
+	return fs
 }
 
-// FirehoseDepth returns the intake's total queued job count (0 outside
-// firehose mode) — an allocation-free gauge reader.
+// FirehoseDepth returns the intake's total queued job count — an
+// allocation-free gauge reader.
 func (r *Router) FirehoseDepth() int {
-	if r.fh == nil {
-		return 0
-	}
 	return r.fh.depth()
 }

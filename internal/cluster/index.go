@@ -22,7 +22,10 @@ package cluster
 //     producers own distinct IDs.
 //   - Re-pointing (repoint, migration only) rewrites an existing entry
 //     under the owning chunk's narrow mutex, serializing concurrent
-//     migrations of neighboring jobs without ever blocking a reader.
+//     migrations of neighboring jobs without ever blocking a reader. A
+//     migration learns which IDs to re-point by scanning the table
+//     backward for the stolen jobs' locations (owners): there is no
+//     reverse table on the admission path to keep up to date.
 //
 // Readers (lookup) load the counter, the spine and the entry word —
 // three atomic loads, zero locks, zero allocations. An allocated ID
@@ -31,8 +34,11 @@ package cluster
 // placeholder it uses for accepted-but-not-yet-observed jobs.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/live"
 )
 
 const (
@@ -158,4 +164,31 @@ func (x *jobIndex) lookup(gid int) (shard, local int, pending, ok bool) {
 	}
 	shard, local = unpackRef(p)
 	return shard, local, false, true
+}
+
+// owners returns the global ID of each job stolen from shard: gids[i]
+// is the ID whose entry reads (shard, jobs[i].Local). It scans the table
+// backward from the newest ID. A steal takes the youngest of its
+// shard's backlog, so the scan ends after roughly the jobs admitted
+// cluster-wide since the oldest stolen one — no per-job reverse table
+// is kept on the admission path for it. Every job a runtime holds was
+// published before its slab reached the runtime, so an entry that
+// cannot be found is a broken invariant.
+func (x *jobIndex) owners(shard int, jobs []live.StolenJob) []int {
+	want := make(map[int]int, len(jobs)) // local ID → position in jobs
+	for i, j := range jobs {
+		want[j.Local] = i
+	}
+	gids := make([]int, len(jobs))
+	for gid := x.count() - 1; gid >= 0 && len(want) > 0; gid-- {
+		s, local, pending, _ := x.lookup(gid)
+		if i, ok := want[local]; ok && !pending && s == shard {
+			gids[i] = gid
+			delete(want, local)
+		}
+	}
+	for local := range want {
+		panic(fmt.Sprintf("cluster: job %d stolen from shard %d has no global ID", local, shard))
+	}
+	return gids
 }

@@ -94,15 +94,17 @@ func TestJobIndexGrowth(t *testing.T) {
 }
 
 // TestFirehoseReadUnderIngest is the lock-free read-path race test: while
-// concurrent producers pour batches through the firehose, reader
+// concurrent producers pour batches through the intake, reader
 // goroutines hammer Job, ShardOf and Jobs. Under -race this fails on any
 // unsynchronized access in the index publication or spine growth; the
 // assertions pin that every ID a reader observes resolves consistently
 // and that the final population is exact.
 func TestFirehoseReadUnderIngest(t *testing.T) {
 	r := firehoseCluster(t, fourShardPlatform(), 4, PlacementLeastLoaded,
-		FirehoseConfig{QueueDepth: 4096, SlabSize: 64})
-	const producers, batches, per = 4, 50, 64
+		FirehoseConfig{QueueDepth: 4096})
+	// Batches span several slabs per shard (least-loaded spreads each
+	// 2100-job batch over the four shards).
+	const producers, batches, per = 4, 3, 2100
 	const total = producers * batches * per
 
 	stop := make(chan struct{})

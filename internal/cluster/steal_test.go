@@ -14,6 +14,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -202,7 +203,7 @@ func stealCluster(t *testing.T, m, shards int, placement string) *Router {
 func TestMigrateMovesPendingJobs(t *testing.T) {
 	r := stealCluster(t, 4, 2, PlacementPinned)
 	const jobs = 20
-	ids, err := r.SubmitBatch(live.JobSpec{}, jobs)
+	ids, err := submitIDs(r, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +212,7 @@ func TestMigrateMovesPendingJobs(t *testing.T) {
 			t.Fatalf("pinned placement put job %d on shard %d", gid, s)
 		}
 	}
+	waitIntake(r)
 
 	moved := r.Migrate(0, 1, 8)
 	if moved == 0 {
@@ -278,7 +280,7 @@ func TestMigrateMovesPendingJobs(t *testing.T) {
 
 func TestMigrateRefusals(t *testing.T) {
 	r := stealCluster(t, 4, 2, PlacementPinned)
-	if _, err := r.SubmitBatch(live.JobSpec{}, 5); err != nil {
+	if _, err := submitIDs(r, 5); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ from, to, n int }{
@@ -304,10 +306,15 @@ func TestMigrateRefusals(t *testing.T) {
 }
 
 // TestMigrationInvariants is the property test: randomized interleavings
-// of concurrent submissions and migrations (seeded, so failures replay),
-// then a drain, after which no job may be lost, duplicated or
-// double-dispatched. Run under -race this also exercises the router
-// table against the steal path.
+// of concurrent submissions, migrations, lookups and a drain that lands
+// mid-storm (seeded, so failures replay), after which no job may be
+// lost, duplicated or double-dispatched. Every re-admission goes through
+// the destination's intake with the drain sources' local-ID prediction
+// live, so a stolen job delivered any other way fails the drain. While
+// the storm runs, every ID a submission has returned must resolve
+// through Job and ShardOf — never "unknown", whichever shard holds it.
+// Run under -race this also exercises the router table against the
+// steal path.
 func TestMigrationInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -316,14 +323,26 @@ func TestMigrationInvariants(t *testing.T) {
 
 			var mu sync.Mutex
 			var all []int
+			issued := func(rng *rand.Rand) (int, bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				if len(all) == 0 {
+					return 0, false
+				}
+				return all[rng.Intn(len(all))], true
+			}
 			var wg sync.WaitGroup
-			// Two submitters race three thieves.
+			// Two submitters race three thieves and two readers; the drain
+			// lands part-way through.
 			for w := 0; w < 2; w++ {
 				wg.Add(1)
 				go func(rng *rand.Rand) {
 					defer wg.Done()
 					for b := 0; b < 8; b++ {
-						ids, err := r.SubmitBatch(live.JobSpec{}, 1+rng.Intn(10))
+						ids, err := submitIDs(r, 1+rng.Intn(10))
+						if err == ErrDraining {
+							return
+						}
 						if err != nil {
 							t.Errorf("submit: %v", err)
 							return
@@ -346,10 +365,41 @@ func TestMigrationInvariants(t *testing.T) {
 					}
 				}(rand.New(rand.NewSource(rng.Int63())))
 			}
-			wg.Wait()
+			stop := make(chan struct{})
+			var readers sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				readers.Add(1)
+				go func(rng *rand.Rand) {
+					defer readers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						gid, ok := issued(rng)
+						if !ok {
+							runtime.Gosched()
+							continue
+						}
+						if _, ok := r.Job(gid); !ok {
+							t.Errorf("Job(%d) unknown for an issued ID", gid)
+							return
+						}
+						if _, ok := r.ShardOf(gid); !ok {
+							t.Errorf("ShardOf(%d) unknown for an issued ID", gid)
+							return
+						}
+					}
+				}(rand.New(rand.NewSource(rng.Int63())))
+			}
+			time.Sleep(time.Duration(5+rng.Intn(10)) * time.Millisecond)
 			if err := r.Drain(); err != nil {
 				t.Fatal(err)
 			}
+			wg.Wait()
+			close(stop)
+			readers.Wait()
 
 			if len(all) != r.Jobs() {
 				t.Fatalf("routed %d, submitted %d", r.Jobs(), len(all))
@@ -391,7 +441,7 @@ func TestDrainVsStealRace(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		r := stealCluster(t, 6, 3, PlacementPinned)
 		const jobs = 45
-		if _, err := r.SubmitBatch(live.JobSpec{}, jobs); err != nil {
+		if _, err := submitIDs(r, jobs); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -448,7 +498,7 @@ func TestRebalancerMovesSkewedBacklog(t *testing.T) {
 	}
 	b.Start()
 	b.Start() // idempotent
-	if _, err := r.SubmitBatch(live.JobSpec{}, 90); err != nil {
+	if _, err := submitIDs(r, 90); err != nil {
 		t.Fatal(err)
 	}
 	// Let a few passes fire against the pinned backlog.
@@ -545,7 +595,7 @@ func TestStealRateZeroVirtualConformance(t *testing.T) {
 				}
 			}()
 			r.Start()
-			err = r.Wait()
+			err = r.Drain()
 			close(stop)
 			wg.Wait()
 			if err != nil {
@@ -594,7 +644,7 @@ func TestPlacementSkipsDeadShards(t *testing.T) {
 			t.Fatalf("%s: shard 1 has %d live slaves after the kill timeline", placement, got)
 		}
 
-		ids, err := r.SubmitBatch(live.JobSpec{}, 30)
+		ids, err := submitIDs(r, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -619,7 +669,7 @@ func TestPlacementSkipsDeadShards(t *testing.T) {
 		for g := 0; g < 6; g++ {
 			r.SetSlaveLive(g, false)
 		}
-		if _, err := r.Submit(live.JobSpec{}); err != nil {
+		if _, err := r.SubmitRange(live.JobSpec{}, 1); err != nil {
 			t.Fatalf("%s: blackout submission refused: %v", placement, err)
 		}
 		for g := 0; g < 6; g++ {

@@ -17,7 +17,7 @@ import (
 // The canonical eight-slave platform is split four ways; each part is a
 // bare Runtime on its own virtual clock — master dispatch, slave service
 // and the vclock kernel, no tracker, no observer — fed 512-job slabs
-// under the firehose intake's 1024-job admission window, all four running
+// under the cluster intake's 1024-job admission window, all four running
 // at once as they do under the cluster.
 func BenchmarkLifecycleRung(b *testing.B) {
 	const (

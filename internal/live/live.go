@@ -157,24 +157,13 @@ func (rt *Runtime) Submit(spec JobSpec) int {
 	return rt.submitSpecs(rt.world.Post, []JobSpec{spec})
 }
 
-// SubmitSpecs injects a batch of jobs under one lock acquisition and
-// returns the first assigned ID; the batch occupies the consecutive range
-// [base, base+len(specs)) in submission order. A routed batch's slice for
-// this runtime — or a drained intake slab — becomes exactly one runtime
-// critical section, and returning only the range base keeps the call
-// allocation-free regardless of batch size. The caller keeps
-// ownership of specs; per-spec IDs are stamped on posted copies only.
-// Only real worlds accept external submissions; virtual worlds panic
-// (use Source.SubmitSpecs).
-func (rt *Runtime) SubmitSpecs(specs []JobSpec) int {
-	return rt.submitSpecs(rt.world.Post, specs)
-}
-
 // submitSpecs is the one admission critical section behind every
 // submission entry point, external or in-world (post is the caller's way
 // into the master's mailbox): the ID counter is shared, and the lock is
 // held across every post so concurrent submitters cannot interleave IDs
-// mid-batch or deliver jobs to the master out of ID order. Submitting
+// mid-batch or deliver jobs to the master out of ID order. The caller
+// keeps ownership of specs; per-spec IDs are stamped on posted copies
+// only. Submitting
 // after any source or external caller has drained panics (surfaced as
 // the world error for in-world callers): the master may already have
 // exited, and a silently dropped job would corrupt the run's accounting.
@@ -195,7 +184,7 @@ func (rt *Runtime) submitSpecs(post func(dst int, m Msg), specs []JobSpec) int {
 
 // Load is a point-in-time progress snapshot of a runtime, cheap enough
 // to poll per placement decision: Submitted counts jobs accepted by
-// Submit/SubmitSpecs/sources, Admitted those the master has enqueued
+// Submit or a source, Admitted those the master has enqueued
 // (it may trail Submitted by in-flight mail), Dispatched those sent to
 // a slave, Completed those finished.
 type Load struct {
@@ -411,10 +400,48 @@ func (s *Source) Submit(spec JobSpec) int { return s.rt.submitSpecs(s.n.Post, []
 // instant under one runtime lock acquisition and returns the first
 // assigned ID (the batch is [base, base+len(specs))). On a virtual
 // world each post is a synchronous mailbox append — the whole batch is
-// admitted without yielding, which is what makes the firehose drain
-// cheap: one kernel wake absorbs an arbitrarily large slab.
+// admitted without yielding, which is what makes an intake drain cheap:
+// one kernel wake absorbs an arbitrarily large slab.
 func (s *Source) SubmitSpecs(specs []JobSpec) int {
 	return s.rt.submitSpecs(s.n.Post, specs)
+}
+
+// Await blocks a source that feeds its runtime from producers outside
+// the world until it should act again. With window > 0 the source holds
+// jobs it admits once fewer than window of its runtime's jobs are
+// outstanding; with window 0 it holds nothing and waits for its
+// producers' next signal on notify.
+//
+// A real world runs every actor on its own goroutine, so there the wait
+// is a plain block on notify and held jobs are admitted at once: no
+// model-clock poll, no admission window. A virtual world cannot see an
+// outside event while it still has work — its clock moves only when its
+// actors block on it — so there Await blocks on notify only while the
+// runtime is idle and otherwise sleeps poll model seconds, and it waits
+// out the window in sleeps that double from poll up to 1024·poll: a
+// fixed cadence would pay O(window/poll) yields per refill, the dominant
+// kernel cost at millions of jobs.
+func (s *Source) Await(notify <-chan struct{}, window int, poll float64) {
+	if _, virtual := s.rt.world.(*VirtualWorld); !virtual {
+		if window == 0 {
+			<-notify
+		}
+		return
+	}
+	if window == 0 {
+		if s.rt.Load().Outstanding() == 0 {
+			<-notify
+			return
+		}
+		s.Sleep(poll)
+		return
+	}
+	for wait := poll; s.rt.Load().Outstanding() >= window; {
+		s.Sleep(wait)
+		if wait < poll*1024 {
+			wait *= 2
+		}
+	}
 }
 
 // Drain tells the master no more jobs are coming (from any source or

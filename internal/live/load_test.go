@@ -92,13 +92,15 @@ func TestLoadBatchSubmissionCountsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base := rt.SubmitSpecs(make([]JobSpec, 7)); base != 0 {
-		t.Fatalf("first batch got base ID %d, want 0", base)
+	for i := 0; i < 7; i++ {
+		if id := rt.Submit(JobSpec{}); id != i {
+			t.Fatalf("submission %d got ID %d", i, id)
+		}
 	}
 	// Submitted reflects acceptance synchronously, before the master has
 	// necessarily seen the mail — that is the placement-facing contract.
 	if l := rt.Load(); l.Submitted != 7 {
-		t.Fatalf("submitted %d after batch of 7", l.Submitted)
+		t.Fatalf("submitted %d after 7 submissions", l.Submitted)
 	}
 	rt.Start()
 	rt.Drain()

@@ -38,17 +38,18 @@ func stealTestRuntime(t *testing.T, tracker *Tracker) *Runtime {
 	return rt
 }
 
+// submitN submits n copies of spec from outside the world.
+func submitN(rt *Runtime, n int, spec JobSpec) {
+	for i := 0; i < n; i++ {
+		rt.Submit(spec)
+	}
+}
+
 func TestStealPendingTakesNewestFirst(t *testing.T) {
 	tracker := NewTracker()
 	rt := stealTestRuntime(t, tracker)
 	const jobs = 10
-	specs := make([]JobSpec, jobs)
-	for i := range specs {
-		specs[i] = JobSpec{CommScale: 2, CompScale: 3}
-	}
-	if base := rt.SubmitSpecs(specs); base != 0 {
-		t.Fatalf("first batch got base ID %d, want 0", base)
-	}
+	submitN(rt, jobs, JobSpec{CommScale: 2, CompScale: 3})
 
 	stolen := rt.StealPending(3)
 	if len(stolen) != 3 {
@@ -88,7 +89,7 @@ func TestStealPendingTakesNewestFirst(t *testing.T) {
 
 func TestStealPendingOverAskDrainsQueueAndRunCompletes(t *testing.T) {
 	rt := stealTestRuntime(t, nil)
-	rt.SubmitSpecs(make([]JobSpec, 5))
+	submitN(rt, 5, JobSpec{})
 	// Ask for far more than is pending: the steal empties the queue (minus
 	// whatever the master already claimed for the port) without blocking.
 	stolen := rt.StealPending(100)
@@ -118,7 +119,7 @@ func TestStealPendingRefusals(t *testing.T) {
 	}
 	// Draining runtimes refuse: a steal racing the drain must not strand
 	// jobs outside both masters.
-	rt.SubmitSpecs(make([]JobSpec, 3))
+	submitN(rt, 3, JobSpec{})
 	rt.Drain()
 	if got := rt.StealPending(1); got != nil {
 		t.Fatalf("StealPending during drain = %v, want nil", got)

@@ -16,7 +16,7 @@
 //     sharded router (4 shards, least-loaded placement): batched
 //     placement decisions, global-ID bookkeeping, fan-out drain;
 //   - BenchmarkClusterPlacement — the router's placement hot path alone
-//     (SubmitBatch into an unstarted cluster), CPU-bound and therefore
+//     (SubmitRange into an unstarted cluster), CPU-bound and therefore
 //     hard-gated, unlike the two ingest lifecycles, which sleep on a
 //     scaled real clock and are exempt from the ns/op gate (see the
 //     -skip regexp in ci.yml);
@@ -284,7 +284,7 @@ func BenchmarkRebalance(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.Start()
-		if _, err := r.SubmitBatch(live.JobSpec{}, 200); err != nil {
+		if _, err := r.SubmitRange(live.JobSpec{}, 200); err != nil {
 			b.Fatal(err)
 		}
 		for pass := 0; pass < 4; pass++ {
@@ -469,7 +469,7 @@ func BenchmarkInstrumentedIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				for batch := 0; batch < 10; batch++ {
-					if _, err := r.SubmitBatch(live.JobSpec{}, 100); err != nil {
+					if _, err := r.SubmitRange(live.JobSpec{}, 100); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -568,12 +568,13 @@ func BenchmarkPickBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterPlacement isolates the router's direct admission
-// cost: batched submission into an unstarted 4-shard cluster (no
-// slaves running, nothing sleeps), measuring PickBatch + global-ID
-// bookkeeping + delivery into the runtimes' mailboxes. One op is a fresh router routing 1000 jobs in 10
-// batches, so construction amortizes and the queued mail is reclaimed
-// each iteration. This one is CPU-bound and fully gated.
+// BenchmarkClusterPlacement isolates the router's admission cost at
+// small batches: batched submission into an unstarted 4-shard cluster
+// (no slaves running, nothing drains), measuring PickBatch + global-ID
+// bookkeeping + the intake enqueue. One op is a fresh router routing
+// 1000 jobs in 10 batches, so construction amortizes and the queued
+// slabs are reclaimed each iteration. This one is CPU-bound and fully
+// gated.
 func BenchmarkClusterPlacement(b *testing.B) {
 	pl := core.NewPlatform(
 		[]float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
@@ -594,7 +595,7 @@ func BenchmarkClusterPlacement(b *testing.B) {
 					b.Fatal(err)
 				}
 				for batch := 0; batch < 10; batch++ {
-					if _, err := r.SubmitBatch(live.JobSpec{}, 100); err != nil {
+					if _, err := r.SubmitRange(live.JobSpec{}, 100); err != nil {
 						b.Fatal(err)
 					}
 				}

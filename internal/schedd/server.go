@@ -61,19 +61,18 @@ type Config struct {
 	// MaxBatch caps the count accepted by one POST /v1/jobs and by one
 	// line of POST /v1/jobs:stream (default 10000).
 	MaxBatch int
-	// VirtualClock switches the service into pure-throughput mode: every
-	// shard runs on a deterministic virtual clock (live.NewVirtual) behind
-	// the cluster's firehose intake, so ingest is bounded by placement and
-	// admission cost alone, never by wall-clock pacing. ClockScale is
-	// forced to 1 (virtual model seconds have no wall anchor) and Steal
-	// must be off — migration is incompatible with the firehose's
-	// sole-submitter invariant (see cluster.FirehoseConfig).
+	// VirtualClock runs every shard on a deterministic virtual clock
+	// (live.NewVirtual) instead of the scaled wall clock — the
+	// pure-throughput mode: ingest is bounded by placement and admission
+	// cost alone, never by wall-clock pacing. ClockScale is forced to 1
+	// (virtual model seconds have no wall anchor) and Steal must be off: a
+	// virtual world admits no outside event, so its masters refuse to be
+	// stolen from (live.Runtime.StealPending).
 	VirtualClock bool
-	// IngestQueueDepth bounds the enqueued-but-not-yet-admitted backlog
-	// behind POST /v1/jobs:stream. In VirtualClock mode it is the firehose
-	// intake's QueueDepth (0 means that mode's 65536 default); on a real
-	// clock the stream handler throttles while the cluster's pending
-	// population is at or above it (0 means 65536).
+	// IngestQueueDepth bounds the cluster's intake: the accepted jobs not
+	// yet admitted by a shard runtime, on either clock. A submission on
+	// either endpoint — POST /v1/jobs or a POST /v1/jobs:stream line —
+	// that finds the intake full waits for room. 0 means 65536.
 	IngestQueueDepth int
 	// Steal names the cross-shard work-stealing policy; empty or "none"
 	// serves without a rebalancer (the PR-5 cluster, bit for bit).
@@ -141,12 +140,6 @@ type Server struct {
 	// compare response bodies byte for byte.
 	now func() time.Time
 
-	// ingestDepth is the resolved IngestQueueDepth; firehose is true in
-	// VirtualClock mode, where backpressure comes from the cluster intake
-	// itself rather than the stream handler's pending-population throttle.
-	ingestDepth int
-	firehose    bool
-
 	// streamWorkers is the jobs:stream decode pipeline's parse-worker
 	// count per connection: GOMAXPROCS capped at 8, so a one-core host
 	// runs the same pipeline at one worker.
@@ -165,7 +158,8 @@ type Server struct {
 	// scrapeMu makes a scrape one sample-then-render step (see gather).
 	// loads and intake are the samples its Func readers share: each
 	// shard's lock-free progress counters behind the schedd_jobs_*_total
-	// families, and the firehose intake behind schedd_firehose_*.
+	// families, the intake behind schedd_firehose_*, and both behind
+	// schedd_queue_depth.
 	scrapeMu sync.Mutex
 	loads    []live.Load
 	intake   cluster.FirehoseStats
@@ -228,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.VirtualClock {
 		if cfg.Steal != cluster.StealNone {
-			return nil, fmt.Errorf("schedd: virtual-clock mode cannot steal (firehose admission predicts runtime-local IDs, so each shard must have exactly one submitter)")
+			return nil, fmt.Errorf("schedd: virtual-clock mode cannot steal (a virtual world admits no outside event, so its masters refuse to be stolen from)")
 		}
 		// Virtual model seconds have no wall anchor: latency conversions
 		// divide by the scale, and 1 keeps them in model seconds.
@@ -243,11 +237,6 @@ func New(cfg Config) (*Server, error) {
 		auditDepth = 0
 	}
 	s := &Server{cfg: cfg, started: time.Now(), now: time.Now, watch: newWatchHub()}
-	s.firehose = cfg.VirtualClock
-	s.ingestDepth = cfg.IngestQueueDepth
-	if s.ingestDepth <= 0 {
-		s.ingestDepth = 65536
-	}
 	s.streamWorkers = min(runtime.GOMAXPROCS(0), 8)
 	// Everything the per-event tap writes to — SLO monitors, the latency
 	// histogram, the recorder — is built before the cluster that calls it.
@@ -287,14 +276,11 @@ func New(cfg Config) (*Server, error) {
 	// merged first-submission-to-last-completion span in Stats) compare
 	// timestamps across shards, which is only meaningful on one clock.
 	// Virtual mode replaces the scaled wall clock with a deterministic
-	// vclock per shard and routes all admission through the firehose
-	// intake (bounded MPSC queues drained in slab-sized batches).
+	// vclock per shard; admission is the cluster's intake either way.
 	epoch := time.Now()
 	world := func(int) live.World { return live.NewRealTimeFrom(cfg.ClockScale, epoch) }
-	var firehose *cluster.FirehoseConfig
 	if cfg.VirtualClock {
 		world = func(int) live.World { return live.NewVirtual() }
-		firehose = &cluster.FirehoseConfig{QueueDepth: s.ingestDepth}
 	}
 	router, err := cluster.New(cluster.Config{
 		Platform:     cfg.Platform,
@@ -305,7 +291,7 @@ func New(cfg Config) (*Server, error) {
 		AuditDepth:   auditDepth,
 		EventLogCap:  eventLogCap,
 		World:        world,
-		Firehose:     firehose,
+		Firehose:     &cluster.FirehoseConfig{QueueDepth: cfg.IngestQueueDepth},
 		Observer:     s.observeShardEvent,
 	})
 	if err != nil {
@@ -375,8 +361,8 @@ func (s *Server) registerMetrics() {
 			labels, func() float64 { return float64(s.loads[idx].Completed) })
 		r.CounterFunc("schedd_jobs_stolen_total", "Jobs retracted by cross-shard steals, by source shard.",
 			labels, func() float64 { return float64(s.loads[idx].Retracted) })
-		r.GaugeFunc("schedd_queue_depth", "Accepted-but-undispatched backlog, by shard.",
-			labels, func() float64 { return float64(s.loads[idx].QueueDepth()) })
+		r.GaugeFunc("schedd_queue_depth", "Accepted-but-undispatched backlog, intake included, by shard.",
+			labels, func() float64 { return float64(queueDepth(s.loads[idx], s.intake.ShardQueued[idx])) })
 		r.GaugeFunc("schedd_slaves_live", "Slaves not declared down, by shard.",
 			labels, func() float64 { return float64(sh.LiveSlaves()) })
 		r.CounterFunc("schedd_events_dropped_total", "Events overwritten in the bounded per-shard event log.",
@@ -440,38 +426,45 @@ func (s *Server) registerMetrics() {
 	}
 	r.CounterFunc("schedd_watch_events_dropped_total", "Watch-stream events dropped on slow subscribers.",
 		"", func() float64 { return float64(s.watch.dropped.Load()) })
-	if s.firehose {
-		r.GaugeFunc("schedd_firehose_queue_depth", "Enqueued-but-not-yet-admitted jobs across all firehose intake shards.",
-			"", func() float64 { return float64(s.intake.Queued) })
-		for _, sh := range s.router.Shards() {
-			idx := sh.Index()
-			r.GaugeFunc("schedd_firehose_shard_queued", "Enqueued-but-not-yet-admitted jobs, by intake shard.",
-				obs.Labels("shard", strconv.Itoa(idx)),
-				func() float64 { return float64(s.intake.ShardQueued[idx]) })
-		}
-		r.CounterFunc("schedd_firehose_slab_gets_total", "Admission-slab checkouts from the firehose slab pool.",
-			"", func() float64 { return float64(s.intake.SlabGets) })
-		r.CounterFunc("schedd_firehose_slab_hits_total", "Admission-slab checkouts served by recycling (the rest allocated).",
-			"", func() float64 { return float64(s.intake.SlabHits) })
-		r.CounterFunc("schedd_firehose_slab_drops_total", "Drained slabs discarded because the recycle pool was full.",
-			"", func() float64 { return float64(s.intake.SlabDrops) })
+	r.GaugeFunc("schedd_firehose_queue_depth", "Enqueued-but-not-yet-admitted jobs across all intake shards.",
+		"", func() float64 { return float64(s.intake.Queued) })
+	for _, sh := range s.router.Shards() {
+		idx := sh.Index()
+		r.GaugeFunc("schedd_firehose_shard_queued", "Enqueued-but-not-yet-admitted jobs, by intake shard.",
+			obs.Labels("shard", strconv.Itoa(idx)),
+			func() float64 { return float64(s.intake.ShardQueued[idx]) })
 	}
+	r.CounterFunc("schedd_firehose_slab_gets_total", "Admission-slab checkouts from the intake slab pool.",
+		"", func() float64 { return float64(s.intake.SlabGets) })
+	r.CounterFunc("schedd_firehose_slab_hits_total", "Admission-slab checkouts served by recycling (the rest allocated).",
+		"", func() float64 { return float64(s.intake.SlabHits) })
+	r.CounterFunc("schedd_firehose_slab_drops_total", "Drained slabs discarded because the recycle pool was full.",
+		"", func() float64 { return float64(s.intake.SlabDrops) })
+}
+
+// queueDepth is one shard's accepted-but-undispatched backlog: the jobs
+// its runtime holds undispatched plus those still waiting in its intake
+// queue. It is the one definition behind /healthz, /readyz, /v1/stats
+// and schedd_queue_depth, and the per-shard term of
+// cluster.Router.Pending. Every reader samples the intake before the
+// loads, as Pending does, so a slab moving between the two is counted
+// twice rather than not at all.
+func queueDepth(l live.Load, intakeQueued int64) int {
+	return l.QueueDepth() + int(intakeQueued)
 }
 
 // gather renders the metrics registry through write (WritePrometheus
-// or WriteJSON). Under scrapeMu it first samples every shard's Load —
-// lock-free and internally monotone — and the firehose intake, once
-// each, and every Func reader renders from those samples: within one
-// scrape completed ≤ dispatched ≤ submitted holds per shard, and no
-// scrape takes a tracker lock against a master's write lock. Rendering
-// into memory keeps a slow client from holding the scrape lock.
+// or WriteJSON). Under scrapeMu it first samples the intake and every
+// shard's Load — lock-free and internally monotone — once each, and
+// every Func reader renders from those samples: within one scrape
+// completed ≤ dispatched ≤ submitted holds per shard, and no scrape
+// takes a tracker lock against a master's write lock. Rendering into
+// memory keeps a slow client from holding the scrape lock.
 func (s *Server) gather(write func(io.Writer) error) []byte {
 	s.scrapeMu.Lock()
 	defer s.scrapeMu.Unlock()
+	s.intake = s.router.FirehoseStats()
 	s.loads = s.router.Loads()
-	if fs, ok := s.router.FirehoseStats(); ok {
-		s.intake = fs
-	}
 	var buf bytes.Buffer
 	_ = write(&buf) // the registry only passes on the writer's errors; a Buffer has none
 	return buf.Bytes()
@@ -697,7 +690,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ids, err := s.router.SubmitBatch(live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, req.Count)
+	base, err := s.router.SubmitRange(live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, req.Count)
 	if err != nil {
 		if errors.Is(err, cluster.ErrDraining) {
 			httpError(w, http.StatusServiceUnavailable, "draining: no new jobs accepted")
@@ -705,6 +698,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
+	}
+	ids := make([]int, req.Count)
+	for i := range ids {
+		ids[i] = base + i
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{IDs: ids})
 }
@@ -755,14 +752,14 @@ type ShardStats struct {
 	Slaves []int       `json:"slaves"`
 	Jobs   live.Counts `json:"jobs"`
 	// QueueDepth is the shard's accepted-but-undispatched backlog right
-	// now (live, unlike the completed-job statistics).
+	// now, intake included (live, unlike the completed-job statistics).
 	QueueDepth int `json:"queue_depth"`
 	// EventsDropped counts lifecycle events overwritten in the shard's
 	// bounded event ring — nonzero means the retained log (and any trace
 	// built from it) is missing its oldest history.
 	EventsDropped int64 `json:"events_dropped"`
-	// IntakeQueued is the shard's enqueued-but-not-yet-admitted firehose
-	// backlog (only present in VirtualClock mode).
+	// IntakeQueued is the part of QueueDepth still waiting in the shard's
+	// intake queue (absent when zero).
 	IntakeQueued         int64         `json:"intake_queued,omitempty"`
 	ThroughputJobsPerSec float64       `json:"throughput_jobs_per_sec"`
 	LatencySeconds       *LatencyStats `json:"latency_seconds,omitempty"`
@@ -826,8 +823,7 @@ type StatsResponse struct {
 	// dropped on slow ones.
 	Watch *WatchStats `json:"watch,omitempty"`
 	// Firehose reports the intake's backpressure state (queue depth, per-
-	// shard backlog, slab-pool effectiveness); absent outside
-	// VirtualClock mode.
+	// shard backlog, slab-pool effectiveness).
 	Firehose *FirehoseStatsResponse `json:"firehose,omitempty"`
 	// PerShard holds one section per shard, in shard order.
 	PerShard []ShardStats `json:"per_shard"`
@@ -846,11 +842,11 @@ type WatchStats struct {
 	Dropped     uint64 `json:"dropped"`
 }
 
-// FirehoseStatsResponse is the GET /v1/stats firehose-intake stanza: how
-// much backlog producers have parked in the bounded intake (queued vs
-// the bound producers block on) and how the admission-slab pool is
-// holding up (drops mean slabs fell to the GC because the recycle stack
-// was full). Absent outside VirtualClock mode.
+// FirehoseStatsResponse is the GET /v1/stats intake stanza: how much
+// backlog producers have parked in the bounded intake (queued vs the
+// bound producers block on) and how the admission-slab pool is holding
+// up (drops mean slabs fell to the GC because the recycle stack was
+// full).
 type FirehoseStatsResponse struct {
 	QueueBound  int     `json:"queue_bound"`
 	Queued      int     `json:"queued"`
@@ -879,14 +875,16 @@ func (s *Server) Stats() StatsResponse {
 	var stageParts []obs.StageBreakdown
 	first, last := 0.0, 0.0
 	windowSet := false
-	for _, sh := range s.router.Shards() {
+	fs := s.router.FirehoseStats()
+	for i, sh := range s.router.Shards() {
 		snap := sh.Tracker().Stats()
 		sec := ShardStats{
 			Shard:         sh.Index(),
 			Slaves:        sh.Slaves(),
 			Jobs:          snap.Counts,
-			QueueDepth:    sh.Runtime().Pending(),
+			QueueDepth:    queueDepth(sh.Load(), fs.ShardQueued[i]),
 			EventsDropped: sh.Runtime().EventsDropped(),
+			IntakeQueued:  fs.ShardQueued[i],
 		}
 		if len(snap.Records) > 0 {
 			// Stage durations are differences of the span timestamps, so
@@ -982,20 +980,13 @@ func (s *Server) Stats() StatsResponse {
 		Subscribers: s.watch.subscribers(),
 		Dropped:     s.watch.dropped.Load(),
 	}
-	if fs, ok := s.router.FirehoseStats(); ok {
-		resp.Firehose = &FirehoseStatsResponse{
-			QueueBound:  fs.QueueBound,
-			Queued:      fs.Queued,
-			ShardQueued: fs.ShardQueued,
-			SlabGets:    fs.SlabGets,
-			SlabHits:    fs.SlabHits,
-			SlabDrops:   fs.SlabDrops,
-		}
-		for i := range resp.PerShard {
-			if sh := resp.PerShard[i].Shard; sh < len(fs.ShardQueued) {
-				resp.PerShard[i].IntakeQueued = fs.ShardQueued[sh]
-			}
-		}
+	resp.Firehose = &FirehoseStatsResponse{
+		QueueBound:  fs.QueueBound,
+		Queued:      fs.Queued,
+		ShardQueued: fs.ShardQueued,
+		SlabGets:    fs.SlabGets,
+		SlabHits:    fs.SlabHits,
+		SlabDrops:   fs.SlabDrops,
 	}
 	return resp
 }
@@ -1005,8 +996,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // HealthResponse is the GET /healthz body. QueueDepth reports the
-// cluster-wide accepted-but-undispatched backlog (per shard in
-// ShardQueueDepths), fed by the runtime's Load snapshot.
+// cluster-wide accepted-but-undispatched backlog, intake included (per
+// shard in ShardQueueDepths).
 type HealthResponse struct {
 	OK               bool    `json:"ok"`
 	Policy           string  `json:"policy"`
@@ -1021,11 +1012,10 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	depths := make([]int, 0, len(s.router.Shards()))
+	depths := s.queueDepths()
 	total := 0
-	for _, l := range s.router.Loads() {
-		depths = append(depths, l.QueueDepth())
-		total += l.QueueDepth()
+	for _, d := range depths {
+		total += d
 	}
 	writeJSON(w, http.StatusOK, HealthResponse{
 		OK:               true,
@@ -1072,11 +1062,11 @@ type ShardReady struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	draining := s.router.Draining()
 	resp := ReadyResponse{Ready: !draining, Draining: draining}
-	loads := s.router.Loads()
+	depths := s.queueDepths()
 	for i, sh := range s.router.Shards() {
 		resp.Shards = append(resp.Shards, ShardReady{
 			Shard:      sh.Index(),
-			QueueDepth: loads[i].QueueDepth(),
+			QueueDepth: depths[i],
 			LiveSlaves: sh.LiveSlaves(),
 			Draining:   draining,
 		})
@@ -1099,6 +1089,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, resp)
+}
+
+// queueDepths samples every shard's queueDepth.
+func (s *Server) queueDepths() []int {
+	queued := s.router.FirehoseStats().ShardQueued
+	out := make([]int, len(queued))
+	for i, l := range s.router.Loads() {
+		out[i] = queueDepth(l, queued[i])
+	}
+	return out
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -286,8 +287,7 @@ func TestWatchLimit(t *testing.T) {
 	}
 }
 
-// virtualServer builds a pure-throughput (virtual-clock, firehose)
-// service.
+// virtualServer builds a pure-throughput (virtual-clock) service.
 func virtualServer(t *testing.T, shards int) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
@@ -358,7 +358,7 @@ func TestStreamEndToEnd(t *testing.T) {
 		}
 		next += per
 	}
-	// The batch endpoint coexists with the stream in firehose mode.
+	// The batch endpoint coexists with the stream on the virtual clock.
 	var batch SubmitResponse
 	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 5}, &batch); code != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs: %d", code)
@@ -444,9 +444,9 @@ func TestStatsTraceMatchesDrainedSchedule(t *testing.T) {
 	}
 }
 
-// TestStreamRealClock pins the stream on a real clock: batches are
-// delivered directly into the runtimes and the acks carry the same
-// consecutive-range contract.
+// TestStreamRealClock pins the stream on a real clock: batches go
+// through the same intake as on the virtual clock and the acks carry
+// the same consecutive-range contract.
 func TestStreamRealClock(t *testing.T) {
 	s, ts := testServer(t, "LS")
 	acks := streamLines(t, ts, "{\"count\":4}\n{}\n{\"count\":2,\"comp_scale\":2}\n")
@@ -578,4 +578,104 @@ func TestVirtualClockConfig(t *testing.T) {
 	if _, err := New(Config{Platform: pl, Policy: "LS", Shards: 2, VirtualClock: true, Steal: "threshold"}); err == nil {
 		t.Fatal("virtual clock with stealing accepted")
 	}
+}
+
+// TestQueueDepthCountsIntakeBacklog pins the one definition of a shard's
+// queue depth: the jobs its runtime holds undispatched plus those still
+// in its intake queue, on every surface that reports it. A virtual-clock
+// service takes a burst larger than the admit window, so each shard's
+// drain leaves a backlog in the intake; the test then freezes every
+// shard — a watcher whose hub lock the test holds stalls each master at
+// its first event, and with it the shard's whole virtual world — and
+// reads /healthz, /readyz, /v1/stats and /metrics against
+// Router.Pending and the per-shard counters.
+func TestQueueDepthCountsIntakeBacklog(t *testing.T) {
+	s, ts := virtualServer(t, 4)
+	id, _ := s.watch.subscribe()
+	s.watch.mu.Lock()
+	const jobs = 8000
+	if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: jobs}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
+	}
+	router := s.Router()
+	// A shard is frozen once its tracker has seen an event: the master is
+	// then inside the observer, blocked on the hub lock, and holds its
+	// virtual world's only baton.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, sh := range router.Shards() {
+		for sh.Tracker().CountsSnapshot().Submitted == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d never admitted a job", sh.Index())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if router.FirehoseDepth() == 0 {
+		t.Fatal("the admit window left no backlog in the intake")
+	}
+
+	queued := router.FirehoseStats().ShardQueued
+	want := make([]int, len(queued))
+	total := 0
+	for i, sh := range router.Shards() {
+		want[i] = sh.Load().QueueDepth() + int(queued[i])
+		total += want[i]
+	}
+	if total != router.Pending() {
+		t.Fatalf("Router.Pending() = %d, per-shard shares sum to %d", router.Pending(), total)
+	}
+	var health HealthResponse
+	getJSON(t, ts.URL+"/healthz", &health)
+	var ready ReadyResponse
+	getJSON(t, ts.URL+"/readyz", &ready)
+	var stats StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	metrics := scrapeMetrics(t, ts)
+	if health.QueueDepth != total {
+		t.Fatalf("/healthz queue_depth %d, want Router.Pending() %d", health.QueueDepth, total)
+	}
+	for i, w := range want {
+		if health.ShardQueueDepths[i] != w || ready.Shards[i].QueueDepth != w || stats.PerShard[i].QueueDepth != w {
+			t.Fatalf("shard %d: /healthz %d, /readyz %d, /v1/stats %d; want %d (intake %d)",
+				i, health.ShardQueueDepths[i], ready.Shards[i].QueueDepth, stats.PerShard[i].QueueDepth, w, queued[i])
+		}
+		if got := metrics[fmt.Sprintf(`schedd_queue_depth{shard="%d"}`, i)]; got != float64(w) {
+			t.Fatalf("shard %d: schedd_queue_depth %v, want %d", i, got, w)
+		}
+	}
+
+	s.watch.mu.Unlock()
+	s.watch.unsubscribe(id)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Counts(); c.Completed != jobs {
+		t.Fatalf("counts %+v, want %d completed", c, jobs)
+	}
+}
+
+// scrapeMetrics reads GET /metrics into sample name (labels included) →
+// value.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			out[name] = v
+		}
+	}
+	return out
 }

@@ -25,19 +25,16 @@ package schedd
 // per-line status lives in the acks, which is the only place it can live
 // once the header has been sent.
 //
-// Backpressure: in virtual-clock mode the router's firehose intake
-// blocks SubmitRange while the bounded queue is full, which propagates
-// to the client as TCP backpressure (the decode pipeline adds only its
-// fixed slot budget of lookahead); on a real clock the handler throttles
-// while the cluster's pending population sits at or above
-// Config.IngestQueueDepth.
+// Backpressure: the router's intake blocks SubmitRange while the bounded
+// queue (Config.IngestQueueDepth) is full, on either clock, which
+// propagates to the client as TCP backpressure (the decode pipeline
+// adds only its fixed slot budget of lookahead).
 
 import (
 	"bufio"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/live"
@@ -188,7 +185,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// (potentially blocking) placement so the pipeline keeps decoding
 		// ahead. free has slot-count capacity, the send cannot block.
 		free <- j
-		if !s.submitLine(r, line, req, ack, fail) {
+		if !s.submitLine(line, req, ack, fail) {
 			return
 		}
 	}
@@ -200,24 +197,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// submitLine is the sequencer stage: validate one parsed line, apply
-// real-clock backpressure, place it, ack it. Returns false when the
-// stream must stop (terminal ack already sent, or the client is gone).
-func (s *Server) submitLine(r *http.Request, line int, req SubmitRequest,
-	ack func(StreamAck) bool, fail func(int, string)) bool {
+// submitLine is the sequencer stage: validate one parsed line, place
+// it, ack it. Returns false when the stream must stop (terminal ack
+// already sent, or the client is gone).
+func (s *Server) submitLine(line int, req SubmitRequest, ack func(StreamAck) bool, fail func(int, string)) bool {
 	if err := s.validate(&req); err != nil {
 		fail(line, err.Error())
 		return false
-	}
-	// Real-clock backpressure: hold the line while the cluster's
-	// pending population is at the bound. The firehose intake does its
-	// own (blocking) admission control inside SubmitRange.
-	for !s.firehose && s.router.Pending() >= s.ingestDepth {
-		select {
-		case <-r.Context().Done():
-			return false
-		case <-time.After(time.Millisecond):
-		}
 	}
 	base, err := s.router.SubmitRange(live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, req.Count)
 	if err != nil {
