@@ -26,10 +26,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -45,107 +48,120 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("msched: ")
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the FlagSet has reported it, with the usage
+	default:
+		fmt.Fprintln(os.Stderr, "msched:", err)
+		os.Exit(1)
+	}
+}
 
-	algo := flag.String("algo", "LS", "algorithm: "+strings.Join(sched.ExtendedNames(), ", "))
-	class := flag.String("class", "heterogeneous", "random platform class: homogeneous, comm-homogeneous, comp-homogeneous, heterogeneous")
-	m := flag.Int("m", 5, "number of slaves for random platforms")
-	seed := flag.Int64("seed", 1, "random seed")
-	n := flag.Int("n", 20, "number of tasks")
-	cFlag := flag.String("c", "", "explicit communication times, e.g. 1,1 (overrides -class)")
-	pFlag := flag.String("p", "", "explicit computation times, e.g. 3,7")
-	releases := flag.String("releases", "", "explicit release times, e.g. 0,1,2 (overrides -n/-arrival)")
-	arrival := flag.String("arrival", "bag", "arrival pattern: bag, poisson, uniform, bursty, periodic")
-	rate := flag.Float64("rate", 1, "arrival rate for poisson/periodic")
-	perturb := flag.Float64("perturb", 0, "matrix-size perturbation fraction (Figure 2 style)")
-	gantt := flag.Bool("gantt", false, "print an ASCII Gantt chart")
-	stat := flag.Bool("stats", false, "print utilization and queueing analysis")
-	opt := flag.Bool("opt", false, "also compute the exact offline optimum (small instances only)")
-	repeat := flag.Int("repeat", 1, "number of independently seeded replicates (>1 switches to the sweep mode)")
-	parallel := flag.Int("parallel", 0, "worker-pool size for -repeat; 0 = GOMAXPROCS (results are identical for every value)")
-	jsonOut := flag.String("json", "", "write the machine-readable record (single run: trace report; -repeat: replicate sweep) to this file")
-	scenarioKind := flag.String("scenario", "", "dynamic-platform scenario: "+strings.Join(experiment.ScenarioKinds, ", ")+" (empty = static platform)")
-	intensity := flag.Float64("intensity", 1, "scenario event density (1 ≈ one failure per slave / ±40% drift / platform-sized crowd)")
-	flag.Parse()
+var errUsage = errors.New("usage") // a flag error the FlagSet has reported
+
+// run is the command: flags from args, the report to stdout, usage to
+// stderr; every failure is returned.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("msched", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algo := fs.String("algo", "LS", "algorithm: "+strings.Join(sched.ExtendedNames(), ", "))
+	class := fs.String("class", "heterogeneous", "random platform class: homogeneous, comm-homogeneous, comp-homogeneous, heterogeneous")
+	m := fs.Int("m", 5, "number of slaves for random platforms")
+	seed := fs.Int64("seed", 1, "random seed")
+	n := fs.Int("n", 20, "number of tasks")
+	cFlag := fs.String("c", "", "explicit communication times, e.g. 1,1 (overrides -class)")
+	pFlag := fs.String("p", "", "explicit computation times, e.g. 3,7")
+	releases := fs.String("releases", "", "explicit release times, e.g. 0,1,2 (overrides -n/-arrival)")
+	arrival := fs.String("arrival", "bag", "arrival pattern: bag, poisson, uniform, bursty, periodic")
+	rate := fs.Float64("rate", 1, "arrival rate for poisson/periodic")
+	perturb := fs.Float64("perturb", 0, "matrix-size perturbation fraction (Figure 2 style)")
+	gantt := fs.Bool("gantt", false, "print an ASCII Gantt chart")
+	stat := fs.Bool("stats", false, "print utilization and queueing analysis")
+	opt := fs.Bool("opt", false, "also compute the exact offline optimum (small instances only)")
+	repeat := fs.Int("repeat", 1, "number of independently seeded replicates (>1 switches to the sweep mode)")
+	parallel := fs.Int("parallel", 0, "worker-pool size for -repeat; 0 = GOMAXPROCS (results are identical for every value)")
+	jsonOut := fs.String("json", "", "write the machine-readable record (single run: trace report; -repeat: replicate sweep) to this file")
+	scenarioKind := fs.String("scenario", "", "dynamic-platform scenario: "+strings.Join(experiment.ScenarioKinds, ", ")+" (empty = static platform)")
+	intensity := fs.Float64("intensity", 1, "scenario event density (1 ≈ one failure per slave / ±40% drift / platform-sized crowd)")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	if err := sched.Validate(*algo); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := validateScenarioKind(*scenarioKind); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *scenarioKind != "" {
 		if *gantt || *stat || *opt {
-			log.Fatal("-gantt, -stats and -opt describe a static run; drop them or drop -scenario")
+			return errors.New("-gantt, -stats and -opt describe a static run; drop them or drop -scenario")
 		}
 		if *intensity <= 0 {
-			log.Fatalf("-intensity %v must be positive", *intensity)
+			return fmt.Errorf("-intensity %v must be positive", *intensity)
 		}
 		if *releases == "" && *n <= 0 {
-			log.Fatal("-scenario needs a non-empty workload")
+			return errors.New("-scenario needs a non-empty workload")
 		}
 		if *jsonOut != "" && *repeat <= 1 {
-			log.Fatal("-json for scenarios is the replicate record; add -repeat")
+			return errors.New("-json for scenarios is the replicate record; add -repeat")
 		}
 	}
 	if *repeat > 1 {
 		if *gantt || *stat || *opt {
-			log.Fatal("-gantt, -stats and -opt describe a single run; drop them or drop -repeat")
+			return errors.New("-gantt, -stats and -opt describe a single run; drop them or drop -repeat")
 		}
-		if err := runReplicates(*repeat, *parallel, *jsonOut, *algo, *cFlag, *pFlag, *class,
-			*m, *seed, *releases, *n, *arrival, *rate, *perturb, *scenarioKind, *intensity); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runReplicates(stdout, *repeat, *parallel, *jsonOut, experiment.ReplicateOptions{
+			Algo: *algo, CFlag: *cFlag, PFlag: *pFlag, Class: *class, M: *m, Seed: *seed,
+			ReleasesFlag: *releases, N: *n, Arrival: *arrival, Rate: *rate, Perturb: *perturb,
+			Scenario: *scenarioKind, Intensity: *intensity,
+		})
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	pl, err := experiment.BuildPlatform(*cFlag, *pFlag, *class, *m, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tasks, err := experiment.BuildTasks(*releases, *n, *arrival, *rate, *perturb, rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *scenarioKind != "" {
-		if err := runScenario(*scenarioKind, *intensity, *algo, *seed, *arrival, pl, tasks); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runScenario(stdout, *scenarioKind, *intensity, *algo, *seed, *arrival, pl, tasks)
 	}
 
 	scheduler := sched.New(*algo)
 	s, err := sim.Simulate(pl, scheduler, tasks)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("platform: %v (%v)\n", pl, pl.Classify())
-	fmt.Printf("workload: %d tasks, %s arrivals\n", len(tasks), *arrival)
-	fmt.Printf("algorithm: %s\n\n", scheduler.Name())
-	fmt.Printf("makespan: %.4f\n", s.Makespan())
-	fmt.Printf("max-flow: %.4f\n", s.MaxFlow())
-	fmt.Printf("sum-flow: %.4f\n", s.SumFlow())
+	fmt.Fprintf(stdout, "platform: %v (%v)\n", pl, pl.Classify())
+	fmt.Fprintf(stdout, "workload: %d tasks, %s arrivals\n", len(tasks), *arrival)
+	fmt.Fprintf(stdout, "algorithm: %s\n\n", scheduler.Name())
+	fmt.Fprintf(stdout, "makespan: %.4f\n", s.Makespan())
+	fmt.Fprintf(stdout, "max-flow: %.4f\n", s.MaxFlow())
+	fmt.Fprintf(stdout, "sum-flow: %.4f\n", s.SumFlow())
 
 	if *opt {
 		inst := core.NewInstance(pl, tasks)
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, obj := range core.Objectives {
 			res := optimal.Solve(inst, obj)
-			fmt.Printf("offline optimal %-8v: %.4f (ratio %.4f)\n",
+			fmt.Fprintf(stdout, "offline optimal %-8v: %.4f (ratio %.4f)\n",
 				obj, res.Value, obj.Value(s)/res.Value)
 		}
 	}
 	if *stat {
-		fmt.Println()
-		fmt.Print(trace.Analyze(s).Render())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.Analyze(s).Render())
 	}
 	if *gantt {
-		fmt.Println()
-		fmt.Print(textplot.Gantt(s, 100))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, textplot.Gantt(s, 100))
 	}
 	if *jsonOut != "" {
 		// The single-run record embeds the trace.Report wire encoding —
@@ -160,10 +176,11 @@ func main() {
 			Trace:     &report,
 		}
 		if err := runner.WriteJSON(*jsonOut, rec); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\nwrote the run record to %s\n", *jsonOut)
+		fmt.Fprintf(stdout, "\nwrote the run record to %s\n", *jsonOut)
 	}
+	return nil
 }
 
 // singleRunRecord is the machine-readable single-run output of msched:
@@ -179,13 +196,8 @@ type singleRunRecord struct {
 
 // validateScenarioKind rejects unknown -scenario values up front.
 func validateScenarioKind(kind string) error {
-	if kind == "" {
+	if kind == "" || slices.Contains(experiment.ScenarioKinds, kind) {
 		return nil
-	}
-	for _, k := range experiment.ScenarioKinds {
-		if k == kind {
-			return nil
-		}
 	}
 	return fmt.Errorf("unknown scenario %q; valid: %s", kind, strings.Join(experiment.ScenarioKinds, ", "))
 }
@@ -193,7 +205,7 @@ func validateScenarioKind(kind string) error {
 // runScenario is the single-run -scenario path: one generated timeline,
 // the fail-safe-wrapped algorithm, failure-time metrics and the
 // degradation against the static baseline.
-func runScenario(kind string, intensity float64, algo string, seed int64, arrival string,
+func runScenario(stdout io.Writer, kind string, intensity float64, algo string, seed int64, arrival string,
 	pl core.Platform, tasks []core.Task) error {
 	sc, static, err := experiment.GenerateScenario(kind, intensity, algo, runner.RNG(seed, "msched/scenario"), pl, tasks)
 	if err != nil {
@@ -207,16 +219,16 @@ func runScenario(kind string, intensity float64, algo string, seed int64, arriva
 	for _, k := range sc.Kinds() {
 		kinds = append(kinds, k.String())
 	}
-	fmt.Printf("platform: %v (%v)\n", pl, pl.Classify())
-	fmt.Printf("workload: %d tasks, %s arrivals\n", len(tasks), arrival)
-	fmt.Printf("scenario: %s — %d events (%s), final m=%d\n",
+	fmt.Fprintf(stdout, "platform: %v (%v)\n", pl, pl.Classify())
+	fmt.Fprintf(stdout, "workload: %d tasks, %s arrivals\n", len(tasks), arrival)
+	fmt.Fprintf(stdout, "scenario: %s — %d events (%s), final m=%d\n",
 		sc.Name, out.EventsApplied, strings.Join(kinds, ", "), out.FinalM)
-	fmt.Printf("algorithm: %s (fail-safe wrapped)\n\n", algo)
-	fmt.Printf("makespan: %.4f (static %.4f, degradation %.3f)\n",
+	fmt.Fprintf(stdout, "algorithm: %s (fail-safe wrapped)\n\n", algo)
+	fmt.Fprintf(stdout, "makespan: %.4f (static %.4f, degradation %.3f)\n",
 		out.Schedule.Makespan(), static.Makespan(), out.Schedule.Makespan()/static.Makespan())
-	fmt.Printf("max-flow: %.4f (static %.4f)\n", out.Schedule.MaxFlow(), static.MaxFlow())
-	fmt.Printf("sum-flow: %.4f (static %.4f)\n", out.Schedule.SumFlow(), static.SumFlow())
-	fmt.Printf("re-dispatch: %d attempts lost to failures, %d re-released\n", out.Lost, out.Redispatched)
+	fmt.Fprintf(stdout, "max-flow: %.4f (static %.4f)\n", out.Schedule.MaxFlow(), static.MaxFlow())
+	fmt.Fprintf(stdout, "sum-flow: %.4f (static %.4f)\n", out.Schedule.SumFlow(), static.SumFlow())
+	fmt.Fprintf(stdout, "re-dispatch: %d attempts lost to failures, %d re-released\n", out.Lost, out.Redispatched)
 	return nil
 }
 
@@ -224,44 +236,38 @@ func runScenario(kind string, intensity float64, algo string, seed int64, arriva
 // experiment.Replicates (the sweep itself lives in the library so the
 // differential engine suite can reproduce this command's JSON record
 // byte for byte).
-func runReplicates(repeat, parallel int, jsonOut, algo, cFlag, pFlag, class string,
-	m int, seed int64, releases string, n int, arrival string, rate, perturb float64,
-	scenarioKind string, intensity float64) error {
-	res, err := experiment.Replicates(repeat, parallel, experiment.ReplicateOptions{
-		Algo: algo, CFlag: cFlag, PFlag: pFlag, Class: class, M: m, Seed: seed,
-		ReleasesFlag: releases, N: n, Arrival: arrival, Rate: rate, Perturb: perturb,
-		Scenario: scenarioKind, Intensity: intensity,
-	})
+func runReplicates(stdout io.Writer, repeat, parallel int, jsonOut string, o experiment.ReplicateOptions) error {
+	res, err := experiment.Replicates(repeat, parallel, o)
 	if err != nil {
 		return err
 	}
 
-	platformDesc := class + " platforms"
-	if cFlag != "" {
-		platformDesc = "fixed platform c=[" + cFlag + "] p=[" + pFlag + "]"
+	platformDesc := o.Class + " platforms"
+	if o.CFlag != "" {
+		platformDesc = "fixed platform c=[" + o.CFlag + "] p=[" + o.PFlag + "]"
 	}
-	fmt.Printf("algorithm: %s\n", algo)
-	fmt.Printf("replicates: %d (%s, %s arrivals)\n", repeat, platformDesc, arrival)
-	if scenarioKind != "" {
-		fmt.Printf("scenario: %s at intensity %g (fail-safe wrapped)\n", scenarioKind, intensity)
+	fmt.Fprintf(stdout, "algorithm: %s\n", o.Algo)
+	fmt.Fprintf(stdout, "replicates: %d (%s, %s arrivals)\n", repeat, platformDesc, o.Arrival)
+	if o.Scenario != "" {
+		fmt.Fprintf(stdout, "scenario: %s at intensity %g (fail-safe wrapped)\n", o.Scenario, o.Intensity)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	metrics := []string{"makespan", "max-flow", "sum-flow"}
-	if scenarioKind != "" {
+	if o.Scenario != "" {
 		metrics = append(metrics, "makespan-degradation", "lost")
 	}
 	for _, metric := range metrics {
-		printSummary(metric, res.Summaries[metric])
+		printSummary(stdout, metric, res.Summaries[metric])
 	}
 	if jsonOut != "" {
 		if err := runner.WriteJSON(jsonOut, res); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %d replicate cells to %s\n", repeat, jsonOut)
+		fmt.Fprintf(stdout, "\nwrote %d replicate cells to %s\n", repeat, jsonOut)
 	}
 	return nil
 }
 
-func printSummary(name string, s stats.Summary) {
-	fmt.Printf("%-9s %s (median %.4f)\n", name+":", s, s.Median)
+func printSummary(w io.Writer, name string, s stats.Summary) {
+	fmt.Fprintf(w, "%-9s %s (median %.4f)\n", name+":", s, s.Median)
 }

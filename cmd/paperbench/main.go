@@ -22,9 +22,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,27 +38,43 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("paperbench: ")
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the FlagSet has reported it, with the usage
+	default:
+		fmt.Fprintln(os.Stderr, "paperbench:", err)
+		os.Exit(1)
+	}
+}
 
-	which := flag.String("experiment", "all",
+var errUsage = errors.New("usage") // a flag error the FlagSet has reported
+
+// run is the command: flags from args, the rendered artifacts to
+// stdout, usage and the -json note to stderr; every failure is returned.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	which := fs.String("experiment", "all",
 		"artifact: table1, fig1a, fig1b, fig1c, fig1d, fig2, scenario, sharding, steal, ablation-rr, ablation-horizon, ablation-arrivals, ablation-model, randomized, all")
-	platforms := flag.Int("platforms", 10, "random platforms per figure (paper: 10)")
-	tasks := flag.Int("tasks", 1000, "tasks per run (paper: 1000)")
-	m := flag.Int("m", 5, "slaves per platform (paper: 5)")
-	seed := flag.Int64("seed", 2006, "random seed")
-	parallel := flag.Int("parallel", 0, "worker-pool size; 0 = GOMAXPROCS (results are identical for every value)")
-	jsonOut := flag.String("json", "", "write a machine-readable report of every artifact to this file")
-	classesFlag := flag.String("classes", "", "comma-separated platform-class filter for the class-parameterized artifacts (default: all four)")
-	schedulersFlag := flag.String("schedulers", "", "comma-separated scheduler filter for the figure sweeps (default: the full registry)")
-	flag.Parse()
+	platforms := fs.Int("platforms", 10, "random platforms per figure (paper: 10)")
+	tasks := fs.Int("tasks", 1000, "tasks per run (paper: 1000)")
+	m := fs.Int("m", 5, "slaves per platform (paper: 5)")
+	seed := fs.Int64("seed", 2006, "random seed")
+	parallel := fs.Int("parallel", 0, "worker-pool size; 0 = GOMAXPROCS (results are identical for every value)")
+	jsonOut := fs.String("json", "", "write a machine-readable report of every artifact to this file")
+	classesFlag := fs.String("classes", "", "comma-separated platform-class filter for the class-parameterized artifacts (default: all four)")
+	schedulersFlag := fs.String("schedulers", "", "comma-separated scheduler filter for the figure sweeps (default: the full registry)")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	classes, err := parseClasses(*classesFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := validateSchedulers(splitList(*schedulersFlag)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := experiment.Config{
 		Platforms:  *platforms,
@@ -76,7 +95,7 @@ func main() {
 	fig1 := func(class core.Class) func() []runner.Result {
 		return func() []runner.Result {
 			r := experiment.Figure1(class, cfg)
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 			return []runner.Result{r.Raw}
 		}
 	}
@@ -91,14 +110,14 @@ func main() {
 			}
 		}
 		if len(selected) == 0 {
-			fmt.Println("(skipped: every platform class of this artifact is excluded by -classes)")
+			fmt.Fprintln(stdout, "(skipped: every platform class of this artifact is excluded by -classes)")
 		}
 		return selected
 	}
 	artifacts := []artifact{
 		{"table1", nil, func() []runner.Result {
 			rows := experiment.Table1Parallel(*parallel)
-			fmt.Println(experiment.RenderTable1(rows))
+			fmt.Fprintln(stdout, experiment.RenderTable1(rows))
 			return []runner.Result{experiment.Table1Result(rows)}
 		}},
 		{"fig1a", classPtr(core.Homogeneous), fig1(core.Homogeneous)},
@@ -107,7 +126,7 @@ func main() {
 		{"fig1d", classPtr(core.Heterogeneous), fig1(core.Heterogeneous)},
 		{"fig2", nil, func() []runner.Result {
 			r := experiment.Figure2(cfg)
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 			return []runner.Result{r.Raw}
 		}},
 		{"scenario", nil, func() []runner.Result {
@@ -116,7 +135,7 @@ func main() {
 				return nil
 			}
 			r := experiment.ScenarioStudyOver(selected, cfg)
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 			return []runner.Result{r.Raw}
 		}},
 		{"sharding", nil, func() []runner.Result {
@@ -125,7 +144,7 @@ func main() {
 				return nil
 			}
 			r := experiment.ShardingStudyOver(selected, cfg)
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 			return []runner.Result{r.Raw}
 		}},
 		{"steal", nil, func() []runner.Result {
@@ -134,28 +153,28 @@ func main() {
 				return nil
 			}
 			r := experiment.StealStudyOver(selected, cfg)
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 			return []runner.Result{r.Raw}
 		}},
 		{"ablation-rr", nil, func() []runner.Result {
 			var out []runner.Result
 			for _, class := range selectClasses([]core.Class{core.Homogeneous, core.CommHomogeneous}) {
 				r := experiment.AblationRRCap(class, cfg)
-				fmt.Println(r.Render())
+				fmt.Fprintln(stdout, r.Render())
 				out = append(out, r.Raw)
 			}
 			return out
 		}},
 		{"ablation-horizon", nil, func() []runner.Result {
 			r := experiment.AblationPlanHorizon(cfg)
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 			return []runner.Result{r.Raw}
 		}},
 		{"ablation-arrivals", nil, func() []runner.Result {
 			var out []runner.Result
 			for _, load := range []float64{0.5, 0.8, 0.95} {
 				r := experiment.AblationArrivals(load, cfg)
-				fmt.Println(r.Render())
+				fmt.Fprintln(stdout, r.Render())
 				out = append(out, r.Raw)
 			}
 			return out
@@ -164,14 +183,14 @@ func main() {
 			var out []runner.Result
 			for _, class := range selectClasses([]core.Class{core.CompHomogeneous, core.Heterogeneous}) {
 				r := experiment.AblationModel(class, cfg)
-				fmt.Println(r.Render())
+				fmt.Fprintln(stdout, r.Render())
 				out = append(out, r.Raw)
 			}
 			return out
 		}},
 		{"randomized", nil, func() []runner.Result {
 			r := experiment.RandomizedStudyParallel(1000, 0.3, *parallel)
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 			return []runner.Result{r.Raw}
 		}},
 	}
@@ -194,11 +213,11 @@ func main() {
 	} else {
 		a, ok := byName[*which]
 		if !ok {
-			log.Fatalf("unknown experiment %q; choose one of %s or all",
+			return fmt.Errorf("unknown experiment %q; choose one of %s or all",
 				*which, strings.Join(names, ", "))
 		}
 		if a.class != nil && !classes[*a.class] {
-			log.Fatalf("-experiment %s is the %v panel, which -classes excludes", *which, *a.class)
+			return fmt.Errorf("-experiment %s is the %v panel, which -classes excludes", *which, *a.class)
 		}
 		selected = append(selected, a)
 	}
@@ -207,7 +226,7 @@ func main() {
 	start := time.Now()
 	for _, a := range selected {
 		if *which == "all" {
-			fmt.Printf("==== %s ====\n", a.name)
+			fmt.Fprintf(stdout, "==== %s ====\n", a.name)
 		}
 		t0 := time.Now()
 		results := a.run()
@@ -221,11 +240,12 @@ func main() {
 
 	if *jsonOut != "" {
 		if err := runner.WriteJSON(*jsonOut, report); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("wrote %d result(s) to %s (workers=%d, wall=%.2fs; everything outside \"meta\" is worker-count independent)",
+		fmt.Fprintf(stderr, "paperbench: wrote %d result(s) to %s (workers=%d, wall=%.2fs; everything outside \"meta\" is worker-count independent)\n",
 			len(report.Results), *jsonOut, report.Meta.Workers, report.Meta.WallSeconds)
 	}
+	return nil
 }
 
 // validateSchedulers rejects unknown names up front, so a typo yields a
@@ -250,20 +270,15 @@ func parseClasses(s string) (map[core.Class]bool, error) {
 		return set, nil
 	}
 	for _, name := range splitList(s) {
-		found := false
-		for _, c := range core.Classes {
-			if c.String() == name {
-				set[c] = true
-				found = true
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(core.Classes, func(c core.Class) bool { return c.String() == name })
+		if i < 0 {
 			valid := make([]string, len(core.Classes))
-			for i, c := range core.Classes {
-				valid[i] = c.String()
+			for j, c := range core.Classes {
+				valid[j] = c.String()
 			}
 			return nil, fmt.Errorf("unknown class %q; valid: %s", name, strings.Join(valid, ", "))
 		}
+		set[core.Classes[i]] = true
 	}
 	return set, nil
 }

@@ -16,21 +16,28 @@ import (
 	"repro/pkg/schedclient"
 )
 
-// liveDaemon starts an in-process schedd with the recorder persisting
-// to dir, runs jobs through it, drains, and returns the test server's
+// liveDaemon starts a small in-process schedd recording to disk, runs
+// 6 jobs through it (draining if asked) and returns the test server's
 // URL (still serving its read-only surface) and the recording dir.
 func liveDaemon(t *testing.T, drain bool) (string, string) {
-	t.Helper()
-	dir := t.TempDir()
-	s, err := schedd.New(schedd.Config{
+	return serveRecorded(t, schedd.Config{
 		Platform:   core.NewPlatform([]float64{0.5, 1, 2}, []float64{2, 4, 5}),
 		Policy:     "LS",
 		ClockScale: 4000,
-		RecordDir:  dir,
 		SLOs: []obs.Objective{
 			{Name: "p99", Kind: obs.ObjectiveLatency, ThresholdSeconds: 30, Target: 0.99},
 		},
-	})
+	}, 6, drain)
+}
+
+// serveRecorded serves cfg with its recorder persisting to a fresh dir,
+// submits jobs in batches of at most 100 and waits for all of them to
+// complete.
+func serveRecorded(t *testing.T, cfg schedd.Config, jobs int, drain bool) (string, string) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg.RecordDir = dir
+	s, err := schedd.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,20 +45,22 @@ func liveDaemon(t *testing.T, drain bool) (string, string) {
 	t.Cleanup(ts.Close)
 
 	cli := schedclient.New(ts.URL)
-	if _, err := cli.SubmitBatch(6); err != nil {
-		t.Fatal(err)
+	for left := jobs; left > 0; left -= 100 {
+		if _, err := cli.SubmitBatch(min(left, 100)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	for {
 		stats, err := cli.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Jobs.Completed == 6 {
+		if stats.Jobs.Completed == jobs {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("jobs never completed")
+			t.Fatalf("%d of %d jobs completed", stats.Jobs.Completed, jobs)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -159,6 +168,81 @@ func TestExportFromLiveAndDir(t *testing.T) {
 		if !json.Valid([]byte(line)) {
 			t.Fatalf("jsonl line not JSON: %q", line)
 		}
+	}
+}
+
+// TestStealingRecordingEndToEnd drives the operator surface over a
+// steal storm: a 3-shard daemon places all 500 jobs on shard 0 and the
+// threshold rebalancer spreads them while the recorder persists. top
+// and slo read the live daemon; the live Perfetto export and the one
+// from the bare segment files are byte-identical, with 4 complete ("X")
+// events per job; and tail -n 5 prints the 5 newest events.
+func TestStealingRecordingEndToEnd(t *testing.T) {
+	const jobs = 500
+	url, dir := serveRecorded(t, schedd.Config{
+		Platform:         core.NewPlatform([]float64{0.2, 0.4, 0.2, 0.4, 0.2, 0.4}, []float64{1, 2, 1, 2, 1, 2}),
+		Policy:           "LS",
+		Shards:           3,
+		Placement:        "pinned",
+		Partition:        core.PartitionStriped,
+		Steal:            "threshold",
+		StealInterval:    5 * time.Millisecond,
+		SnapshotInterval: time.Second,
+		ClockScale:       2000,
+		SLOs: []obs.Objective{
+			{Name: "p99", Kind: obs.ObjectiveLatency, ThresholdSeconds: 30, Target: 0.99},
+			{Name: "availability", Kind: obs.ObjectiveAvailability, Target: 0.999},
+		},
+	}, jobs, true)
+	stats, err := schedclient.New(url).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Steal == nil || stats.Steal.JobsMoved == 0 || stats.Recorder == nil || stats.Recorder.DiskError != "" {
+		t.Fatalf("steal %+v, recorder %+v: want jobs moved and a clean recording", stats.Steal, stats.Recorder)
+	}
+	for _, args := range [][]string{{"top", "-addr", url}, {"slo", "-addr", url}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%s: exit %d: %s", args[0], code, errb.String())
+		}
+		if args[0] == "top" && !strings.Contains(out.String(), "completed 500") {
+			t.Fatalf("top:\n%s", out.String())
+		}
+	}
+	var live, onDisk, errb bytes.Buffer
+	if code := run([]string{"export", "-addr", url, "-format", "perfetto"}, &live, &errb); code != 0 {
+		t.Fatalf("export live: exit %d: %s", code, errb.String())
+	}
+	if code := run([]string{"export", "-dir", dir, "-format", "perfetto"}, &onDisk, &errb); code != 0 {
+		t.Fatalf("export dir: exit %d: %s", code, errb.String())
+	}
+	if !bytes.Equal(live.Bytes(), onDisk.Bytes()) {
+		t.Fatal("live and on-disk exports differ")
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(onDisk.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	complete := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			complete++
+		}
+	}
+	if complete != 4*jobs {
+		t.Fatalf("%d complete events, want %d (4 stages × %d jobs)", complete, 4*jobs, jobs)
+	}
+	var tail bytes.Buffer
+	if code := run([]string{"tail", "-dir", dir, "-n", "5"}, &tail, &errb); code != 0 {
+		t.Fatalf("tail: exit %d: %s", code, errb.String())
+	}
+	if n := strings.Count(tail.String(), "\n"); n != 5 {
+		t.Fatalf("tail -n 5 printed %d lines:\n%s", n, tail.String())
 	}
 }
 

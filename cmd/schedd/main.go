@@ -157,8 +157,22 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 	if err := sched.Validate(*policy); err != nil {
 		return fatal("invalid policy", "err", err)
 	}
-	if *clockScale <= 0 {
-		return fatal("-clock-scale must be positive", "clock_scale", *clockScale)
+	// An out-of-range number is an error, never a silent default: zero
+	// is legal only where the help text above gives it a meaning.
+	for _, f := range []struct {
+		name, want string
+		bad        bool
+	}{
+		{"-clock-scale", "positive", !(*clockScale > 0)}, {"-m", "positive", *m < 1},
+		{"-shards", "positive", *shards < 1}, {"-max-batch", "positive", *maxBatch < 1},
+		{"-steal-interval", "positive", *stealInterval <= 0}, {"-snapshot-interval", "positive", *snapshotInterval <= 0},
+		{"-ingest-queue", "non-negative", *ingestQueue < 0}, {"-audit-depth", "non-negative", *auditDepth < 0},
+		{"-record-segments", "non-negative", *recordSegments < 0}, {"-mutexprofile", "non-negative", *mutexProfile < 0},
+		{"-record-segment-bytes", "0 or at least 1024", *recordSegBytes != 0 && *recordSegBytes < 1024},
+	} {
+		if f.bad {
+			return fatal(f.name + " must be " + f.want)
+		}
 	}
 	pl, err := buildPlatform(*slaves, *class, *m, *seed)
 	if err != nil {
@@ -173,9 +187,6 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 	// Mutex/block profiling rides behind the -pprof gate: the samples are
 	// only reachable through /debug/pprof/, so a rate without the surface
 	// is a misconfiguration, not a silent no-op.
-	if *mutexProfile < 0 {
-		return fatal("-mutexprofile must be non-negative", "mutexprofile", *mutexProfile)
-	}
 	if *mutexProfile > 0 {
 		if !*pprofFlag {
 			return fatal("-mutexprofile requires -pprof (the samples are served under /debug/pprof/)")

@@ -9,7 +9,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"regexp"
+	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -17,54 +20,84 @@ import (
 	"repro/internal/obs"
 )
 
+// daemon is the command's run in a goroutine, driven the way an
+// operator drives it: flags in, HTTP traffic against the address it
+// logs, a signal to stop.
+type daemon struct {
+	t       *testing.T
+	base    string
+	stop    chan os.Signal
+	done    chan error
+	records chan map[string]any
+}
+
+// startDaemon runs the daemon on a free port with JSON logs plus args,
+// and returns once it logs that it is serving.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{t: t, stop: make(chan os.Signal, 1), done: make(chan error, 1), records: make(chan map[string]any, 64)}
+	logs, logw := io.Pipe()
+	go func() {
+		defer close(d.records)
+		sc := bufio.NewScanner(logs)
+		for sc.Scan() {
+			var rec map[string]any
+			if json.Unmarshal(sc.Bytes(), &rec) == nil {
+				d.records <- rec
+			}
+		}
+	}()
+	go func() {
+		d.done <- run(append([]string{"-addr", "127.0.0.1:0", "-log-format", "json"}, args...), logw, d.stop)
+		logw.Close()
+	}()
+	d.base = d.next("serving")["addr"].(string)
+	return d
+}
+
+// next returns the next log record with message msg.
+func (d *daemon) next(msg string) map[string]any {
+	d.t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case rec, ok := <-d.records:
+			if !ok {
+				d.t.Fatalf("log ended before %q", msg)
+			}
+			if rec["msg"] == msg {
+				return rec
+			}
+		case <-timeout:
+			d.t.Fatalf("no %q log record", msg)
+		}
+	}
+}
+
+// wait returns run's result once it has logged its last record.
+func (d *daemon) wait() error {
+	d.t.Helper()
+	d.next("bye")
+	select {
+	case err := <-d.done:
+		return err
+	case <-time.After(10 * time.Second):
+		d.t.Fatal("run did not return after the drain")
+		return nil
+	}
+}
+
 // TestRunServesAndDrainsOnSignal drives the daemon the way an operator
 // does: flags in, HTTP traffic, SIGTERM, graceful drain. The service
 // itself has its own end-to-end tests (internal/schedd); what only this
 // one pins is that every flag reaches the service it configures and
 // that a signal drains every accepted job before run returns.
 func TestRunServesAndDrainsOnSignal(t *testing.T) {
-	logs, logw := io.Pipe()
-	records := make(chan map[string]any, 64)
-	go func() {
-		defer close(records)
-		sc := bufio.NewScanner(logs)
-		for sc.Scan() {
-			var rec map[string]any
-			if json.Unmarshal(sc.Bytes(), &rec) == nil {
-				records <- rec
-			}
-		}
-	}()
-	next := func(msg string) map[string]any {
-		t.Helper()
-		timeout := time.After(10 * time.Second)
-		for {
-			select {
-			case rec, ok := <-records:
-				if !ok {
-					t.Fatalf("log ended before %q", msg)
-				}
-				if rec["msg"] == msg {
-					return rec
-				}
-			case <-timeout:
-				t.Fatalf("no %q log record", msg)
-			}
-		}
-	}
-
-	stop := make(chan os.Signal, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-addr", "127.0.0.1:0", "-log-format", "json", "-policy", "LS",
-			"-slaves", "0.2:1,0.4:2,0.2:1,0.4:2,0.2:1,0.4:2",
-			"-shards", "3", "-placement", "least-loaded", "-partition", "balanced",
-			"-clock-scale", "4000", "-ingest-queue", "64", "-max-batch", "500",
-		}, logw, stop)
-		logw.Close()
-	}()
-	base := next("serving")["addr"].(string)
+	d := startDaemon(t, "-policy", "LS",
+		"-slaves", "0.2:1,0.4:2,0.2:1,0.4:2,0.2:1,0.4:2",
+		"-shards", "3", "-placement", "least-loaded", "-partition", "balanced",
+		"-clock-scale", "4000", "-ingest-queue", "64", "-max-batch", "500")
+	base := d.base
 
 	var stats struct {
 		Slaves     int     `json:"slaves"`
@@ -91,22 +124,117 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 		t.Fatalf("a count past -max-batch: status %d, want 400", n)
 	}
 
-	stop <- syscall.SIGTERM
-	if rec := next("draining"); rec["signal"] != syscall.SIGTERM.String() {
+	d.stop <- syscall.SIGTERM
+	if rec := d.next("draining"); rec["signal"] != syscall.SIGTERM.String() {
 		t.Fatalf("draining record %v", rec)
 	}
-	if rec := next("drained"); rec["submitted"] != float64(jobs) || rec["completed"] != float64(jobs) {
+	if rec := d.next("drained"); rec["submitted"] != float64(jobs) || rec["completed"] != float64(jobs) {
 		t.Fatalf("drained record %v, want %d submitted and completed", rec, jobs)
 	}
-	next("bye")
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not return after the drain")
+	if err := d.wait(); err != nil {
+		t.Fatalf("run: %v", err)
 	}
+}
+
+// TestMutexProfileSparesReadPath pins the router's lock-free read path
+// against the daemon itself: with every contention event sampled
+// (-pprof -mutexprofile 1), four concurrent jobs:stream ingests racing
+// two GET /v1/jobs/{id} readers leave not one mutex or block sample
+// with Router.Job or Router.ShardOf anywhere on its stack — a lock in
+// the job index they read through shows up as such a sample. The one
+// exemption is the lock Tracker.Job takes itself: the job's state comes
+// from its shard's live.Tracker, behind that tracker's own read lock
+// (released through a compiler-made deferwrap1 frame where the defer is
+// not open-coded, as under -race). A canary contention of the test's
+// own must show up in both profiles, so an empty or unwired profile
+// cannot pass, on any number of CPUs.
+func TestMutexProfileSparesReadPath(t *testing.T) {
+	t.Cleanup(func() { runtime.SetMutexProfileFraction(0); runtime.SetBlockProfileRate(0) })
+	d := startDaemon(t, "-policy", "LS",
+		"-slaves", "0.1:0.4,0.1:0.8,0.2:0.4,0.2:0.8,0.3:0.4,0.3:0.8,0.1:0.4,0.2:0.8",
+		"-shards", "4", "-placement", "least-loaded", "-partition", "balanced",
+		"-virtual", "-record=false", "-pprof", "-mutexprofile", "1",
+		// Zero is legal wherever the help text gives it a meaning.
+		"-ingest-queue", "0", "-audit-depth", "0", "-record-segments", "0", "-record-segment-bytes", "0")
+	body := strings.Repeat(`{"count":500}`+"\n", 50)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(d.base+"/v1/jobs:stream", "application/x-ndjson", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= 500; i++ {
+				if resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", d.base, i*37)); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// The canary: this goroutine blocks on a lock another one releases
+	// 50 ms later (long enough that the Lock below is waiting by then).
+	var canary sync.Mutex
+	canary.Lock()
+	go func() { time.Sleep(50 * time.Millisecond); canary.Unlock() }()
+	canary.Lock()
+	canary.Unlock()
+	readPath := regexp.MustCompile(`cluster\.\(\*Router\)\.(Job|ShardOf)\b`)
+	const trackerJob = "repro/internal/live.(*Tracker).Job"
+	for _, profile := range []string{"mutex", "block"} {
+		resp, err := http.Get(d.base + "/debug/pprof/" + profile + "?debug=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sawCanary := false
+		for _, sample := range strings.Split(string(text), "\n\n") {
+			locker := lockCaller(sample)
+			sawCanary = sawCanary || strings.HasPrefix(locker, "repro/cmd/schedd.TestMutexProfileSparesReadPath")
+			if readPath.MatchString(sample) && locker != trackerJob && locker != trackerJob+".deferwrap1" {
+				t.Fatalf("%s profile: %s took a contended lock on the read path:\n%s", profile, locker, sample)
+			}
+		}
+		if !sawCanary {
+			t.Fatalf("%s profile lacks the canary sample:\n%s", profile, text)
+		}
+	}
+	d.stop <- syscall.SIGTERM
+	if err := d.wait(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// lockCaller returns the first frame of a debug=1 contention profile
+// sample outside the runtime and sync packages, without its offset: the
+// function that took the lock (or blocked).
+func lockCaller(sample string) string {
+	for _, line := range strings.Split(sample, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "#" {
+			continue
+		}
+		if fn, _, _ := strings.Cut(f[2], "+"); !strings.HasPrefix(fn, "runtime.") && !strings.HasPrefix(fn, "sync.") && !strings.HasPrefix(fn, "internal/sync.") {
+			return fn
+		}
+	}
+	return ""
 }
 
 func getJSON(t *testing.T, url string, v any) {
@@ -133,16 +261,35 @@ func postJobs(t *testing.T, base string, count int) int {
 }
 
 // TestRunRejectsBadFlags pins that configuration errors end run with an
-// error rather than a served daemon.
+// error rather than a served daemon, and that an out-of-range number is
+// such an error — naming its flag — rather than a silent default. A
+// configuration wrongly accepted serves on a free port until the
+// already-pending signal drains it, and run returns nil.
 func TestRunRejectsBadFlags(t *testing.T) {
+	runOnce := func(args []string) error {
+		stop := make(chan os.Signal, 1)
+		stop <- syscall.SIGTERM
+		return run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, stop)
+	}
 	for _, args := range [][]string{
 		{"-slaves", "Inf:2"},
 		{"-policy", "FIFO"},
 		{"-virtual", "-steal", "threshold", "-slaves", "1:1,1:1", "-shards", "2"},
 		{"-no-such-flag"},
 	} {
-		if err := run(args, io.Discard, nil); err == nil {
+		if err := runOnce(args); err == nil {
 			t.Fatalf("run(%q) succeeded", args)
+		}
+	}
+	for _, args := range [][]string{
+		{"-m", "-3"}, {"-m", "0"}, {"-shards", "0"}, {"-shards", "-2"},
+		{"-ingest-queue", "-5"}, {"-max-batch", "-1"}, {"-max-batch", "0"},
+		{"-record-segments", "-3"}, {"-record-segment-bytes", "5"}, {"-record-segment-bytes", "-1"},
+		{"-steal-interval", "-1s"}, {"-steal-interval", "0s"}, {"-snapshot-interval", "-1s"},
+		{"-audit-depth", "-1"}, {"-clock-scale", "0"}, {"-clock-scale", "NaN"}, {"-mutexprofile", "-1"},
+	} {
+		if err := runOnce(args); err == nil || !strings.Contains(err.Error(), args[0]+" ") {
+			t.Fatalf("run(%q) = %v, want an error naming %s", args, err, args[0])
 		}
 	}
 }

@@ -177,3 +177,37 @@ func TestAuditRecordsStealPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkAuditedAdmission is the audit's price on the admission path:
+// a fresh unstarted 4-shard router placing 1000 jobs in 10 batches
+// least-loaded, bare and with the decision audit on. The audit's cost is
+// one ring record per batch, magnified here against a bare placement
+// loop; on the served path it disappears into the request.
+func BenchmarkAuditedAdmission(b *testing.B) {
+	for _, variant := range []struct {
+		name  string
+		depth int
+	}{{"bare", 0}, {"audited", 256}} {
+		b.Run(variant.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := New(Config{
+					Platform:     fourShardPlatform(),
+					NewScheduler: newLS,
+					Shards:       4,
+					Placement:    PlacementLeastLoaded,
+					AuditDepth:   variant.depth,
+					World:        func(int) live.World { return live.NewRealTime(50000) },
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for batch := 0; batch < 10; batch++ {
+					if _, err := r.SubmitRange(live.JobSpec{}, 100); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

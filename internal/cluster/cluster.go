@@ -70,8 +70,8 @@ type Config struct {
 	// AuditDepth placement/steal/migration decisions (with the placement
 	// policy's per-shard scores) for GET /v1/decisions. 0 — the default —
 	// disables auditing entirely: no ring, no score computation, no
-	// timestamps on the ingest path, preserving the bare-cluster hot
-	// path the benchgate pins.
+	// timestamps on the ingest path (BenchmarkAuditedAdmission prices
+	// the difference).
 	AuditDepth int
 	// EventLogCap bounds each shard runtime's retained event log (see
 	// live.Config.EventLogCap); 0 keeps full history.

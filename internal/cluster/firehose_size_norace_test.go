@@ -7,3 +7,7 @@ package cluster
 // twin) — the synchronization story is identical, only the wall cost
 // differs.
 const firehoseSmokeJobs = 1_000_000
+
+// concurrentAdmissionAllocs is TestConcurrentAdmissionAllocs' ceiling:
+// 1.15 × the 300 allocations per burst it measured when written.
+const concurrentAdmissionAllocs = 345

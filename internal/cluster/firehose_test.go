@@ -268,6 +268,90 @@ func TestPickBatchMatchesSinglePicks(t *testing.T) {
 	}
 }
 
+// TestPickBatchAllocationFree pins the contract admission's per-batch
+// cost rests on: no placement policy allocates in PickBatch, with or
+// without a score buffer to fill.
+func TestPickBatchAllocationFree(t *testing.T) {
+	r := testCluster(t, fourShardPlatform(), 4, PlacementRoundRobin)
+	defer r.Drain()
+	shards := r.Shards()
+	loads := []live.Load{
+		{Submitted: 900, Admitted: 900, Completed: 100},
+		{Submitted: 400, Admitted: 400, Completed: 200},
+		{Submitted: 100, Admitted: 100, Completed: 90},
+		{Submitted: 600, Admitted: 600, Completed: 50},
+	}
+	staged := make([]int, len(shards))
+	out := make([]int, 1000)
+	for _, name := range PlacementNames() {
+		p, err := NewPlacement(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scores := range [][]float64{nil, make([]float64, len(shards))} {
+			if n := testing.AllocsPerRun(100, func() {
+				clear(staged)
+				p.PickBatch(shards, loads, staged, live.JobSpec{}, len(out), out, scores)
+			}); n != 0 {
+				t.Fatalf("%s (score buffer %v): %v allocs per PickBatch, want 0", name, scores != nil, n)
+			}
+		}
+	}
+}
+
+// TestConcurrentAdmissionAllocs holds admission's allocation budget
+// under contention: 4 producers each pushing 16 batches of 256 jobs into
+// a fresh unstarted cluster whose intake holds everything, so nothing
+// drains and every allocation counted is admission's own. The budget is
+// per batch (batch scratch, intake slabs), so a per-job allocation
+// anywhere on the path overshoots the ceiling (concurrentAdmissionAllocs,
+// race-tagged twins) by 16,384.
+func TestConcurrentAdmissionAllocs(t *testing.T) {
+	const producers, batches, per, runs = 4, 16, 256, 10
+	const total = producers * batches * per
+	routers := make([]*Router, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range routers {
+		r, err := New(Config{
+			Platform:     fourShardPlatform(),
+			NewScheduler: newLS,
+			Shards:       4,
+			Placement:    PlacementLeastLoaded,
+			World:        func(int) live.World { return live.NewRealTime(50000) },
+			Firehose:     &FirehoseConfig{QueueDepth: 2 * total},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers[i] = r
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := routers[next]
+		next++
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					if _, err := r.SubmitRange(live.JobSpec{}, per); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if r.Jobs() != total {
+			t.Fatalf("routed %d of %d", r.Jobs(), total)
+		}
+	})
+	t.Logf("%v allocs per %d-job burst (ceiling %d)", allocs, total, concurrentAdmissionAllocs)
+	if allocs > concurrentAdmissionAllocs {
+		t.Fatalf("%v allocs per %d-job burst, ceiling %d", allocs, total, concurrentAdmissionAllocs)
+	}
+}
+
 // TestRealClockDrainAdmitsWithinMilliseconds pins the real-clock drain's
 // wait: at clock scale 1, a job submitted while its shard is busy reaches
 // the runtime within a few milliseconds of wall time, because the drain

@@ -689,3 +689,31 @@ func TestPlacementSkipsDeadShards(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkStealPlan measures one rebalancer planning pass on synthetic
+// loads: 16 shards with the whole backlog on shard 0, the most work a
+// single Plan call does (every pairing iteration fires). This is what
+// every rebalancer tick pays, balanced cluster or not.
+func BenchmarkStealPlan(b *testing.B) {
+	const shards = 16
+	loads := make([]live.Load, shards)
+	loads[0] = live.Load{Submitted: 10000, Admitted: 10000}
+	rates := make([]float64, shards)
+	for i := range rates {
+		rates[i] = 1 + float64(i%4)
+	}
+	for _, name := range []string{StealThreshold, StealHetAware} {
+		policy, err := NewStealPolicy(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if plan := policy.Plan(loads, rates); len(plan) == 0 {
+					b.Fatal("no plan for a fully pinned backlog")
+				}
+			}
+		})
+	}
+}

@@ -6,8 +6,8 @@ package experiment
 // rewrite, planner and validator changes). Reproducing them byte for
 // byte through the optimized path — at several worker counts — proves
 // the overhaul changed no decision, no metric, and no recorded bit,
-// including under failure scenarios with re-dispatch. CI additionally
-// replays the same comparison through the real msched binary.
+// including under failure scenarios with re-dispatch. cmd/msched's
+// TestGoldensThroughRun replays the same comparison through the command.
 
 import (
 	"os"

@@ -12,8 +12,8 @@
 //     preallocated; an append encodes its frame directly into the active
 //     buffer under a short mutex. Sealing a full segment recycles the
 //     oldest retained buffer instead of allocating a new one, so even
-//     rotation is allocation-free at steady state (BenchmarkFlightAppend
-//     pins this at 0 allocs/op). Only optional disk persistence and
+//     rotation is allocation-free at steady state (TestAppendAllocationFree
+//     pins this, rotations included). Only optional disk persistence and
 //     oversized blob frames touch the allocator.
 //
 //   - No clock, no randomness. The recorder never reads time: every

@@ -323,8 +323,9 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// TestAppendAllocationFree pins the hot-path discipline at the unit
-// level; BenchmarkFlightAppend in internal/perf gates it in CI.
+// TestAppendAllocationFree pins the hot-path discipline: event, span
+// and decision appends allocate nothing, segment rotation included — so
+// the measured region must seal segments, not just fill one.
 func TestAppendAllocationFree(t *testing.T) {
 	r := mustNew(t, Config{SegmentBytes: 4096, MaxSegments: 2})
 	// Warm the buffer pool: after MaxSegments+1 segments exist, sealing
@@ -332,6 +333,8 @@ func TestAppendAllocationFree(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		r.AppendEvent(0, live.Event{T: float64(i), Kind: live.EvSubmitted, Task: i, Slave: -1})
 	}
+	sealed := func() int { st := r.Stats(); return st.Segments + int(st.SegmentsDropped) }
+	before := sealed()
 	d := obs.Decision{Kind: obs.DecisionPlace, Policy: "least-loaded", Job: 1, From: -1, To: 0, Scores: []float64{1, 2}}
 	rec := core.Record{Task: 1, Slave: 0, Release: 1, SendStart: 2, Arrive: 3, Start: 3, Complete: 4}
 	if n := testing.AllocsPerRun(200, func() {
@@ -341,6 +344,45 @@ func TestAppendAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("append path allocates %v times per op, want 0", n)
 	}
+	if rotated := sealed() - before; rotated < 2 {
+		t.Fatalf("%d segment rotations inside the measured appends, want at least 2", rotated)
+	}
+}
+
+// BenchmarkAppend measures the span and decision appends on a small
+// memory-only ring that rotates throughout, warmed past its first full
+// rotation so every seal recycles a buffer.
+func BenchmarkAppend(b *testing.B) {
+	warm := func(b *testing.B) *Recorder {
+		r, err := New(Config{SegmentBytes: 64 << 10, MaxSegments: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 20000; i++ {
+			r.AppendEvent(0, live.Event{T: float64(i), Kind: live.EvSubmitted, Task: i, Slave: -1})
+		}
+		return r
+	}
+	b.Run("span", func(b *testing.B) {
+		r := warm(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t := float64(i)
+			r.AppendSpan(i&3, core.Record{Task: core.TaskID(i), Slave: i & 7,
+				Release: t, SendStart: t + 1, Arrive: t + 2, Start: t + 3, Complete: t + 4})
+		}
+	})
+	b.Run("decision", func(b *testing.B) {
+		r := warm(b)
+		scores := []float64{1, 2, 3, 4}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.AppendDecision(obs.Decision{Kind: obs.DecisionPlace, Policy: "least-loaded",
+				Seq: uint64(i), Job: i, From: -1, To: i & 3, Scores: scores})
+		}
+	})
 }
 
 // TestRecorderObserve pins the production sink against the two appends

@@ -8,8 +8,8 @@
 //
 //   - The record path allocates nothing. Counters and gauges are single
 //     atomic words; a histogram's buckets are preallocated at
-//     construction and Observe touches only atomics. The CI benchmark
-//     gate pins this (BenchmarkObsRecord in internal/perf).
+//     construction and Observe touches only atomics
+//     (TestRecordPathAllocationFree pins this).
 //   - Recording never takes a lock shared with exposition. Scrapes
 //     (WritePrometheus, WriteJSON) read the same atomics; the registry
 //     mutex only guards the metric table, which is written at setup

@@ -115,8 +115,7 @@ func TestHistogramRejectsBadBounds(t *testing.T) {
 }
 
 // TestRecordPathAllocationFree pins the tentpole contract: recording on
-// every metric type allocates nothing. The CI benchgate enforces the
-// same property continuously via BenchmarkObsRecord.
+// every metric type allocates nothing.
 func TestRecordPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_total", "jobs", Labels("shard", "0"))
@@ -140,6 +139,18 @@ func TestAuditRecordAllocationFree(t *testing.T) {
 		a.Record(Decision{Kind: DecisionPlace, Job: 1, From: -1, To: 2, Scores: scores})
 	}); n != 0 {
 		t.Fatalf("audit record allocates %v/op, want 0", n)
+	}
+}
+
+// BenchmarkAuditRecord measures one placement decision into the audit
+// ring, scores included: the per-batch price of -audit-depth on the
+// admission path.
+func BenchmarkAuditRecord(b *testing.B) {
+	a := NewAuditRing(256, 4)
+	scores := []float64{1, 2, 3, 4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Record(Decision{Kind: DecisionPlace, Job: i, To: i & 3, Scores: scores})
 	}
 }
 

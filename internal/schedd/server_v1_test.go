@@ -335,16 +335,19 @@ func streamLines(t *testing.T, ts *httptest.Server, body string) []StreamAck {
 	}
 }
 
-// TestStreamEndToEnd drives the bulk path on a virtual-clock service:
-// NDJSON in, consecutive ID ranges out, everything completes on drain.
+// TestStreamEndToEnd drives the bulk path on a 4-shard virtual-clock
+// service: one stream of 1000-job lines carrying streamSmokeJobs jobs (a
+// million; 100k under -race; 10k under -short) is acked line by line
+// with consecutive ID ranges that tile [0, total), and everything
+// completes on drain, the per-shard completions summing to the total.
 func TestStreamEndToEnd(t *testing.T) {
 	s, ts := virtualServer(t, 4)
-	var body strings.Builder
-	const lines, per = 10, 100
-	for i := 0; i < lines; i++ {
-		fmt.Fprintf(&body, "{\"count\":%d}\n", per)
+	const per = 1000
+	lines := streamSmokeJobs / per
+	if testing.Short() {
+		lines = 10
 	}
-	acks := streamLines(t, ts, body.String())
+	acks := streamLines(t, ts, strings.Repeat(fmt.Sprintf("{\"count\":%d}\n", per), lines))
 	if len(acks) != lines {
 		t.Fatalf("%d acks for %d lines", len(acks), lines)
 	}
@@ -373,9 +376,12 @@ func TestStreamEndToEnd(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("GET /v1/stats: %d", code)
 	}
-	want := lines*per + 5
-	if stats.Jobs.Submitted != want || stats.Jobs.Completed != want {
-		t.Fatalf("jobs %+v, want %d", stats.Jobs, want)
+	want, perShard := lines*per+5, 0
+	for _, sh := range stats.PerShard {
+		perShard += sh.Jobs.Completed
+	}
+	if stats.Jobs.Submitted != want || stats.Jobs.Completed != want || perShard != want {
+		t.Fatalf("jobs %+v, per-shard completions %d, want %d", stats.Jobs, perShard, want)
 	}
 	if stats.ClockScale != 1 {
 		t.Fatalf("virtual mode clock scale %v, want forced 1", stats.ClockScale)
