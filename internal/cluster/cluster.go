@@ -37,7 +37,8 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrDraining is returned by SubmitRange once Drain has begun.
+// ErrDraining is returned by SubmitRuns (and SubmitRange) once Drain has
+// begun.
 var ErrDraining = errors.New("cluster: draining; no new jobs accepted")
 
 // Config describes one sharded cluster.
@@ -62,7 +63,7 @@ type Config struct {
 	// Sources are in-world job producers, only meaningful for
 	// single-shard clusters (the conformance suite uses this). A cluster
 	// built with sources has no intake: its jobs come from the sources
-	// alone and SubmitRange refuses every batch. Configuring sources with
+	// alone and SubmitRuns refuses every batch. Configuring sources with
 	// more than one shard is an error: in-world submissions bypass the
 	// router.
 	Sources []func(*live.Source)
@@ -367,28 +368,51 @@ func (r *Router) Jobs() int {
 	return r.idx.count()
 }
 
+// Run is one stretch of an admitted batch: Count consecutive jobs that
+// share one Spec (a run with Count ≤ 0 places nothing).
+type Run struct {
+	Spec  live.JobSpec
+	Count int
+}
+
 // SubmitRange places count identical jobs and returns the first global
-// ID; the batch occupies the consecutive range [base, base+count).
-// Nothing per-job is allocated. It is the one admission path. The
-// stages, in order:
+// ID; the batch occupies the consecutive range [base, base+count). It is
+// a batch of one run.
+func (r *Router) SubmitRange(spec live.JobSpec, count int) (int, error) {
+	return r.SubmitRuns([]Run{{Spec: spec, Count: count}})
+}
+
+// SubmitRuns places the runs as one batch of n = Σ Count jobs and
+// returns the first global ID: the batch occupies the consecutive range
+// [base, base+n), run i the stretch after runs 0..i-1, and every job
+// keeps its own run's spec. Nothing per-job is allocated. It is the one
+// admission path. The stages, in order:
 //
 //  1. reserve — block on the intake's depth bound, before any lock, so
 //     backpressure never stalls lookups or other producers.
 //  2. decide, under mu — the draining check, the load snapshot, one
-//     PickBatch, the atomic global-ID range allocation and one audited
-//     decision for the whole batch. Because every batch allocates its
-//     ID range inside the critical section that ordered its placement,
-//     ID order is exactly arrival order — the sequencer contract the
-//     stream endpoint's acks rely on.
+//     PickBatch over all n jobs, the atomic global-ID range allocation
+//     and one audited decision for the whole batch. Because every batch
+//     allocates its ID range inside the critical section that ordered
+//     its placement, ID order is exactly arrival order — the sequencer
+//     contract the stream endpoint's acks rely on.
 //  3. enqueue, after mu — one intake-lock hold per touched shard
 //     reserves the shard's next runtime-local IDs, publishes the
-//     batch's global table entries there and appends the slice to the
+//     batch's global table entries there and appends its specs to the
 //     shard's queue (intake.appendRun); producers whose batches land on
 //     disjoint shards run this stage in parallel. A concurrent Job
 //     lookup between allocation and publication sees "queued", never
 //     "unknown".
-func (r *Router) SubmitRange(spec live.JobSpec, count int) (int, error) {
-	if count <= 0 {
+//
+// Placement never reads a job's spec (a job's scales multiply its cost
+// identically on every shard), so one decision serves runs of different
+// specs; only the intake carries them.
+func (r *Router) SubmitRuns(runs []Run) (int, error) {
+	count := 0
+	for _, run := range runs {
+		count += max(run.Count, 0)
+	}
+	if count == 0 {
 		return 0, nil
 	}
 	if err := r.fh.reserve(count); err != nil {
@@ -410,7 +434,7 @@ func (r *Router) SubmitRange(spec live.JobSpec, count int) (int, error) {
 	for j := range r.scoreBuf {
 		r.scoreBuf[j] = math.NaN()
 	}
-	r.placement.PickBatch(r.shards, r.loads, b.counts, spec, count, b.out, r.scoreBuf)
+	r.placement.PickBatch(r.shards, r.loads, b.counts, runs[0].Spec, count, b.out, r.scoreBuf)
 	if b.out[0] < 0 || b.out[0] >= len(r.shards) {
 		panic(fmt.Sprintf("cluster: placement %s picked shard %d of %d", r.placement.Name(), b.out[0], len(r.shards)))
 	}
@@ -439,7 +463,7 @@ func (r *Router) SubmitRange(spec live.JobSpec, count int) (int, error) {
 	r.mu.Unlock()
 	for s, n := range b.counts {
 		if n > 0 {
-			r.fh.appendRun(s, b.out, spec, &r.idx, base)
+			r.fh.appendRun(s, b.out, runs, &r.idx, base)
 		}
 	}
 	r.enqueues.Done()

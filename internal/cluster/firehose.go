@@ -108,11 +108,12 @@ type intake struct {
 
 	// qmu guards the total depth and the closed state; qcond wakes
 	// producers blocked on the bound. err is what reserve answers once
-	// closed.
+	// closed. closed only changes under qmu, but it is atomic so the
+	// drain sources' empty polls read it without the lock.
 	qmu    sync.Mutex
 	qcond  *sync.Cond
 	queued int
-	closed bool
+	closed atomic.Bool
 	err    error
 
 	// pmu guards the recycled-slab stack; the counters alongside it make
@@ -148,10 +149,10 @@ func newIntake(cfg *FirehoseConfig, shards int) *intake {
 func (fh *intake) reserve(count int) error {
 	fh.qmu.Lock()
 	defer fh.qmu.Unlock()
-	for !fh.closed && fh.queued >= fh.bound {
+	for !fh.closed.Load() && fh.queued >= fh.bound {
 		fh.qcond.Wait()
 	}
-	if fh.closed {
+	if fh.closed.Load() {
 		return fh.err
 	}
 	fh.queued += count
@@ -184,22 +185,17 @@ func (fh *intake) depth() int {
 // the router lock that every enqueue registers under).
 func (fh *intake) close(err error) {
 	fh.qmu.Lock()
-	if fh.closed {
+	if fh.closed.Load() {
 		fh.qmu.Unlock()
 		return
 	}
-	fh.closed, fh.err = true, err
+	fh.err = err
+	fh.closed.Store(true)
 	fh.qcond.Broadcast()
 	fh.qmu.Unlock()
 	for i := range fh.shards {
 		close(fh.shards[i].notify)
 	}
-}
-
-func (fh *intake) isClosed() bool {
-	fh.qmu.Lock()
-	defer fh.qmu.Unlock()
-	return fh.closed
 }
 
 // getSlab pops a recycled slab or allocates a fresh one.
@@ -234,19 +230,23 @@ func (fh *intake) putSlab(s []live.JobSpec) {
 // shard's intake lock, each job of the batch placed there (out[i] == s,
 // in batch order) takes the shard's next runtime-local ID, has global
 // ID base+i published at that location, and is appended to the shard
-// queue. The reserve, the publication and the append sharing one
-// critical section is the sole-submitter invariant's load-bearing wall:
-// whatever order concurrent producers reach a shard, each batch's specs
-// land in the queue in exactly the order their local IDs were reserved.
-func (fh *intake) appendRun(s int, out []int, spec live.JobSpec, idx *jobIndex, base int) {
+// queue with its own run's spec. The reserve, the publication and the
+// append sharing one critical section is the sole-submitter invariant's
+// load-bearing wall: whatever order concurrent producers reach a shard,
+// each batch's specs land in the queue in exactly the order their local
+// IDs were reserved.
+func (fh *intake) appendRun(s int, out []int, runs []Run, idx *jobIndex, base int) {
 	sq := &fh.shards[s]
 	sq.emu.Lock()
 	var cur []live.JobSpec
-	for i, sh := range out {
-		if sh == s {
-			idx.set(base+i, s, sq.nextLocal)
-			sq.nextLocal++
-			cur = fh.push(s, cur, spec)
+	i := 0
+	for _, run := range runs {
+		for end := i + max(run.Count, 0); i < end; i++ {
+			if out[i] == s {
+				idx.set(base+i, s, sq.nextLocal)
+				sq.nextLocal++
+				cur = fh.push(s, cur, run.Spec)
+			}
 		}
 	}
 	fh.flushRest(s, cur)
@@ -313,8 +313,16 @@ func (fh *intake) flush(shard int, slab []live.JobSpec) {
 }
 
 // takeInto swaps the shard's queued slabs out in one lock acquisition,
-// installing buf (an empty recycled slice) as the new queue.
+// installing buf (an empty recycled slice) as the new queue. An empty
+// queue — queued reads 0 — returns buf at once without the lock. That
+// read can miss a slab whose flush has appended it but not yet counted
+// it, but no wake-up is lost: flush counts the slab (queued.Add) before
+// its notify send, so the drain source either sees the count on this
+// poll or finds the notify token when it next waits, and polls again.
 func (sq *fhShard) takeInto(buf [][]live.JobSpec) [][]live.JobSpec {
+	if sq.queued.Load() == 0 {
+		return buf
+	}
 	sq.mu.Lock()
 	out := sq.slabs
 	sq.slabs = buf
@@ -355,10 +363,12 @@ func (fh *intake) drainLoop(shard int, src *live.Source) {
 			continue
 		}
 		spare = slabs
-		if fh.isClosed() {
-			// Every flush happens-before close, so one more take performed
-			// after observing the closed flag sees every remaining slab
-			// (the empty take above may have raced the final flush).
+		if fh.closed.Load() {
+			// Every flush — its append and its queued.Add — happens-before
+			// close stores the flag, so one more take performed after
+			// observing the flag sees every remaining slab counted in
+			// queued and takes it (the empty take above may have raced the
+			// final flush).
 			if slabs := sq.takeInto(spare[:0]); len(slabs) > 0 {
 				submitAll(slabs)
 			}

@@ -1,11 +1,9 @@
 package schedd
 
 // POST /v1/jobs:stream — the bulk-ingest firehose endpoint. The request
-// body is NDJSON: one SubmitRequest per line, each placed as a single
-// batched routing decision (cluster.Router.SubmitRange — one scored
-// placement pass and one intake flush per line, never per job). The
-// response streams back one StreamAck per line as it is admitted, so a
-// client always knows exactly which jobs the service accepted.
+// body is NDJSON: one SubmitRequest per line. The response streams back
+// one StreamAck per line as it is admitted, so a client always knows
+// exactly which jobs the service accepted.
 //
 // Decoding is pipelined: a reader goroutine splits the wire into lines,
 // W workers (GOMAXPROCS capped at 8; one on a single-core host) parse
@@ -14,6 +12,19 @@ package schedd
 // placement and acks strictly in that order. Parsing is commutative, so
 // only the sequencer touches the router: global-ID assignment order and
 // per-line ack order are exactly wire order, line for line, at any W.
+//
+// The sequencer admits runs of adjacent lines, not single lines: once a
+// line has parsed it also takes every later line that has already
+// arrived and parsed (it never waits for more), up to streamRunJobs
+// jobs, and places the run as one batched routing decision
+// (cluster.Router.SubmitRuns — one scored placement pass, one ID range
+// and one audit entry per run, never per job), each line keeping its own
+// stretch of the range and its own spec. The run's acks are encoded in
+// line order and flushed once. A client that waits for each ack before
+// sending the next line gets runs of one; a client that pipelines gets
+// its one-job lines admitted a slab at a time. Which lines share a run
+// depends on arrival timing, so /v1/decisions' entry count does too; the
+// acks do not.
 //
 // Error semantics are partial-accept: the first bad line (malformed
 // JSON, out-of-bounds count or scales, service draining) produces
@@ -25,7 +36,7 @@ package schedd
 // per-line status lives in the acks, which is the only place it can live
 // once the header has been sent.
 //
-// Backpressure: the router's intake blocks SubmitRange while the bounded
+// Backpressure: the router's intake blocks SubmitRuns while the bounded
 // queue (Config.IngestQueueDepth) is full, on either clock, which
 // propagates to the client as TCP backpressure (the decode pipeline
 // adds only its fixed slot budget of lookahead).
@@ -61,6 +72,11 @@ type StreamAck struct {
 // bytes; a megabyte one is a protocol error, not a big batch).
 const streamMaxLine = 1 << 20
 
+// streamRunJobs closes a sequencer run once it holds this many jobs: the
+// intake's slab size, so a run of one-job lines fills about one slab and
+// a bulk line is a run of its own.
+const streamRunJobs = 512
+
 // streamJob is one NDJSON line in flight through the decode pipeline.
 // Slots are recycled through a per-request freelist, so a steady stream
 // allocates nothing per line: buf is reused for the line copy, ready
@@ -80,9 +96,10 @@ type streamJob struct {
 //	          order, to the sequencer (order).
 //	workers — s.streamWorkers goroutines JSON-parse slots in parallel,
 //	          signalling each slot's ready channel when done.
-//	sequencer — this goroutine: receives slots in wire order, waits for
-//	          each parse, and runs validation → placement → ack. Only it
-//	          calls SubmitRange, so ID assignment stays arrival order.
+//	sequencer — this goroutine: receives slots in wire order, gathers
+//	          each run of adjacent parsed lines, validates them in order,
+//	          places the run and acks its lines with one flush. Only it
+//	          calls SubmitRuns, so ID assignment stays arrival order.
 //
 // The slot freelist bounds lookahead (the reader blocks when all slots
 // are in flight) and makes the steady state allocation-free. On early
@@ -100,17 +117,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	ack := func(a StreamAck) bool {
-		if err := enc.Encode(a); err != nil {
-			return false
-		}
+	flush := func() {
 		if fl != nil {
 			fl.Flush()
 		}
-		return true
 	}
 	fail := func(line int, msg string) {
-		ack(StreamAck{Line: line, Error: msg + " (stream aborted; earlier acked lines remain accepted)"})
+		if enc.Encode(StreamAck{Line: line, Error: msg + " (stream aborted; earlier acked lines remain accepted)"}) == nil {
+			flush()
+		}
 	}
 
 	workers := s.streamWorkers
@@ -125,8 +140,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer close(done)
 
 	// Written by the reader before it closes order; the close is the
-	// happens-before edge that lets the sequencer read them after the
-	// range loop ends.
+	// happens-before edge that lets the sequencer read them after its
+	// loop ends.
 	var lastLine int
 	var scanErr error
 
@@ -174,18 +189,70 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	for j := range order {
+	// The sequencer. Each pass gathers one run: the first line (waiting
+	// for it and its parse), then every further line order already holds
+	// whose parse is already complete — never waiting for more. lines[i]
+	// is the wire line runs[i] admits. A run ends at an empty order, at a
+	// line still parsing (it opens the next run), at the first bad line,
+	// or once it holds streamRunJobs jobs.
+	var (
+		lines []int
+		runs  []cluster.Run
+		next  *streamJob // taken from order, its parse not yet awaited
+		eof   bool       // order is closed and empty
+	)
+	for !eof {
+		j := next
+		if j == nil {
+			var ok bool
+			if j, ok = <-order; !ok {
+				break
+			}
+		}
+		next = nil
 		<-j.ready
-		if j.err != nil {
-			fail(j.line, "bad request line: "+j.err.Error())
+		lines, runs = lines[:0], runs[:0]
+		jobs, badLine, badMsg := 0, 0, ""
+		for j != nil {
+			req, line, err := j.req, j.line, j.err
+			// The slot's buf and req have been consumed; recycle it before
+			// the (potentially blocking) placement so the pipeline keeps
+			// decoding ahead. free has slot-count capacity, the send cannot
+			// block.
+			free <- j
+			j = nil
+			if err != nil {
+				badLine, badMsg = line, "bad request line: "+err.Error()
+				break
+			}
+			if err := s.validate(&req); err != nil {
+				badLine, badMsg = line, err.Error()
+				break
+			}
+			lines = append(lines, line)
+			runs = append(runs, cluster.Run{Spec: live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, Count: req.Count})
+			if jobs += req.Count; jobs >= streamRunJobs {
+				break
+			}
+			select {
+			case k, ok := <-order:
+				switch {
+				case !ok:
+					eof = true
+				case len(k.ready) > 0:
+					<-k.ready
+					j = k
+				default:
+					next = k
+				}
+			default:
+			}
+		}
+		if len(runs) > 0 && !s.admitRun(lines, runs, enc, flush, fail) {
 			return
 		}
-		line, req := j.line, j.req
-		// The slot's buf and req have been consumed; recycle it before the
-		// (potentially blocking) placement so the pipeline keeps decoding
-		// ahead. free has slot-count capacity, the send cannot block.
-		free <- j
-		if !s.submitLine(line, req, ack, fail) {
+		if badMsg != "" {
+			fail(badLine, badMsg)
 			return
 		}
 	}
@@ -197,26 +264,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// submitLine is the sequencer stage: validate one parsed line, place
-// it, ack it. Returns false when the stream must stop (terminal ack
-// already sent, or the client is gone).
-func (s *Server) submitLine(line int, req SubmitRequest, ack func(StreamAck) bool, fail func(int, string)) bool {
-	if err := s.validate(&req); err != nil {
-		fail(line, err.Error())
-		return false
-	}
-	base, err := s.router.SubmitRange(live.JobSpec{CommScale: req.CommScale, CompScale: req.CompScale}, req.Count)
+// admitRun places one run of validated lines with a single router call
+// and acks each line, in line order, with its own stretch of the run's
+// consecutive ID range, then flushes once. Returns false when the
+// stream must stop (terminal ack already sent, or the client is gone).
+func (s *Server) admitRun(lines []int, runs []cluster.Run, enc *json.Encoder, flush func(), fail func(int, string)) bool {
+	base, err := s.router.SubmitRuns(runs)
 	if err != nil {
 		if errors.Is(err, cluster.ErrDraining) {
-			fail(line, "draining: no new jobs accepted")
+			fail(lines[0], "draining: no new jobs accepted")
 			return false
 		}
-		fail(line, err.Error())
+		fail(lines[0], err.Error())
 		return false
 	}
-	if !ack(StreamAck{Line: line, Base: base, Count: req.Count}) {
-		// The client is gone; jobs already admitted stay admitted.
-		return false
+	for i, run := range runs {
+		if enc.Encode(StreamAck{Line: lines[i], Base: base, Count: run.Count}) != nil {
+			// The client is gone; jobs already admitted stay admitted.
+			return false
+		}
+		base += run.Count
 	}
+	flush()
 	return true
 }
