@@ -135,12 +135,11 @@ func renderTop(w io.Writer, stats schedd.StatsResponse) {
 			fmt.Sprintf("%d", sec.Jobs.Submitted),
 			fmt.Sprintf("%d", sec.Jobs.Completed),
 			fmt.Sprintf("%d", sec.QueueDepth),
-			fmt.Sprintf("%d", sec.EventsDropped),
 			p50,
 		})
 	}
 	fmt.Fprint(w, textplot.Table(
-		[]string{"shard", "slaves", "submitted", "completed", "queue", "ev-drop", "p50s"}, rows))
+		[]string{"shard", "slaves", "submitted", "completed", "queue", "p50s"}, rows))
 }
 
 func cmdTail(args []string, stdout, stderr io.Writer) error {

@@ -74,8 +74,10 @@ type Config struct {
 	// timestamps on the ingest path (BenchmarkAuditedAdmission prices
 	// the difference).
 	AuditDepth int
-	// EventLogCap bounds each shard runtime's retained event log (see
-	// live.Config.EventLogCap); 0 keeps full history.
+	// EventLogCap is ignored, like live.Config.EventLogCap.
+	//
+	// Deprecated: ignored. bench/ still sets it; the benchmark's second
+	// edition (ROADMAP.md) drops that use and then deletes the field.
 	EventLogCap int
 	// Observer, when set, is called with every lifecycle event from every
 	// shard together with the job as the shard's tracker holds it after
@@ -304,10 +306,9 @@ func New(cfg Config) (*Router, error) {
 			obsFn = func(ev live.Event) { user(shard, ev, tracker.Observe(ev)) }
 		}
 		lcfg := live.Config{
-			Platform:    part.Platform,
-			Scheduler:   cfg.NewScheduler(),
-			Observer:    obsFn,
-			EventLogCap: cfg.EventLogCap,
+			Platform:  part.Platform,
+			Scheduler: cfg.NewScheduler(),
+			Observer:  obsFn,
 		}
 		if cfg.World != nil {
 			lcfg.World = cfg.World(i)

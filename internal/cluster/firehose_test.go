@@ -21,7 +21,6 @@ func firehoseCluster(t *testing.T, pl core.Platform, shards int, placement strin
 		Placement:    placement,
 		World:        func(int) live.World { return live.NewVirtual() },
 		Firehose:     &fh,
-		EventLogCap:  4096,
 	})
 	if err != nil {
 		t.Fatal(err)

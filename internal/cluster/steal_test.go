@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -302,6 +303,68 @@ func TestMigrateRefusals(t *testing.T) {
 	}
 	if got := r.Migrate(0, 1, 3); got != 0 {
 		t.Fatalf("Migrate after drain = %d, want 0", got)
+	}
+}
+
+// failingScheduler signals its first Decide and then panics, failing
+// its shard's master; the shard's world aborts everything else.
+type failingScheduler struct {
+	sim.Scheduler
+	decided chan struct{}
+}
+
+func (s failingScheduler) Decide(sim.View) sim.Action {
+	close(s.decided)
+	panic("scheduler exploded")
+}
+
+// TestMigrateFromFailedShard: once a shard's master has failed, a
+// migration out of it moves nothing instead of waiting forever for the
+// dead master's reply, and Drain — which waits out migrations — returns
+// the shard's error.
+func TestMigrateFromFailedShard(t *testing.T) {
+	decided := make(chan struct{})
+	built := 0
+	r, err := New(Config{
+		Platform: core.NewPlatform([]float64{5, 5}, []float64{5, 5}),
+		NewScheduler: func() sim.Scheduler {
+			built++
+			if built == 1 {
+				return failingScheduler{newLS(), decided}
+			}
+			return newLS()
+		},
+		Shards:    2,
+		Placement: PlacementPinned,
+		World:     func(int) live.World { return live.NewRealTime(1000) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	if _, err := submitIDs(r, 4); err != nil {
+		t.Fatal(err)
+	}
+	<-decided // shard 0's master reads no more mail
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked 5 s after shard 0 failed", what)
+		}
+	}
+	moved := -1
+	within("Migrate", func() { moved = r.Migrate(0, 1, 2) })
+	if moved != 0 {
+		t.Fatalf("Migrate from a failed shard moved %d jobs", moved)
+	}
+	var drainErr error
+	within("Drain", func() { drainErr = r.Drain() })
+	if drainErr == nil || !strings.Contains(drainErr.Error(), `"master" panicked`) {
+		t.Fatalf("Drain error %v, want shard 0's master panic", drainErr)
 	}
 }
 

@@ -25,7 +25,6 @@ func BenchmarkLifecycleRung(b *testing.B) {
 		slabSize    = 512
 		admitWindow = 1024
 		admitPoll   = 0.01
-		eventLogCap = 65536
 	)
 	pl := core.NewPlatform(
 		[]float64{0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.1, 0.2},
@@ -53,11 +52,10 @@ func BenchmarkLifecycleRung(b *testing.B) {
 			src.Drain()
 		}
 		rt, err := New(Config{
-			Platform:    pl,
-			Scheduler:   sched.New("LS"),
-			World:       NewVirtual(),
-			Sources:     []func(*Source){source},
-			EventLogCap: eventLogCap,
+			Platform:  pl,
+			Scheduler: sched.New("LS"),
+			World:     NewVirtual(),
+			Sources:   []func(*Source){source},
 		})
 		if err != nil {
 			return err

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,15 +10,13 @@ import (
 	"repro/internal/sched"
 )
 
-// runCapped executes a 12-task bag under the virtual clock with the
-// given event-log cap and returns the result plus the runtime.
-func runCapped(t *testing.T, cap int) (Result, *Runtime) {
-	t.Helper()
-	rt, err := New(Config{
-		Platform:    core.NewPlatform([]float64{1, 1}, []float64{2, 2}),
-		Scheduler:   sched.New("LS"),
-		World:       NewVirtual(),
-		EventLogCap: cap,
+// TestEventLogUnboundedByDefault pins that a run's Result carries its
+// full lifecycle: 12 jobs, five events each.
+func TestEventLogUnboundedByDefault(t *testing.T) {
+	res, err := Run(Config{
+		Platform:  core.NewPlatform([]float64{1, 1}, []float64{2, 2}),
+		Scheduler: sched.New("LS"),
+		World:     NewVirtual(),
 		Sources: []func(*Source){func(src *Source) {
 			for i := 0; i < 12; i++ {
 				src.Submit(JobSpec{})
@@ -27,57 +27,110 @@ func runCapped(t *testing.T, cap int) (Result, *Runtime) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Start()
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	return rt.Result(), rt
-}
-
-// TestEventLogUnboundedByDefault pins the zero-value behavior every
-// conformance suite depends on: no cap, no drops, full history.
-func TestEventLogUnboundedByDefault(t *testing.T) {
-	res, rt := runCapped(t, 0)
-	// 12 jobs × 5 lifecycle events each.
 	if len(res.Events) != 60 {
 		t.Fatalf("events = %d, want 60", len(res.Events))
 	}
-	if rt.EventsDropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", rt.EventsDropped())
+}
+
+// requireDerivedEvents checks Result.Events against the stream the
+// Observer saw: the same multiset of (Kind, Task, T, Slave) once the
+// retractions — which a schedule record does not hold — are set aside,
+// laid out job by job in ID order, five events per completed job and
+// the submission alone for a retracted one.
+func requireDerivedEvents(t *testing.T, label string, observed []Event, res Result) {
+	t.Helper()
+	streamed := slices.DeleteFunc(slices.Clone(observed), func(ev Event) bool { return ev.Kind == EvRetracted })
+	derived := slices.Clone(res.Events)
+	order := func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Task, b.Task), cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.T, b.T), cmp.Compare(a.Slave, b.Slave))
+	}
+	slices.SortFunc(streamed, order)
+	slices.SortFunc(derived, order)
+	if !slices.Equal(streamed, derived) {
+		t.Fatalf("%s: observed stream and Result.Events differ:\n observed %+v\n derived  %+v", label, streamed, derived)
+	}
+	evs := res.Events
+	for _, r := range res.Schedule.Records {
+		want := []EventKind{EvSubmitted}
+		if r.Slave >= 0 {
+			want = append(want, EvSent, EvArrived, EvStarted, EvCompleted)
+		}
+		if len(evs) < len(want) {
+			t.Fatalf("%s: Result.Events ends before job %d", label, r.Task)
+		}
+		for k, kind := range want {
+			if evs[k].Kind != kind || evs[k].Task != int(r.Task) {
+				t.Fatalf("%s: job %d event %d is %+v, want %v", label, r.Task, k, evs[k], kind)
+			}
+		}
+		evs = evs[len(want):]
+	}
+	if len(evs) != 0 {
+		t.Fatalf("%s: %d events past the last job", label, len(evs))
 	}
 }
 
-// TestEventLogBoundedRing pins the satellite fix: a capped log retains
-// exactly the newest cap events, in order, and counts the overwritten.
-func TestEventLogBoundedRing(t *testing.T) {
-	full, _ := runCapped(t, 0)
-	res, rt := runCapped(t, 16)
-	if len(res.Events) != 16 {
-		t.Fatalf("events = %d, want 16", len(res.Events))
+// TestDerivedEventsMatchObserver pins Result.Events, read off the
+// drained schedule, against the live Observer stream on both clocks:
+// every conformance platform, two policies. On a wall clock the master
+// must stamp each job's sent event and its record's SendStart from one
+// clock reading, or the two disagree on every dispatched job.
+func TestDerivedEventsMatchObserver(t *testing.T) {
+	tasks := core.ReleasesAt(0, 0, 1, 1, 2, 3, 5, 8, 8)
+	worlds := map[string]func() World{
+		"virtual": func() World { return NewVirtual() },
+		"real":    func() World { return NewRealTime(4000) },
 	}
-	if got, want := rt.EventsDropped(), int64(60-16); got != want {
-		t.Fatalf("dropped = %d, want %d", got, want)
-	}
-	// The retained suffix is the tail of the full deterministic stream.
-	tail := full.Events[len(full.Events)-16:]
-	for i := range tail {
-		if res.Events[i] != tail[i] {
-			t.Fatalf("ring event %d = %+v, want %+v", i, res.Events[i], tail[i])
+	for wName, world := range worlds {
+		for plName, pl := range conformancePlatforms() {
+			for _, policy := range []string{"LS", "SLJF"} {
+				label := fmt.Sprintf("%s/%s/%s", wName, plName, policy)
+				var observed []Event
+				res, err := Run(Config{
+					Platform:  pl,
+					Scheduler: sched.New(policy),
+					World:     world(),
+					Sources:   []func(*Source){Replay(tasks)},
+					Observer:  func(ev Event) { observed = append(observed, ev) },
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got, want := len(res.Events), 5*len(tasks); got != want {
+					t.Fatalf("%s: %d events, want %d", label, got, want)
+				}
+				requireDerivedEvents(t, label, observed, res)
+			}
 		}
 	}
-	// The ring does not disturb the schedule or counters.
-	if len(res.Schedule.Records) != 12 {
-		t.Fatalf("records = %d, want 12", len(res.Schedule.Records))
-	}
-}
 
-// TestEventLogCapLargerThanStream: a cap the run never fills behaves
-// exactly like the unbounded log.
-func TestEventLogCapLargerThanStream(t *testing.T) {
-	res, rt := runCapped(t, 1000)
-	if len(res.Events) != 60 || rt.EventsDropped() != 0 {
-		t.Fatalf("events = %d dropped = %d, want 60/0", len(res.Events), rt.EventsDropped())
+	// A real-clock steal: the retracted jobs keep only their submission.
+	var observed []Event
+	rt, err := New(Config{
+		Platform:  core.NewPlatform([]float64{5, 5}, []float64{5, 5}),
+		Scheduler: sched.New("LS"),
+		World:     NewRealTime(1000),
+		Observer:  func(ev Event) { observed = append(observed, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rt.Start()
+	submitN(rt, 10, JobSpec{})
+	stolen := rt.StealPending(3)
+	if len(stolen) == 0 {
+		t.Fatal("the steal retracted nothing from a 10-job backlog")
+	}
+	rt.Drain()
+	if err := rt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Result()
+	if got, want := len(res.Events), 5*(10-len(stolen))+len(stolen); got != want {
+		t.Fatalf("steal run: %d events, want %d", got, want)
+	}
+	requireDerivedEvents(t, "real/steal", observed, res)
 }
 
 // TestObserveReturnsJob pins the tracker's hand-off: every event kind

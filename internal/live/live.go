@@ -19,10 +19,10 @@
 //     runtime can never drift apart.
 //
 // The master keeps its scheduler-facing bookkeeping in a sim.Driver, the
-// same master-side books the discrete-event engine keeps, and produces an
-// event log plus a core.Schedule, so trace.Analyze, the validity checks
-// and the paper's objectives all apply to live runs. The paper's
-// Section-4 cluster experiment (internal/mpiexp) is a configuration of
+// same master-side books the discrete-event engine keeps: one schedule
+// record per job, a core.Schedule once drained, so trace.Analyze, the
+// validity checks and the paper's objectives all apply to live runs. The
+// paper's Section-4 cluster experiment (internal/mpiexp) is a configuration of
 // this runtime on the virtual clock, not a loop of its own.
 package live
 
@@ -64,24 +64,25 @@ type Config struct {
 	// master actor, in order. It must be fast and must not call back into
 	// the Runtime.
 	Observer func(Event)
-	// EventLogCap bounds the retained event log: 0 (the default) keeps
-	// every event — what Result, the conformance suites and the analysis
-	// surfaces require — while a positive cap keeps only the newest
-	// EventLogCap events in a preallocated ring, overwriting the oldest
-	// and counting the overwritten in EventsDropped. Long-running serving
-	// deployments (schedd) set a cap so the log stops growing with
-	// uptime; the Observer still sees every event regardless.
+	// EventLogCap is ignored: the runtime keeps no event log of its own.
+	//
+	// Deprecated: ignored. bench/ still sets it; the benchmark's second
+	// edition (ROADMAP.md) drops that use and then deletes the field.
 	EventLogCap int
 }
 
-// Result is the outcome of a completed (drained) run.
+// Result describes a drained run: every admitted job completed here or
+// was retracted by a steal.
 type Result struct {
 	// Schedule is the executed schedule: one record per admitted job, on
 	// the instance the run actually served. Under the virtual clock it is
 	// bit-identical to the engine's; under a wall clock the recorded
 	// times are measurements.
 	Schedule core.Schedule
-	// Events is the full event log in master order.
+	// Events is the lifecycle Schedule records, job by job in ID order:
+	// submitted, then sent, arrived, started and completed for each
+	// dispatched job. A retracted job gives only its submission; the
+	// Observer stream carries the retraction itself.
 	Events []Event
 }
 
@@ -237,12 +238,6 @@ func (rt *Runtime) Load() Load {
 // — what GET /healthz depth reporting and least-loaded placement read.
 func (rt *Runtime) Pending() int { return rt.Load().QueueDepth() }
 
-// EventsDropped returns how many events the bounded event log has
-// overwritten (always 0 with EventLogCap 0). Exposed as a gauge by the
-// serving layer so operators can see when the retained log no longer
-// covers the full history.
-func (rt *Runtime) EventsDropped() int64 { return rt.prog.eventsDropped() }
-
 // StolenJob is one pending job extracted from a runtime by StealPending:
 // the runtime-local ID it was admitted under (now permanently retracted
 // there) plus the spec to re-admit it elsewhere.
@@ -260,11 +255,12 @@ type StolenJob struct {
 // them on another runtime can never double-dispatch.
 //
 // Returns nil when n <= 0, the runtime is draining or not yet started,
-// or the world is virtual: deterministic worlds never steal — an
-// external message would perturb the cooperative schedule, and the
-// virtual substrate refuses outside posts. This is the structural half
-// of the steal-rate-0 conformance contract: a virtual-clock run is
-// bit-identical to the engine no matter what a rebalancer asks for.
+// its master has exited (a failed world aborts it), or the world is
+// virtual: deterministic worlds never steal — an external message would
+// perturb the cooperative schedule, and the virtual substrate refuses
+// outside posts. This is the structural half of the steal-rate-0
+// conformance contract: a virtual-clock run is bit-identical to the
+// engine no matter what a rebalancer asks for.
 func (rt *Runtime) StealPending(n int) []StolenJob {
 	if n <= 0 {
 		return nil
@@ -281,10 +277,22 @@ func (rt *Runtime) StealPending(n int) []StolenJob {
 	// Posted under the runtime lock, like Submit: Drain also takes this
 	// lock before posting msgDrain, so a steal that passed the draining
 	// check is in the master's mailbox ahead of any drain message and is
-	// always answered before the master exits.
+	// answered before the master drains out. Only a master that unwinds
+	// (a failed world) leaves it unanswered.
 	rt.world.Post(rt.prog.masterID, Msg{Kind: msgSteal, Count: n, StealReply: reply})
 	rt.mu.Unlock()
-	return <-reply
+	select {
+	case jobs := <-reply:
+		return jobs
+	case <-rt.prog.exited:
+		// The reply, if the master sent one, was sent before it exited.
+		select {
+		case jobs := <-reply:
+			return jobs
+		default:
+			return nil
+		}
+	}
 }
 
 // Drain tells the master no more jobs are coming: it finishes everything
@@ -318,13 +326,14 @@ func (rt *Runtime) Wait() error {
 	return err
 }
 
-// Result assembles the schedule and event log. Call it only after Wait
-// has returned: the master actor owns this state while running.
+// Result assembles the schedule and its lifecycle events. Call it only
+// after Wait has returned: the master actor owns this state while running.
 func (rt *Runtime) Result() Result {
 	if rt.prog.drv == nil {
-		return Result{Events: rt.prog.events()}
+		return Result{}
 	}
-	return Result{Schedule: rt.prog.drv.Schedule(), Events: rt.prog.events()}
+	s := rt.prog.drv.Schedule()
+	return Result{Schedule: s, Events: events(s)}
 }
 
 // Run is the one-call convenience wrapper: build, start, wait, collect.

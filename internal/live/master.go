@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -51,10 +50,9 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry of the runtime's event log, emitted by the master in
-// the order it learned things. The log is convertible to a core.Schedule
-// (each task's events fill its record); Observer callbacks receive the
-// same stream live.
+// Event is one lifecycle event, emitted by the master in the order it
+// learned things. Observer callbacks receive the stream live;
+// Result.Events reads the same facts back off the drained schedule.
 type Event struct {
 	T     float64   `json:"t"`
 	Kind  EventKind `json:"kind"`
@@ -63,8 +61,8 @@ type Event struct {
 }
 
 // program is the actor code shared by both substrates: one master, m
-// slaves. All scheduling state lives in the master actor; the mutex only
-// guards the event log, which outside observers may snapshot mid-run.
+// slaves. All scheduling state lives in the master actor; the job's
+// schedule record in the Driver is the one record of its lifecycle.
 type program struct {
 	cfg      Config
 	pl       core.Platform
@@ -72,41 +70,33 @@ type program struct {
 	slaveID  []int
 	masterID int
 	draining bool
+	// now is the master clock's latest reading, the Driver's time
+	// source: dispatch stamps the sent event with the very instant
+	// MarkSent stamped the record (a wall clock moves between reads).
+	now float64
+	// exited is closed when the master actor returns, however it
+	// returns, so a thief waiting on a reply never outlives it.
+	exited chan struct{}
 
 	// Lock-free progress counters behind Runtime.Load(): placement
 	// policies poll them per job, so they must not contend with the
-	// master actor or the event-log mutex.
+	// master actor.
 	admitted   atomic.Int64
 	dispatched atomic.Int64
 	completed  atomic.Int64
 	retracted  atomic.Int64
-
-	// Event log: unbounded append with EventLogCap 0, else a
-	// preallocated ring of the newest logCap events. logTotal counts
-	// every recorded event; with a ring, logTotal − len(log) events have
-	// been overwritten (the drop counter the serving layer exposes).
-	logMu    sync.Mutex
-	log      []Event
-	logCap   int
-	logTotal uint64
 }
 
 func newProgram(cfg Config) *program {
-	p := &program{
+	return &program{
 		cfg:     cfg,
 		pl:      cfg.Platform.Clone(),
 		slaveID: make([]int, cfg.Platform.M()),
-		logCap:  cfg.EventLogCap,
+		exited:  make(chan struct{}),
 	}
-	if p.logCap > 0 {
-		p.log = make([]Event, 0, p.logCap)
-	}
-	return p
 }
 
-// record appends to the event log (overwriting the oldest entry once a
-// bounded log is full) and feeds the observer, which always sees the
-// full stream.
+// record advances the progress counters and feeds the observer.
 func (p *program) record(ev Event) {
 	switch ev.Kind {
 	case EvSubmitted:
@@ -118,39 +108,30 @@ func (p *program) record(ev Event) {
 	case EvRetracted:
 		p.retracted.Add(1)
 	}
-	p.logMu.Lock()
-	if p.logCap > 0 && len(p.log) == p.logCap {
-		p.log[p.logTotal%uint64(p.logCap)] = ev
-	} else {
-		p.log = append(p.log, ev)
-	}
-	p.logTotal++
-	p.logMu.Unlock()
 	if p.cfg.Observer != nil {
 		p.cfg.Observer(ev)
 	}
 }
 
-// events snapshots the retained log, oldest first.
-func (p *program) events() []Event {
-	p.logMu.Lock()
-	defer p.logMu.Unlock()
-	if p.logCap == 0 || len(p.log) < p.logCap {
-		return append([]Event(nil), p.log...)
+// events lists the lifecycle a schedule's records hold, job by job in ID
+// order: each job's submission, then — if it was dispatched — its send,
+// arrival, start and completion (the inverse of JobInfo.Record). A
+// retracted job gives only its submission.
+func events(s core.Schedule) []Event {
+	out := make([]Event, 0, 5*len(s.Records))
+	for _, r := range s.Records {
+		id := int(r.Task)
+		out = append(out, Event{T: r.Release, Kind: EvSubmitted, Task: id, Slave: -1})
+		if r.Slave < 0 {
+			continue
+		}
+		out = append(out,
+			Event{T: r.SendStart, Kind: EvSent, Task: id, Slave: r.Slave},
+			Event{T: r.Arrive, Kind: EvArrived, Task: id, Slave: r.Slave},
+			Event{T: r.Start, Kind: EvStarted, Task: id, Slave: r.Slave},
+			Event{T: r.Complete, Kind: EvCompleted, Task: id, Slave: r.Slave})
 	}
-	// Full ring: the oldest retained event sits where the next write
-	// would land.
-	out := make([]Event, 0, len(p.log))
-	head := int(p.logTotal % uint64(p.logCap))
-	out = append(out, p.log[head:]...)
-	return append(out, p.log[:head]...)
-}
-
-// eventsDropped reports how many events the bounded log overwrote.
-func (p *program) eventsDropped() int64 {
-	p.logMu.Lock()
-	defer p.logMu.Unlock()
-	return int64(p.logTotal) - int64(len(p.log))
+	return out
 }
 
 // runMaster is the master actor: the scheduling policy's event loop.
@@ -160,6 +141,7 @@ func (p *program) eventsDropped() int64 {
 // next event. The port is "busy" exactly while this actor sleeps inside
 // Send, which is the one-port model.
 func (p *program) runMaster(n Node) {
+	defer close(p.exited)
 	p.drv = p.drvInit(n)
 	p.cfg.Scheduler.Reset(p.pl.Clone())
 	view := p.drv.View()
@@ -209,7 +191,10 @@ func (p *program) runMaster(n Node) {
 // has a clock reference for virtual worlds.
 func (p *program) drvInit(n Node) *sim.Driver {
 	if p.drv == nil {
-		p.drv = sim.NewDriver(p.pl, n.Now)
+		p.drv = sim.NewDriver(p.pl, func() float64 {
+			p.now = n.Now()
+			return p.now
+		})
 	}
 	return p.drv
 }
@@ -280,8 +265,8 @@ func (p *program) dispatch(n Node, task core.TaskID, j int) {
 		panic(fmt.Sprintf("live: scheduler %s sent task %d to dead slave %d", p.cfg.Scheduler.Name(), task, j))
 	}
 	t := p.drv.Task(task)
-	now := n.Now()
-	p.record(Event{T: now, Kind: EvSent, Task: int(task), Slave: j})
+	// p.now is the reading MarkSent stamped SendStart with.
+	p.record(Event{T: p.now, Kind: EvSent, Task: int(task), Slave: j})
 	arrive := n.Send(p.slaveID[j], Msg{
 		Kind:  msgTask,
 		Task:  int(task),

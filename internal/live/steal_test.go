@@ -9,10 +9,13 @@ package live
 // events, which is what makes steal-rate-0 conformance structural).
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // stealTestRuntime builds a started real-time runtime whose per-task
@@ -170,5 +173,40 @@ func TestStealPendingVirtualWorldIsStructurallyImpossible(t *testing.T) {
 	}
 	if load := rt.Load(); load.Retracted != 0 || load.Completed != 4 {
 		t.Fatalf("virtual run perturbed by steal attempt: %+v", load)
+	}
+}
+
+// explodingScheduler panics on its first Decide, failing the master
+// actor; its world then aborts every other actor.
+type explodingScheduler struct{ sim.Scheduler }
+
+func (explodingScheduler) Decide(sim.View) sim.Action { panic("scheduler exploded") }
+
+// TestStealPendingAfterMasterFailure: a failed world aborts the master,
+// which exits without reading its mailbox, so a thief must not wait for
+// a reply nobody will send.
+func TestStealPendingAfterMasterFailure(t *testing.T) {
+	rt, err := New(Config{
+		Platform:  core.NewPlatform([]float64{1, 1}, []float64{1, 1}),
+		Scheduler: explodingScheduler{sched.New("LS")},
+		World:     NewRealTime(1000),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	rt.Submit(JobSpec{})
+	if err := rt.Wait(); err == nil || !strings.Contains(err.Error(), `"master" panicked`) {
+		t.Fatalf("Wait error %v, want the master's panic", err)
+	}
+	done := make(chan []StolenJob, 1)
+	go func() { done <- rt.StealPending(1) }()
+	select {
+	case got := <-done:
+		if got != nil {
+			t.Fatalf("StealPending on a failed runtime = %v, want nil", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("StealPending still blocked 5 s after the master failed")
 	}
 }

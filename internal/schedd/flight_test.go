@@ -77,11 +77,6 @@ func TestFlightEndpoint(t *testing.T) {
 	if stats.Watch == nil || stats.Watch.Subscribers != 0 {
 		t.Fatalf("watch stanza %+v", stats.Watch)
 	}
-	for _, sec := range stats.PerShard {
-		if sec.EventsDropped != 0 {
-			t.Fatalf("unexpected event drops: %+v", sec)
-		}
-	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}

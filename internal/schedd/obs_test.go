@@ -68,7 +68,6 @@ func TestMetricsExposition(t *testing.T) {
 		`le="+Inf"`,
 		"schedd_uptime_seconds",
 		"schedd_draining 0",
-		"schedd_events_dropped_total",
 		`schedd_http_requests_total{route="jobs"} 1`,
 	} {
 		if !strings.Contains(body, want) {

@@ -119,12 +119,6 @@ type Config struct {
 	SLOs []obs.Objective
 }
 
-// eventLogCap bounds each shard's retained event log (see
-// live.Config.EventLogCap): a serving daemon must not grow with uptime,
-// so it keeps the newest 65536 events per shard and counts the rest in
-// schedd_events_dropped_total.
-const eventLogCap = 65536
-
 // Server is a running service: a sharded cluster plus its HTTP surface
 // and, when stealing is on, the rebalancer migrating work between
 // shards behind it.
@@ -289,7 +283,6 @@ func New(cfg Config) (*Server, error) {
 		Placement:    cfg.Placement,
 		Partition:    cfg.Partition,
 		AuditDepth:   auditDepth,
-		EventLogCap:  eventLogCap,
 		World:        world,
 		Firehose:     &cluster.FirehoseConfig{QueueDepth: cfg.IngestQueueDepth},
 		Observer:     s.observeShardEvent,
@@ -365,8 +358,6 @@ func (s *Server) registerMetrics() {
 			labels, func() float64 { return float64(queueDepth(s.loads[idx], s.intake.ShardQueued[idx])) })
 		r.GaugeFunc("schedd_slaves_live", "Slaves not declared down, by shard.",
 			labels, func() float64 { return float64(sh.LiveSlaves()) })
-		r.CounterFunc("schedd_events_dropped_total", "Events overwritten in the bounded per-shard event log.",
-			labels, func() float64 { return float64(sh.Runtime().EventsDropped()) })
 	}
 	r.GaugeFunc("schedd_uptime_seconds", "Wall seconds since the service started.",
 		"", s.uptime)
@@ -754,10 +745,6 @@ type ShardStats struct {
 	// QueueDepth is the shard's accepted-but-undispatched backlog right
 	// now, intake included (live, unlike the completed-job statistics).
 	QueueDepth int `json:"queue_depth"`
-	// EventsDropped counts lifecycle events overwritten in the shard's
-	// bounded event ring — nonzero means the retained log (and any trace
-	// built from it) is missing its oldest history.
-	EventsDropped int64 `json:"events_dropped"`
 	// IntakeQueued is the part of QueueDepth still waiting in the shard's
 	// intake queue (absent when zero).
 	IntakeQueued         int64         `json:"intake_queued,omitempty"`
@@ -879,12 +866,11 @@ func (s *Server) Stats() StatsResponse {
 	for i, sh := range s.router.Shards() {
 		snap := sh.Tracker().Stats()
 		sec := ShardStats{
-			Shard:         sh.Index(),
-			Slaves:        sh.Slaves(),
-			Jobs:          snap.Counts,
-			QueueDepth:    queueDepth(sh.Load(), fs.ShardQueued[i]),
-			EventsDropped: sh.Runtime().EventsDropped(),
-			IntakeQueued:  fs.ShardQueued[i],
+			Shard:        sh.Index(),
+			Slaves:       sh.Slaves(),
+			Jobs:         snap.Counts,
+			QueueDepth:   queueDepth(sh.Load(), fs.ShardQueued[i]),
+			IntakeQueued: fs.ShardQueued[i],
 		}
 		if len(snap.Records) > 0 {
 			// Stage durations are differences of the span timestamps, so

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -499,6 +500,34 @@ func TestDrainVsSubmitRace(t *testing.T) {
 		// And after Drain has returned, submissions still get 503.
 		if code := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Count: 1}, nil); code != http.StatusServiceUnavailable {
 			t.Fatalf("round %d: submit after drain: %d", round, code)
+		}
+	}
+}
+
+// TestNewSetupAllocation counts what standing up a four-shard service
+// costs, on each clock: every byte schedd.New allocates, as a
+// runtime.MemStats.TotalAlloc delta. Nothing per shard may be sized for
+// a run's history up front — a per-shard buffer of tens of thousands of
+// entries alone would break the 2 MiB floor.
+func TestNewSetupAllocation(t *testing.T) {
+	const floor = 2 << 20
+	pl := core.NewPlatform(
+		[]float64{0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.1, 0.2},
+		[]float64{0.4, 0.8, 0.4, 0.8, 0.4, 0.8, 0.4, 0.8})
+	for _, virtual := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := New(Config{Platform: pl, Policy: "LS", Shards: 4, VirtualClock: virtual, ClockScale: 1000})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= floor {
+			t.Fatalf("virtual=%v: schedd.New allocated %d B, want < %d", virtual, got, floor)
 		}
 	}
 }
