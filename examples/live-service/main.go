@@ -23,12 +23,10 @@ func main() {
 	fmt.Printf("platform: %v (%v)\n\n", pl, pl.Classify())
 
 	// --- Part 1: a real concurrent run, 2000× faster than nominal. ---
-	tracker := live.NewTracker()
 	rt, err := live.New(live.Config{
 		Platform:  pl,
 		Scheduler: sched.New("LS"),
 		World:     live.NewRealTime(2000),
-		Observer:  func(ev live.Event) { tracker.Observe(ev) },
 	})
 	if err != nil {
 		panic(err)
@@ -52,7 +50,7 @@ func main() {
 		panic(err)
 	}
 
-	snap := tracker.Stats()
+	snap := rt.Tracker().Stats()
 	counts, lat := snap.Counts, snap.Latencies
 	fmt.Printf("live run (wall clock ×2000): %d jobs submitted by %d goroutines, %d completed\n",
 		counts.Submitted, producers, counts.Completed)

@@ -80,12 +80,12 @@ type Config struct {
 	// edition (ROADMAP.md) drops that use and then deletes the field.
 	EventLogCap int
 	// Observer, when set, is called with every lifecycle event from every
-	// shard together with the job as the shard's tracker holds it after
-	// the event (shard-local ID and slave index). It runs inside the
-	// shard's master actor: it must be fast, non-blocking, and must not
-	// call back into the cluster. The flight recorder and /v1/watch stream
-	// tap in here.
-	Observer func(shard int, ev live.Event, job live.JobInfo)
+	// shard (shard-local ID and slave index), after the shard's tracker
+	// has applied it. It runs inside the shard's master actor: it must be
+	// fast, non-blocking, and must not call back into the cluster beyond
+	// reading the shard's Tracker. The flight recorder and /v1/watch
+	// stream tap in here.
+	Observer func(shard int, ev live.Event)
 	// Firehose sizes the intake every external job crosses (see
 	// firehose.go); nil means the defaults. Mutually exclusive with
 	// Sources, whose clusters have no intake to size.
@@ -94,11 +94,10 @@ type Config struct {
 
 // Shard is one master–slave runtime owning a slice of the platform.
 type Shard struct {
-	index   int
-	slaves  []int // global slave indices, increasing
-	pl      core.Platform
-	rt      *live.Runtime
-	tracker *live.Tracker
+	index  int
+	slaves []int // global slave indices, increasing
+	pl     core.Platform
+	rt     *live.Runtime
 	// nominalRate is the shard's throughput estimate from its cost
 	// vectors (tasks per model second), precomputed for het-aware
 	// placement; see NominalRate.
@@ -130,9 +129,9 @@ func (s *Shard) Platform() core.Platform { return s.pl }
 // Runtime returns the shard's live runtime.
 func (s *Shard) Runtime() *live.Runtime { return s.rt }
 
-// Tracker returns the shard's job-state store (shard-local job IDs and
-// slave indices).
-func (s *Shard) Tracker() *live.Tracker { return s.tracker }
+// Tracker returns the shard's job-state store, its runtime's tracker
+// (shard-local job IDs and slave indices).
+func (s *Shard) Tracker() *live.Tracker { return s.rt.Tracker() }
 
 // Load returns the shard's progress snapshot.
 func (s *Shard) Load() live.Load { return s.rt.Load() }
@@ -299,16 +298,13 @@ func New(cfg Config) (*Router, error) {
 		r.scoreBuf = make([]float64, k)
 	}
 	for i, part := range parts {
-		tracker := live.NewTracker()
-		obsFn := func(ev live.Event) { tracker.Observe(ev) }
-		if user := cfg.Observer; user != nil {
-			shard := i
-			obsFn = func(ev live.Event) { user(shard, ev, tracker.Observe(ev)) }
-		}
 		lcfg := live.Config{
 			Platform:  part.Platform,
 			Scheduler: cfg.NewScheduler(),
-			Observer:  obsFn,
+		}
+		if user := cfg.Observer; user != nil {
+			shard := i
+			lcfg.Observer = func(ev live.Event) { user(shard, ev) }
 		}
 		if cfg.World != nil {
 			lcfg.World = cfg.World(i)
@@ -329,7 +325,6 @@ func New(cfg Config) (*Router, error) {
 			slaves:      part.Slaves,
 			pl:          part.Platform,
 			rt:          rt,
-			tracker:     tracker,
 			nominalRate: NominalRate(part.Platform),
 			deadLocal:   make([]bool, part.Platform.M()),
 		}
@@ -548,7 +543,7 @@ func (r *Router) Job(gid int) (live.JobInfo, bool) {
 		return live.JobInfo{ID: gid, State: live.StateQueued, Slave: -1}, true
 	}
 	sh := r.shards[shard]
-	info, ok := sh.tracker.Job(local)
+	info, ok := sh.Tracker().Job(local)
 	if !ok {
 		// Accepted but not yet observed by the shard's master (still in
 		// the intake, or in the master's mailbox): report it queued rather

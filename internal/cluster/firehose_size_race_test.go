@@ -10,3 +10,8 @@ const firehoseSmokeJobs = 100_000
 // drops a random share of puts: 1.15 × the median 348 allocations per
 // burst it measured when written (344–355 over 15 runs).
 const concurrentAdmissionAllocs = 400
+
+// retentionJobs under the race detector: a smaller population at a wall
+// cost CI can afford. The fixed costs (≈2 MB) still fit the ceiling's
+// slack: 97–98 B/job measured when written.
+const retentionJobs = 150_000

@@ -21,8 +21,9 @@ package cluster
 //     by the producer that allocated the range. No lock: distinct
 //     producers own distinct IDs.
 //   - Re-pointing (repoint, migration only) rewrites an existing entry
-//     under the owning chunk's narrow mutex, serializing concurrent
-//     migrations of neighboring jobs without ever blocking a reader. A
+//     under one of a few striped mutexes, chosen by chunk, serializing
+//     concurrent migrations of neighboring jobs without ever blocking a
+//     reader. A
 //     migration learns which IDs to re-point by scanning the table
 //     backward for the stolen jobs' locations (owners): there is no
 //     reverse table on the admission path to keep up to date.
@@ -50,13 +51,15 @@ const (
 	indexChunkMask = indexChunkSize - 1
 )
 
-// indexChunk is one fixed-size run of packed entries. The mutex guards
-// writers that mutate existing entries (migration re-pointing) against
-// each other; readers and first-time publication never take it.
+// indexChunk is one fixed-size run of packed entries: exactly 32 KiB, a
+// Go size class, so a chunk wastes nothing to rounding.
 type indexChunk struct {
-	mu      sync.Mutex
 	entries [indexChunkSize]atomic.Uint64
 }
+
+// repointStripes is how many mutexes guard re-pointing; chunk i takes
+// stripe i mod repointStripes.
+const repointStripes = 16
 
 // packRef encodes a (shard, local) pair into one non-zero word. Shard
 // is biased by one so the zero word stays free as the "not yet
@@ -79,6 +82,10 @@ type jobIndex struct {
 	spine atomic.Pointer[[]*indexChunk]
 	// growMu serializes spine growth (allocation-path only).
 	growMu sync.Mutex
+	// repointMu guards writers that mutate existing entries (migration
+	// re-pointing) against each other; readers and first-time
+	// publication never take it.
+	repointMu [repointStripes]sync.Mutex
 }
 
 // count returns how many global IDs have been issued.
@@ -92,9 +99,9 @@ func (x *jobIndex) alloc(count int) int {
 	return base
 }
 
-// ensure grows the spine until it covers IDs [0, n). The spine is
-// copied and republished whole so readers never see a partially built
-// table.
+// ensure grows the spine until it covers IDs [0, n), allocating exactly
+// the chunks that takes. The new chunks are filled in before the longer
+// spine is published, so readers never see a partially built table.
 func (x *jobIndex) ensure(n int) {
 	need := (n + indexChunkSize - 1) >> indexChunkBits
 	if sp := x.spine.Load(); sp != nil && len(*sp) >= need {
@@ -109,13 +116,16 @@ func (x *jobIndex) ensure(n int) {
 	if len(cur) >= need {
 		return
 	}
-	// Grow geometrically so a steady allocator republishes the spine
-	// O(log n) times, not once per chunk.
-	grown := make([]*indexChunk, need, max(need, 2*len(cur)))
-	grown = grown[:cap(grown)]
-	copy(grown, cur)
-	for i := len(cur); i < len(grown); i++ {
-		grown[i] = new(indexChunk)
+	// The spine's pointer array grows geometrically, so a steady
+	// allocator copies it O(log n) times, not once per chunk. Chunks are
+	// appended past the published length only, where no reader looks.
+	grown := cur
+	if cap(grown) < need {
+		grown = make([]*indexChunk, len(cur), max(need, 2*cap(cur)))
+		copy(grown, cur)
+	}
+	for len(grown) < need {
+		grown = append(grown, new(indexChunk))
 	}
 	x.spine.Store(&grown)
 }
@@ -134,13 +144,13 @@ func (x *jobIndex) set(gid, shard, local int) {
 }
 
 // repoint rewrites an existing entry when a migration re-homes the job,
-// under the owning chunk's write lock. Readers stay lock-free.
+// under its chunk's stripe lock. Readers stay lock-free.
 func (x *jobIndex) repoint(gid, shard, local int) {
-	sp := x.chunks()
-	c := sp[gid>>indexChunkBits]
-	c.mu.Lock()
-	c.entries[gid&indexChunkMask].Store(packRef(shard, local))
-	c.mu.Unlock()
+	ci := gid >> indexChunkBits
+	mu := &x.repointMu[ci%repointStripes]
+	mu.Lock()
+	x.chunks()[ci].entries[gid&indexChunkMask].Store(packRef(shard, local))
+	mu.Unlock()
 }
 
 // lookup resolves a global ID with three atomic loads and no locks.

@@ -235,7 +235,7 @@ func (pinned) PickBatch(shards []*Shard, _ []live.Load, staged []int, _ live.Job
 // shard that merely looked fast for an instant.
 func (s *Shard) serviceRate(load live.Load) float64 {
 	if load.Completed >= 2*s.pl.M() {
-		if first, last, ok := s.tracker.Span(); ok && last > first {
+		if first, last, ok := s.Tracker().Span(); ok && last > first {
 			return float64(load.Completed) / (last - first)
 		}
 	}

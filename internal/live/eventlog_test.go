@@ -224,8 +224,8 @@ func TestTrackerAcrossPages(t *testing.T) {
 	for k, id := range ids {
 		complete(id, float64(10*k))
 	}
-	if j, ok := tr.Job(trackerPage - 2); ok || tr.job(trackerPage-2).State != StateUnknown || tr.job(trackerPage-2).ID != trackerPage-2 {
-		t.Fatalf("skipped ID: Job = %+v, %v; slot %+v", j, ok, *tr.job(trackerPage - 2))
+	if j, ok := tr.Job(trackerPage - 2); ok || *tr.entry(trackerPage - 2) != (jobEntry{}) {
+		t.Fatalf("skipped ID: Job = %+v, %v; slot %+v", j, ok, *tr.entry(trackerPage - 2))
 	}
 	snap := tr.Stats()
 	if c := snap.Counts; c.Submitted != len(ids)+1 || c.Completed != len(ids) {

@@ -19,11 +19,14 @@
 //     runtime can never drift apart.
 //
 // The master keeps its scheduler-facing bookkeeping in a sim.Driver, the
-// same master-side books the discrete-event engine keeps: one schedule
-// record per job, a core.Schedule once drained, so trace.Analyze, the
-// validity checks and the paper's objectives all apply to live runs. The
-// paper's Section-4 cluster experiment (internal/mpiexp) is a configuration of
-// this runtime on the virtual clock, not a loop of its own.
+// same master-side books the discrete-event engine keeps, but retiring:
+// it holds books only for jobs not yet finished. Each runtime's Tracker,
+// fed by the master, holds one entry per job and is the one record of
+// its lifecycle: Result reads a core.Schedule off it once drained, so
+// trace.Analyze, the validity checks and the paper's objectives all
+// apply to live runs. The paper's Section-4 cluster experiment
+// (internal/mpiexp) is a configuration of this runtime on the virtual
+// clock, not a loop of its own.
 package live
 
 import (
@@ -61,8 +64,9 @@ type Config struct {
 	// may freely mix Sources and Runtime.Submit.
 	Sources []func(src *Source)
 	// Observer, if set, receives every runtime event from inside the
-	// master actor, in order. It must be fast and must not call back into
-	// the Runtime.
+	// master actor, in order, after the runtime's Tracker has applied it.
+	// It must be fast and must not call back into the Runtime; reading
+	// the Tracker is allowed.
 	Observer func(Event)
 	// EventLogCap is ignored: the runtime keeps no event log of its own.
 	//
@@ -326,15 +330,20 @@ func (rt *Runtime) Wait() error {
 	return err
 }
 
-// Result assembles the schedule and its lifecycle events. Call it only
-// after Wait has returned: the master actor owns this state while running.
+// Result assembles the schedule and its lifecycle events from the
+// runtime's tracker, in job-ID order. Call it only after Wait has
+// returned: mid-run, records of unfinished jobs are incomplete.
 func (rt *Runtime) Result() Result {
 	if rt.prog.drv == nil {
 		return Result{}
 	}
-	s := rt.prog.drv.Schedule()
+	s := rt.prog.tracker.schedule(rt.prog.pl.Clone())
 	return Result{Schedule: s, Events: events(s)}
 }
+
+// Tracker returns the runtime's job-state store: one entry per job this
+// runtime accepted, fed by its master, safe to query from any goroutine.
+func (rt *Runtime) Tracker() *Tracker { return rt.prog.tracker }
 
 // Run is the one-call convenience wrapper: build, start, wait, collect.
 // The workload must come from cfg.Sources.

@@ -61,12 +61,14 @@ type Event struct {
 }
 
 // program is the actor code shared by both substrates: one master, m
-// slaves. All scheduling state lives in the master actor; the job's
-// schedule record in the Driver is the one record of its lifecycle.
+// slaves. All scheduling state lives in the master actor. Its Driver
+// keeps books only for unfinished jobs; the tracker, which the master
+// feeds every event, is the one record of each job's lifecycle.
 type program struct {
 	cfg      Config
 	pl       core.Platform
 	drv      *sim.Driver
+	tracker  *Tracker
 	slaveID  []int
 	masterID int
 	draining bool
@@ -91,13 +93,16 @@ func newProgram(cfg Config) *program {
 	return &program{
 		cfg:     cfg,
 		pl:      cfg.Platform.Clone(),
+		tracker: NewTracker(),
 		slaveID: make([]int, cfg.Platform.M()),
 		exited:  make(chan struct{}),
 	}
 }
 
-// record advances the progress counters and feeds the observer.
-func (p *program) record(ev Event) {
+// record advances the progress counters, applies the event to the
+// tracker and then feeds the observer, which may read the tracker. spec
+// carries a submission's scales.
+func (p *program) record(ev Event, spec JobSpec) {
 	switch ev.Kind {
 	case EvSubmitted:
 		p.admitted.Add(1)
@@ -108,6 +113,7 @@ func (p *program) record(ev Event) {
 	case EvRetracted:
 		p.retracted.Add(1)
 	}
+	p.tracker.record(ev, spec)
 	if p.cfg.Observer != nil {
 		p.cfg.Observer(ev)
 	}
@@ -191,7 +197,7 @@ func (p *program) runMaster(n Node) {
 // has a clock reference for virtual worlds.
 func (p *program) drvInit(n Node) *sim.Driver {
 	if p.drv == nil {
-		p.drv = sim.NewDriver(p.pl, func() float64 {
+		p.drv = sim.NewRetiringDriver(p.pl, func() float64 {
 			p.now = n.Now()
 			return p.now
 		})
@@ -226,11 +232,11 @@ func (p *program) handle(m Msg) bool {
 		if int(id) != m.Job.ID {
 			panic(fmt.Sprintf("live: job submitted as %d admitted as %d (submission order violated)", m.Job.ID, id))
 		}
-		p.record(Event{T: m.At, Kind: EvSubmitted, Task: int(id), Slave: -1})
+		p.record(Event{T: m.At, Kind: EvSubmitted, Task: int(id), Slave: -1}, m.Job)
 	case msgAck:
 		p.drv.MarkCompleted(core.TaskID(m.Task), m.Slave, m.Start, m.Complete)
-		p.record(Event{T: m.Start, Kind: EvStarted, Task: m.Task, Slave: m.Slave})
-		p.record(Event{T: m.Complete, Kind: EvCompleted, Task: m.Task, Slave: m.Slave})
+		p.record(Event{T: m.Start, Kind: EvStarted, Task: m.Task, Slave: m.Slave}, JobSpec{})
+		p.record(Event{T: m.Complete, Kind: EvCompleted, Task: m.Task, Slave: m.Slave}, JobSpec{})
 	case msgSteal:
 		// Retract up to Count pending jobs for migration. The reply is
 		// sent from inside the master actor, so by the time the thief
@@ -243,7 +249,7 @@ func (p *program) handle(m Msg) bool {
 				Local: int(t.ID),
 				Spec:  JobSpec{CommScale: t.CommScale, CompScale: t.CompScale},
 			}
-			p.record(Event{T: m.At, Kind: EvRetracted, Task: int(t.ID), Slave: -1})
+			p.record(Event{T: m.At, Kind: EvRetracted, Task: int(t.ID), Slave: -1}, JobSpec{})
 		}
 		m.StealReply <- jobs
 	case msgDrain:
@@ -266,7 +272,7 @@ func (p *program) dispatch(n Node, task core.TaskID, j int) {
 	}
 	t := p.drv.Task(task)
 	// p.now is the reading MarkSent stamped SendStart with.
-	p.record(Event{T: p.now, Kind: EvSent, Task: int(task), Slave: j})
+	p.record(Event{T: p.now, Kind: EvSent, Task: int(task), Slave: j}, JobSpec{})
 	arrive := n.Send(p.slaveID[j], Msg{
 		Kind:  msgTask,
 		Task:  int(task),
@@ -274,7 +280,7 @@ func (p *program) dispatch(n Node, task core.TaskID, j int) {
 		Dur:   p.pl.P[j] * t.EffComp(),
 	}, p.pl.C[j]*t.EffComm())
 	p.drv.MarkArrived(task, j, arrive)
-	p.record(Event{T: arrive, Kind: EvArrived, Task: int(task), Slave: j})
+	p.record(Event{T: arrive, Kind: EvArrived, Task: int(task), Slave: j}, JobSpec{})
 }
 
 // runSlave is the worker actor for slave j: receive a task, charge its

@@ -43,8 +43,8 @@ func (j JobInfo) Latency() float64 {
 
 // Record returns the job's lifecycle as a schedule record — the one
 // JobInfo → core.Record conversion: flight span frames, the /trace span
-// tree and Snapshot.Records all come through here. Complete only once
-// the job is done.
+// tree, Snapshot.Records and Result.Schedule all come through here.
+// Complete only once the job is done.
 func (j JobInfo) Record() core.Record {
 	return core.Record{
 		Task:      core.TaskID(j.ID),
@@ -68,34 +68,83 @@ type Counts struct {
 	Stolen     int `json:"stolen,omitempty"`
 }
 
-// Tracker is a thread-safe job-state store fed by the runtime's event
-// stream: call its Observe method from Config.Observer and query it from
-// any goroutine while the runtime serves. This is what schedd's
-// GET /v1/jobs/{id} and GET /v1/stats read from.
+// Tracker is a thread-safe job-state store. Every Runtime owns one, fed
+// by its master before Config.Observer sees an event (Runtime.Tracker),
+// and it is the one record of each job's lifecycle there: the master's
+// own books keep only unfinished jobs, and Result.Schedule is read off
+// the tracker. A standalone tracker, fed through Observe, serves the
+// same queries. This is what schedd's GET /v1/jobs/{id} and GET
+// /v1/stats read from.
 //
-// Retention is unbounded by design: one JobInfo per submitted job — the
-// tracker's only per-job structure — is kept for the life of the tracker
-// (as is the master's own per-task bookkeeping), because the analysis
-// surfaces — per-job lookup, full-population percentiles, the trace
-// report — are defined over the whole history. That bounds a single
-// runtime's service life by memory; an indefinitely running deployment
-// should drain and restart its runtime at epoch boundaries. See
-// DESIGN.md §9. Jobs are stored by ID in fixed-size pages, so growth
-// allocates one page and never copies or re-scans the population held (a
-// page is also the unit a retention window would age out).
+// Retention is one 72-byte entry per submitted job for the life of the
+// tracker, because the analysis surfaces — per-job lookup,
+// full-population percentiles, the trace report — are defined over the
+// whole history. That bounds a single runtime's service life by memory;
+// an indefinitely running deployment should drain and restart its
+// runtime at epoch boundaries. See DESIGN.md §9. Entries hold no
+// pointers, so the GC never scans them, and they are stored by ID in
+// fixed-size pages, so growth allocates one page and never copies or
+// re-scans the population held (a page is also the unit a retention
+// window would age out). JobInfo is built from an entry on read.
 type Tracker struct {
 	mu           sync.RWMutex
-	pages        []*[trackerPage]JobInfo
+	pages        []*[trackerPage]jobEntry
 	counts       Counts
 	firstSubmit  float64
 	lastComplete float64
 }
 
-// trackerPage is the jobs per page: 80 KB, so the part-filled last page
+// trackerPage is the jobs per page: 72 KB, so the part-filled last page
 // is noise beside even a small runtime's heap.
 const trackerPage = 1 << 10
 
-func (tr *Tracker) job(id int) *JobInfo { return &tr.pages[id/trackerPage][id%trackerPage] }
+// jobState is a job's state as an entry stores it; stateNames spells it.
+type jobState uint8
+
+const (
+	jobUnknown jobState = iota
+	jobQueued
+	jobSent
+	jobDone
+	jobStolen
+)
+
+var stateNames = [...]string{
+	jobUnknown: StateUnknown,
+	jobQueued:  StateQueued,
+	jobSent:    StateSent,
+	jobDone:    StateDone,
+	jobStolen:  StateStolen,
+}
+
+// jobEntry is one job's lifecycle as the tracker stores it. The zero
+// entry is a job never seen; the scales are the submission's, exactly as
+// given (zero means 1).
+type jobEntry struct {
+	state                jobState
+	slave                int32 // slave index + 1; 0 until dispatch
+	submitted, sendStart float64
+	arrive, start        float64
+	complete, stolenAt   float64
+	commScale, compScale float64
+}
+
+// info builds the JobInfo of the entry for job id.
+func (e *jobEntry) info(id int) JobInfo {
+	return JobInfo{
+		ID:        id,
+		State:     stateNames[e.state],
+		Slave:     int(e.slave) - 1,
+		Submitted: e.submitted,
+		SendStart: e.sendStart,
+		Arrive:    e.arrive,
+		Start:     e.start,
+		Complete:  e.complete,
+		StolenAt:  e.stolenAt,
+	}
+}
+
+func (tr *Tracker) entry(id int) *jobEntry { return &tr.pages[id/trackerPage][id%trackerPage] }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
@@ -107,44 +156,71 @@ func NewTracker() *Tracker { return &Tracker{} }
 func (tr *Tracker) Observe(ev Event) JobInfo {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for base := len(tr.pages) * trackerPage; base <= ev.Task; base += trackerPage {
-		page := new([trackerPage]JobInfo)
-		for i := range page {
-			page[i] = JobInfo{ID: base + i, State: StateUnknown, Slave: -1}
-		}
-		tr.pages = append(tr.pages, page)
+	return tr.apply(ev, JobSpec{}).info(ev.Task)
+}
+
+// record applies one event from the owning runtime's master; a
+// submission also stores the job's scales.
+func (tr *Tracker) record(ev Event, spec JobSpec) {
+	tr.mu.Lock()
+	tr.apply(ev, spec)
+	tr.mu.Unlock()
+}
+
+// apply applies one event and returns the job's entry. Caller holds mu.
+func (tr *Tracker) apply(ev Event, spec JobSpec) *jobEntry {
+	for len(tr.pages)*trackerPage <= ev.Task {
+		tr.pages = append(tr.pages, new([trackerPage]jobEntry))
 	}
-	j := tr.job(ev.Task)
+	e := tr.entry(ev.Task)
 	switch ev.Kind {
 	case EvSubmitted:
-		j.State = StateQueued
-		j.Submitted = ev.T
+		e.state = jobQueued
+		e.submitted = ev.T
+		e.commScale, e.compScale = spec.CommScale, spec.CompScale
 		if tr.counts.Submitted == 0 || ev.T < tr.firstSubmit {
 			tr.firstSubmit = ev.T
 		}
 		tr.counts.Submitted++
 	case EvSent:
-		j.State = StateSent
-		j.Slave = ev.Slave
-		j.SendStart = ev.T
+		e.state = jobSent
+		e.slave = int32(ev.Slave) + 1
+		e.sendStart = ev.T
 		tr.counts.Dispatched++
 	case EvArrived:
-		j.Arrive = ev.T
+		e.arrive = ev.T
 	case EvStarted:
-		j.Start = ev.T
+		e.start = ev.T
 	case EvCompleted:
-		j.State = StateDone
-		j.Complete = ev.T
+		e.state = jobDone
+		e.complete = ev.T
 		tr.counts.Completed++
 		if ev.T > tr.lastComplete {
 			tr.lastComplete = ev.T
 		}
 	case EvRetracted:
-		j.State = StateStolen
-		j.StolenAt = ev.T
+		e.state = jobStolen
+		e.stolenAt = ev.T
 		tr.counts.Stolen++
 	}
-	return *j
+	return e
+}
+
+// schedule assembles the schedule of jobs [0, Submitted) served on pl:
+// each task as submitted, and its record. It is Result.Schedule for the
+// owning runtime, whose job IDs are dense.
+func (tr *Tracker) schedule(pl core.Platform) core.Schedule {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	n := tr.counts.Submitted
+	tasks := make([]core.Task, n)
+	records := make([]core.Record, n)
+	for id := range n {
+		e := tr.entry(id)
+		tasks[id] = core.Task{ID: core.TaskID(id), Release: e.submitted, CommScale: e.commScale, CompScale: e.compScale}
+		records[id] = e.info(id).Record()
+	}
+	return core.Schedule{Instance: core.Instance{Platform: pl, Tasks: tasks}, Records: records}
 }
 
 // Snapshot is one internally consistent view of the tracked population:
@@ -174,7 +250,8 @@ func (tr *Tracker) Stats() Snapshot {
 		Records:   make([]core.Record, 0, tr.counts.Completed),
 	}
 	for id := 0; id < len(tr.pages)*trackerPage; id++ {
-		if j := tr.job(id); j.State == StateDone {
+		if e := tr.entry(id); e.state == jobDone {
+			j := e.info(id)
 			snap.Latencies = append(snap.Latencies, j.Latency())
 			snap.Records = append(snap.Records, j.Record())
 		}
@@ -186,10 +263,10 @@ func (tr *Tracker) Stats() Snapshot {
 func (tr *Tracker) Job(id int) (JobInfo, bool) {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
-	if id < 0 || id >= len(tr.pages)*trackerPage || tr.job(id).State == StateUnknown {
+	if id < 0 || id >= len(tr.pages)*trackerPage || tr.entry(id).state == jobUnknown {
 		return JobInfo{}, false
 	}
-	return *tr.job(id), true
+	return tr.entry(id).info(id), true
 }
 
 // CountsSnapshot returns the current population counters.

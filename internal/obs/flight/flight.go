@@ -248,8 +248,8 @@ func (r *Recorder) finish(b []byte) {
 
 // Observe journals one lifecycle event and, when it completes job, the
 // job's span frame from job.Record() — both in one critical section. It
-// is the serving stack's per-event sink (cluster.Config.Observer hands it
-// the tracker's post-event job) and emits exactly the bytes of AppendEvent
+// is the serving stack's per-event sink (schedd's cluster.Config.Observer
+// hands it the tracker's post-event job at a completion) and emits exactly the bytes of AppendEvent
 // followed, on EvCompleted, by AppendSpan. Allocation-free.
 func (r *Recorder) Observe(shard int, ev live.Event, job live.JobInfo) {
 	if r == nil {

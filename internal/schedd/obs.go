@@ -19,12 +19,17 @@ import (
 )
 
 // observeShardEvent is the cluster's per-event tap (cluster.Config.
-// Observer), run inside the shard's master actor with the job as the
-// tracker holds it after ev. One sink per concern, nothing looked up:
-// the flight recorder journals the event and, at a completion, the job's
-// span; a completion also feeds the job-latency histogram and the latency
-// SLOs (wall seconds); then the event goes to /v1/watch subscribers.
-func (s *Server) observeShardEvent(shard int, ev live.Event, job live.JobInfo) {
+// Observer), run inside the shard's master actor after the shard's
+// tracker has applied ev. One sink per concern, and one lookup: at a
+// completion the job is read back from the tracker. The flight recorder
+// journals the event and, at a completion, the job's span; a completion
+// also feeds the job-latency histogram and the latency SLOs (wall
+// seconds); then the event goes to /v1/watch subscribers.
+func (s *Server) observeShardEvent(shard int, ev live.Event) {
+	var job live.JobInfo
+	if ev.Kind == live.EvCompleted {
+		job, _ = s.router.Shards()[shard].Tracker().Job(ev.Task)
+	}
 	s.recorder.Observe(shard, ev, job)
 	if ev.Kind == live.EvCompleted {
 		wall := job.Latency() / s.cfg.ClockScale

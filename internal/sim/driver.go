@@ -9,6 +9,14 @@ package sim
 // keep these books in a Driver and consult their Scheduler through the
 // Driver's View.
 //
+// The engine's Driver keeps every task's books for the whole run: its
+// Schedule is the run's outcome. The live master's Driver, built with
+// NewRetiringDriver, keeps books only for the window of tasks from the
+// oldest unfinished one to the newest: a master needs a task's state
+// only until it completes (or is retracted), and the runtime's tracker
+// holds the finished lifecycle. Its memory grows with the backlog, not
+// with the number of tasks ever served.
+//
 // The Driver holds exactly the state a real master can know. It is told
 // about admissions, dispatch decisions, arrivals, completions and
 // membership changes by the substrate that owns ground truth (the event
@@ -26,16 +34,21 @@ import (
 // Driver is master-side bookkeeping for one run. It is not safe for
 // concurrent use: all mutation must come from the single master loop.
 type Driver struct {
-	pl      core.Platform // nominal costs: what the master believes
-	now     func() float64
-	tasks   []core.Task
-	records []core.Record
-	pending taskFIFO // released, unsent task indices, FIFO
-	sent    []bool
-	done    []bool
-	ledger  *Ledger
-	obsComm []ewma // observed send durations per slave
-	obsComp []ewma // observed computation durations per slave
+	pl  core.Platform // nominal costs: what the master believes
+	now func() float64
+	// Per-task books, entry i for task off+i. Entries below head are
+	// retired (finished, read as such); only a retiring Driver retires,
+	// so the engine's off and head stay 0 and entry i is task i.
+	tasks    []core.Task
+	records  []core.Record
+	state    []taskState
+	off      int
+	head     int
+	retiring bool
+	pending  taskFIFO // released, unsent task IDs, FIFO
+	ledger   *Ledger
+	obsComm  []ewma // observed send durations per slave
+	obsComp  []ewma // observed computation durations per slave
 
 	// Membership (dynamics.go): a static master never changes these.
 	alive    []bool
@@ -45,6 +58,18 @@ type Driver struct {
 	retracted int
 	lost      int // attempts destroyed by Fail/Leave
 }
+
+// taskState is where one task stands in the master's books. Done and
+// retracted tasks are finished: a retiring Driver drops their books once
+// every older task is finished too.
+type taskState uint8
+
+const (
+	taskUnsent taskState = iota
+	taskSent
+	taskDone
+	taskRetracted
+)
 
 // NewDriver creates bookkeeping for a master serving the given platform.
 // The now function supplies the substrate's current time; the View and
@@ -66,26 +91,83 @@ func NewDriver(pl core.Platform, now func() float64) *Driver {
 	return d
 }
 
+// NewRetiringDriver is NewDriver for a serving master: the books of a
+// finished task are retired as soon as every older task has finished, so
+// they cover only IDs from the oldest unfinished task to the newest. A
+// retired ID counts as finished — MarkSent on it panics as a re-send —
+// and Task, View.Release and Schedule, which would read retired books,
+// panic instead. Task IDs, decisions and every View answer are the
+// non-retiring Driver's.
+func NewRetiringDriver(pl core.Platform, now func() float64) *Driver {
+	d := NewDriver(pl, now)
+	d.retiring = true
+	return d
+}
+
 // reserve sizes the per-task bookkeeping for n more tasks, so a master
 // that knows its workload up front never grows it again.
 func (d *Driver) reserve(n int) {
 	d.tasks = slices.Grow(d.tasks, n)
 	d.records = slices.Grow(d.records, n)
-	d.sent = slices.Grow(d.sent, n)
-	d.done = slices.Grow(d.done, n)
+	d.state = slices.Grow(d.state, n)
 	d.pending.grow(n)
 }
 
 // register makes a task known to the master without releasing it: the
 // ID is assigned densely in registration order and the record opened.
 func (d *Driver) register(task core.Task) core.TaskID {
-	task.ID = core.TaskID(len(d.tasks))
+	if n := len(d.tasks); n == cap(d.tasks) && d.head > n/2 {
+		// Mostly retired: slide the window down instead of growing the
+		// books behind the advancing head.
+		d.tasks = d.tasks[:copy(d.tasks, d.tasks[d.head:])]
+		d.records = d.records[:copy(d.records, d.records[d.head:])]
+		d.state = d.state[:copy(d.state, d.state[d.head:])]
+		d.off, d.head = d.off+d.head, 0
+	}
+	task.ID = core.TaskID(d.Admitted())
 	d.tasks = append(d.tasks, task)
 	d.records = append(d.records, core.Record{Task: task.ID, Slave: -1, Release: task.Release})
-	d.sent = append(d.sent, false)
-	d.done = append(d.done, false)
+	d.state = append(d.state, taskUnsent)
 	return task.ID
 }
+
+// entry returns the books index of an admitted task that is not retired,
+// panicking (naming the ID) on a retired one.
+func (d *Driver) entry(task core.TaskID) int {
+	idx := int(task) - d.off
+	if idx < d.head {
+		panic(fmt.Sprintf("sim: task %d is retired: its books are gone", task))
+	}
+	return idx
+}
+
+// sent reports whether the task at books index idx has been dispatched.
+func (d *Driver) sent(idx int) bool { return d.state[idx] == taskSent || d.state[idx] == taskDone }
+
+// finish marks a task done or retracted and, on a retiring Driver,
+// retires the books of every finished task at the front of the window.
+// A window that empties rewinds, keeping its arrays up to keptBooks
+// entries: larger ones, a burst's peak, are let go.
+func (d *Driver) finish(idx int, st taskState) {
+	d.state[idx] = st
+	if !d.retiring {
+		return
+	}
+	for d.head < len(d.state) && d.state[d.head] >= taskDone {
+		d.head++
+	}
+	if d.head == len(d.state) {
+		d.off += d.head
+		d.tasks, d.records, d.state, d.head = d.tasks[:0], d.records[:0], d.state[:0], 0
+		if cap(d.tasks) > keptBooks {
+			d.tasks, d.records, d.state = nil, nil, nil
+		}
+	}
+}
+
+// keptBooks is the most book entries an empty window keeps for reuse
+// (about 100 KB).
+const keptBooks = 1024
 
 // markReleased appends a registered task to the pending queue.
 func (d *Driver) markReleased(task core.TaskID) { d.pending.Push(int(task)) }
@@ -112,17 +194,17 @@ func (d *Driver) Admit(task core.Task) core.TaskID {
 // halts with a DeadSlaveError; masters of static platforms cannot get
 // there without a bug).
 func (d *Driver) MarkSent(scheduler string, task core.TaskID, j int) bool {
-	idx := int(task)
-	if idx < 0 || idx >= len(d.tasks) {
+	if task < 0 || int(task) >= d.Admitted() {
 		panic(fmt.Sprintf("sim: scheduler %s sent unknown task %d", scheduler, task))
 	}
 	if j < 0 || j >= d.pl.M() {
 		panic(fmt.Sprintf("sim: scheduler %s used unknown slave %d", scheduler, j))
 	}
-	if d.sent[idx] {
+	idx := int(task) - d.off
+	if idx < d.head || d.sent(idx) {
 		panic(fmt.Sprintf("sim: scheduler %s re-sent task %d", scheduler, task))
 	}
-	pos := d.pending.IndexOf(idx)
+	pos := d.pending.IndexOf(int(task))
 	if pos < 0 {
 		panic(fmt.Sprintf("sim: scheduler %s sent unreleased task %d at %v", scheduler, task, d.now()))
 	}
@@ -130,11 +212,11 @@ func (d *Driver) MarkSent(scheduler string, task core.TaskID, j int) bool {
 		return false
 	}
 	d.pending.RemoveAt(pos)
-	d.sent[idx] = true
+	d.state[idx] = taskSent
 	now := d.now()
 	d.records[idx].Slave = j
 	d.records[idx].SendStart = now
-	d.ledger.Assign(j, idx, now+d.pl.C[j])
+	d.ledger.Assign(j, int(task), now+d.pl.C[j])
 	return true
 }
 
@@ -142,23 +224,23 @@ func (d *Driver) MarkSent(scheduler string, task core.TaskID, j int) bool {
 // experiences its own port, so the actual transfer duration feeds the
 // observation stream and corrects the ledger's arrival prediction.
 func (d *Driver) MarkArrived(task core.TaskID, j int, at float64) {
-	idx := int(task)
+	idx := d.entry(task)
 	d.records[idx].Arrive = at
 	d.obsComm[j].observe(at - d.records[idx].SendStart)
-	d.ledger.Arrived(j, idx, at)
+	d.ledger.Arrived(j, int(task), at)
 }
 
 // MarkCompleted records a completion notification carrying the slave's
 // reported computation window. The actual computation duration feeds the
 // observation stream.
 func (d *Driver) MarkCompleted(task core.TaskID, j int, start, complete float64) {
-	idx := int(task)
+	idx := d.entry(task)
 	d.records[idx].Start = start
 	d.records[idx].Complete = complete
-	d.done[idx] = true
 	d.completed++
 	d.obsComp[j].observe(complete - start)
-	d.ledger.Completed(j, idx, complete)
+	d.ledger.Completed(j, int(task), complete)
+	d.finish(idx, taskDone)
 }
 
 // RetractNewest removes up to n tasks from the BACK of the pending queue
@@ -181,16 +263,17 @@ func (d *Driver) RetractNewest(n int) []core.Task {
 	out := make([]core.Task, 0, n)
 	for i := 0; i < n; i++ {
 		last := d.pending.Len() - 1
-		idx := d.pending.At(last)
+		idx := d.pending.At(last) - d.off
 		d.pending.RemoveAt(last)
 		d.retracted++
 		out = append(out, d.tasks[idx])
+		d.finish(idx, taskRetracted)
 	}
 	return out
 }
 
 // Admitted returns the number of tasks admitted so far.
-func (d *Driver) Admitted() int { return len(d.tasks) }
+func (d *Driver) Admitted() int { return d.off + len(d.tasks) }
 
 // Retracted returns the number of tasks retracted by RetractNewest.
 func (d *Driver) Retracted() int { return d.retracted }
@@ -201,8 +284,8 @@ func (d *Driver) Done() int { return d.completed }
 // PendingCount returns the number of released, unsent tasks.
 func (d *Driver) PendingCount() int { return d.pending.Len() }
 
-// Task returns an admitted task by ID.
-func (d *Driver) Task(id core.TaskID) core.Task { return d.tasks[id] }
+// Task returns an admitted task by ID. It panics on a retired one.
+func (d *Driver) Task(id core.TaskID) core.Task { return d.tasks[d.entry(id)] }
 
 // Platform returns the nominal platform the master believes in.
 func (d *Driver) Platform() core.Platform { return d.pl }
@@ -212,8 +295,12 @@ func (d *Driver) View() View { return View{d} }
 
 // Schedule assembles the schedule recorded so far. On a completed run it
 // is a full, validatable core.Schedule; mid-run, records of unfinished
-// tasks have zero fields.
+// tasks have zero fields. A retiring Driver has no schedule to give: it
+// panics.
 func (d *Driver) Schedule() core.Schedule {
+	if d.retiring {
+		panic("sim: Schedule on a retiring Driver: finished tasks' books are retired")
+	}
 	inst := core.Instance{Platform: d.pl.Clone(), Tasks: append([]core.Task(nil), d.tasks...)}
 	return core.Schedule{Instance: inst, Records: append([]core.Record(nil), d.records...)}
 }
@@ -251,7 +338,7 @@ func (v View) FirstPending() (core.TaskID, bool) {
 }
 
 // Release returns the release time of a task.
-func (v View) Release(task core.TaskID) float64 { return v.d.tasks[task].Release }
+func (v View) Release(task core.TaskID) float64 { return v.d.tasks[v.d.entry(task)].Release }
 
 // Outstanding returns the number of tasks assigned to slave j and not yet
 // completed (in flight, queued, or computing).

@@ -93,12 +93,12 @@ func (d *Driver) Fail(j int) []core.TaskID {
 	}
 	d.alive[j] = false
 	var lost []core.TaskID
-	for idx := range d.records {
+	for idx := d.head; idx < len(d.records); idx++ {
 		r := &d.records[idx]
-		if d.sent[idx] && !d.done[idx] && !r.Lost && r.Slave == j {
+		if d.state[idx] == taskSent && !r.Lost && r.Slave == j {
 			r.Lost = true
 			d.lost++
-			lost = append(lost, core.TaskID(idx))
+			lost = append(lost, core.TaskID(d.off+idx))
 		}
 	}
 	d.ledger.Fail(j, d.now())

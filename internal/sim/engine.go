@@ -194,7 +194,7 @@ func (e *Engine) TaskCount() int { return e.drv.Admitted() }
 // the Section-3 adversaries ("we check whether A made a decision
 // concerning the scheduling of i, and which one").
 func (e *Engine) Started(task core.TaskID) (slave int, at float64, ok bool) {
-	if int(task) >= len(e.drv.records) || !e.drv.sent[task] {
+	if int(task) >= len(e.drv.records) || !e.drv.sent(int(task)) {
 		return 0, 0, false
 	}
 	r := e.drv.records[task]
@@ -203,7 +203,7 @@ func (e *Engine) Started(task core.TaskID) (slave int, at float64, ok bool) {
 
 // Completed reports whether the task has finished computing.
 func (e *Engine) Completed(task core.TaskID) bool {
-	return int(task) < len(e.drv.done) && e.drv.done[task]
+	return int(task) < len(e.drv.state) && e.drv.state[task] == taskDone
 }
 
 // processEvent applies one event to the ground-truth state and tells the

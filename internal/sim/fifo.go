@@ -5,8 +5,9 @@ package sim
 // []int on every dequeue, which turned each dispatch into an O(queue)
 // memmove (and, for the slave queues, let append reallocate behind the
 // advancing slice header). Here PopFront is O(1): the head index moves
-// forward and the backing array is recycled whenever the queue drains,
-// so a run's queue traffic settles into zero allocations after warm-up.
+// forward, the backing array is recycled whenever the queue drains, and
+// a Push into a full, mostly consumed array slides the queue down, so a
+// run's queue traffic settles into zero allocations after warm-up.
 //
 // Removal order is part of the determinism contract: RemoveAt preserves
 // the relative order of the survivors exactly as the old slice-splice
@@ -40,8 +41,15 @@ func (q *taskFIFO) Front() (int, bool) {
 	return q.buf[q.head], true
 }
 
-// Push appends a value.
-func (q *taskFIFO) Push(v int) { q.buf = append(q.buf, v) }
+// Push appends a value. A full backing array that is mostly consumed
+// slides its queued values down instead of growing behind the head, so
+// a queue that never drains still holds only its backlog.
+func (q *taskFIFO) Push(v int) {
+	if n := len(q.buf); n == cap(q.buf) && q.head > n/2 {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	q.buf = append(q.buf, v)
+}
 
 // PopFront removes and returns the oldest value. It panics on an empty
 // queue (a programming error in the engine, not a runtime condition).
