@@ -121,7 +121,7 @@ func renderTop(w io.Writer, stats schedd.StatsResponse) {
 		fmt.Fprintf(w, "latency: mean %.4fs  p50 %.4fs  p95 %.4fs  p99 %.4fs\n", l.Mean, l.P50, l.P95, l.P99)
 	}
 	if r := stats.Recorder; r != nil {
-		fmt.Fprintf(w, "flight: %d frames  %d segments (%d dropped)\n", r.Frames, r.Segments, r.SegmentsDropped)
+		fmt.Fprintf(w, "flight: %d frames  %d segments (%d dropped, %d unwritten)\n", r.Frames, r.Segments, r.SegmentsDropped, r.SegmentsUnwritten)
 	}
 	rows := make([][]string, 0, len(stats.PerShard))
 	for _, sec := range stats.PerShard {

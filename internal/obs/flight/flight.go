@@ -9,12 +9,23 @@
 // The design inherits the repository's two standing disciplines:
 //
 //   - Zero allocations on the hot append path. Every segment buffer is
-//     preallocated; an append encodes its frame directly into the active
-//     buffer under a short mutex. Sealing a full segment recycles the
+//     preallocated, and so is every shard's lane: Observe encodes its
+//     frames into the lane of the shard it is called for, which has one
+//     writer (the shard's master) and no lock. A full lane flushes its
+//     frames into the active segment under the shared lock, once per
+//     lane's worth of frames rather than once per event; readers flush
+//     every lane before they read. Sealing a full segment recycles the
 //     oldest retained buffer instead of allocating a new one, so even
 //     rotation is allocation-free at steady state (TestAppendAllocationFree
-//     pins this, rotations included). Only optional disk persistence and
-//     oversized blob frames touch the allocator.
+//     pins this, lane flushes and rotations included). Only oversized
+//     blob frames, and a disk writer that falls behind, touch the
+//     allocator.
+//
+//   - No master touches the disk. With Config.Dir set, a sealed segment
+//     is handed to one writer goroutine through a bounded queue; the
+//     writer alone writes segment files and unlinks those past the
+//     retention bound. A full queue drops that segment's file and counts
+//     it (Stats.SegmentsUnwritten): the journal reports its own losses.
 //
 //   - No clock, no randomness. The recorder never reads time: every
 //     timestamp in a frame comes from the caller (the runtime's
@@ -29,18 +40,22 @@
 //	segment  := segmentFrame frame*          (each segment starts with its header frame)
 //	recording:= segment*                     (ascending segment sequence numbers)
 //
-// A recording is self-delimiting: Parse walks frames from any segment
+// Each shard's frames keep their order; frames of different shards
+// interleave per flushed lane, which was never deterministic. A recording
+// is self-delimiting: Parse walks frames from any segment
 // boundary, so a snapshot whose oldest segments were dropped (the ring
 // is bounded) is still readable — the FrameSegment sequence numbers make
 // the truncation visible.
 package flight
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/live"
@@ -104,16 +119,48 @@ type Config struct {
 	MaxSegments int
 }
 
+// laneBytes is the size of each shard's staging lane: about 300 event
+// frames, so a master takes the shared lock once per ~300 events. A lane
+// holds kilobytes, never a segment.
+const laneBytes = 8 << 10
+
+// maxLanes is how many shards get a lane. Observe for a shard index
+// outside [0, maxLanes) journals straight into the shared stream.
+const maxLanes = 64
+
+// writeQueue is how many sealed segments may wait for the disk writer:
+// the writer may fall four segments (4 MiB at the default size) behind
+// the masters before a segment's file is dropped, and at most that many
+// buffers beyond the ring wait for it.
+const writeQueue = 4
+
+// lane is one shard's staging buffer of whole, encoded frames. It has one
+// writer, the shard's master, and no lock: the master encodes frames past
+// the published end and then publishes the new end. Readers move the
+// published frames into the shared stream under Recorder.mu and advance
+// flushed; only the master, also under Recorder.mu, rewinds the lane.
+type lane struct {
+	pub     atomic.Uint64 // staged frames<<32 | staged bytes
+	buf     []byte        // len laneBytes
+	flushed uint64        // the prefix of pub already in the shared stream; under Recorder.mu
+	_       [64]byte      // keeps two lanes off one cache line
+}
+
 // sealedSeg is one full, immutable segment retained in the ring.
 type sealedSeg struct {
-	seq uint64
-	buf []byte
+	seq    uint64
+	buf    []byte
+	queued bool // handed to the disk writer, which may still read buf
 }
 
 // Recorder is the journaling engine. All methods are safe for
-// concurrent use; the append methods are allocation-free (the CI
-// benchmark gate pins this).
+// concurrent use, except that Observe calls for one shard must not
+// overlap; the append methods are allocation-free (TestAppendAllocationFree
+// pins this).
 type Recorder struct {
+	lanes  [maxLanes]atomic.Pointer[lane] // by shard index, each built once under mu
+	closed atomic.Bool                    // set under mu
+
 	mu       sync.Mutex
 	dir      string
 	segBytes int
@@ -124,15 +171,30 @@ type Recorder struct {
 	ring   []sealedSeg // retained sealed segments, oldest first
 	free   [][]byte    // recycled segment buffers (len 0, cap segBytes)
 
-	frames      uint64
-	bytes       uint64
-	segsDropped uint64
-	closed      bool
-	diskErr     error
+	// The disk writer (nil channels without Dir): seal queues sealed
+	// segments on writes; the writer advances written past each one it is
+	// done with. held keeps segments that left the ring while still
+	// queued, oldest first, until the writer is done with them.
+	writes     chan sealedSeg
+	writerDone chan struct{}
+	written    uint64
+	held       []sealedSeg
+
+	frames        uint64
+	bytes         uint64
+	locks         uint64 // acquisitions of mu
+	segsDropped   uint64
+	segsUnwritten uint64
+	diskErr       error
 }
 
+// parkWriter, when a test sets it before New, parks the disk writer
+// before each segment it takes until the channel is closed.
+var parkWriter chan struct{}
+
 // New builds a recorder (creating Config.Dir if needed) and opens its
-// first segment.
+// first segment. With Dir set it starts the disk writer, which Close
+// stops.
 func New(cfg Config) (*Recorder, error) {
 	if cfg.SegmentBytes == 0 {
 		cfg.SegmentBytes = 1 << 20
@@ -166,9 +228,22 @@ func New(cfg Config) (*Recorder, error) {
 				return nil, fmt.Errorf("flight: %w", err)
 			}
 		}
+		// Segments the writer holds come back to free, at most
+		// writeQueue queued plus the one being written.
+		r.free = make([][]byte, 0, writeQueue+2)
+		r.held = make([]sealedSeg, 0, writeQueue+1)
+		r.writes = make(chan sealedSeg, writeQueue)
+		r.writerDone = make(chan struct{})
+		go r.writeSegments(parkWriter)
 	}
 	r.startSegment()
 	return r, nil
+}
+
+// lock takes the shared lock and counts the acquisition.
+func (r *Recorder) lock() {
+	r.mu.Lock()
+	r.locks++
 }
 
 // startSegment opens the active segment for r.seq, reusing a recycled
@@ -187,14 +262,20 @@ func (r *Recorder) startSegment() {
 	r.active = buf
 }
 
-// seal closes the active segment into the ring (and onto disk, when
-// persisting), dropping — and recycling — the oldest retained segment
-// past MaxSegments. Caller holds r.mu.
+// seal closes the active segment into the ring, dropping the oldest
+// retained segment past MaxSegments and recycling its buffer. With Dir
+// set it queues the segment for the disk writer without waiting: a full
+// queue drops the segment's file and counts it. A dropped segment the
+// writer may still be reading is held until it is done. Caller holds
+// r.mu.
 func (r *Recorder) seal() {
 	sealed := sealedSeg{seq: r.seq, buf: r.active}
-	if r.dir != "" {
-		if err := os.WriteFile(r.segPath(sealed.seq), sealed.buf, 0o644); err != nil {
-			r.diskErr = err
+	if r.writes != nil {
+		select {
+		case r.writes <- sealed:
+			sealed.queued = true
+		default:
+			r.segsUnwritten++
 		}
 	}
 	r.ring = append(r.ring, sealed)
@@ -203,15 +284,54 @@ func (r *Recorder) seal() {
 		copy(r.ring, r.ring[1:])
 		r.ring = r.ring[:len(r.ring)-1]
 		r.segsDropped++
-		if r.dir != "" {
-			if err := os.Remove(r.segPath(old.seq)); err != nil {
-				r.diskErr = err
-			}
+		if old.queued && old.seq >= r.written {
+			r.held = append(r.held, old)
+		} else {
+			r.free = append(r.free, old.buf[:0])
 		}
-		r.free = append(r.free, old.buf[:0])
 	}
 	r.seq++
 	r.startSegment()
+}
+
+// writeSegments is the disk writer: it writes each queued segment to its
+// file, unlinks files past the retention bound, and hands back the
+// buffers of dropped segments it is done with. It exits when Close
+// closes the queue.
+func (r *Recorder) writeSegments(park chan struct{}) {
+	defer close(r.writerDone)
+	var onDisk []uint64 // written files, oldest first
+	for {
+		if park != nil {
+			<-park
+		}
+		s, ok := <-r.writes
+		if !ok {
+			return
+		}
+		err := os.WriteFile(r.segPath(s.seq), s.buf, 0o644)
+		if err == nil {
+			onDisk = append(onDisk, s.seq)
+		}
+		for len(onDisk) > 0 && onDisk[0]+uint64(r.maxSegs) <= s.seq {
+			if rerr := os.Remove(r.segPath(onDisk[0])); rerr != nil {
+				err = rerr
+			}
+			onDisk = onDisk[1:]
+		}
+		r.lock()
+		if err != nil {
+			r.diskErr = err
+		}
+		r.written = s.seq + 1
+		n := 0
+		for n < len(r.held) && r.held[n].seq < r.written {
+			r.free = append(r.free, r.held[n].buf[:0])
+			n++
+		}
+		r.held = r.held[:copy(r.held, r.held[n:])]
+		r.mu.Unlock()
+	}
 }
 
 func (r *Recorder) segPath(seq uint64) string {
@@ -246,65 +366,154 @@ func (r *Recorder) finish(b []byte) {
 	r.frames++
 }
 
+// lane returns the staging lane of shard, creating it on first use, or
+// nil for a shard index without one.
+func (r *Recorder) lane(shard int) *lane {
+	if shard < 0 || shard >= maxLanes {
+		return nil
+	}
+	slot := &r.lanes[shard]
+	if l := slot.Load(); l != nil {
+		return l
+	}
+	r.lock()
+	defer r.mu.Unlock()
+	if slot.Load() == nil {
+		slot.Store(&lane{buf: make([]byte, laneBytes)})
+	}
+	return slot.Load()
+}
+
+// flush moves l's staged frames up to the published end upto into the
+// shared stream. A run of frames that fits the active segment is copied
+// whole; one that crosses a segment boundary goes one frame at a time
+// through begin and finish. Either way segment boundaries, sequence
+// numbers and the frame and byte counts come out exactly as if each frame
+// had been appended directly. Caller holds r.mu.
+func (r *Recorder) flush(l *lane, upto uint64) {
+	staged := l.buf[uint32(l.flushed):uint32(upto)]
+	if len(r.active)+len(staged) <= r.segBytes {
+		r.active = append(r.active, staged...)
+		r.bytes += uint64(len(staged))
+		r.frames += upto>>32 - l.flushed>>32
+	} else {
+		for off := 0; off < len(staged); {
+			typ := staged[off]
+			n := int(binary.LittleEndian.Uint32(staged[off+1:]))
+			off += frameHeaderLen
+			b := r.begin(typ, n)
+			r.finish(append(b, staged[off:off+n]...))
+			off += n
+		}
+	}
+	l.flushed = upto
+}
+
+// lockFlushed takes the shared lock and, unless the recorder is closed,
+// flushes every lane: it returns holding r.mu, with every frame
+// journaled so far in the shared stream.
+func (r *Recorder) lockFlushed() {
+	r.lock()
+	if r.closed.Load() {
+		return
+	}
+	for i := range r.lanes {
+		if l := r.lanes[i].Load(); l != nil {
+			r.flush(l, l.pub.Load())
+		}
+	}
+}
+
 // Observe journals one lifecycle event and, when it completes job, the
-// job's span frame from job.Record() — both in one critical section. It
-// is the serving stack's per-event sink (schedd's cluster.Config.Observer
-// hands it the tracker's post-event job at a completion) and emits exactly the bytes of AppendEvent
-// followed, on EvCompleted, by AppendSpan. Allocation-free.
+// job's span frame from job.Record() — the bytes of AppendEvent followed,
+// on EvCompleted, by AppendSpan. It is the serving stack's per-event sink
+// (schedd's cluster.Config.Observer hands it the tracker's post-event job
+// at a completion).
+//
+// The frames go into shard's lane without a lock. When they would not
+// fit, the lane first flushes into the shared stream and rewinds, which
+// is the only time Observe takes the shared lock. Each shard's frames
+// therefore keep their order, while frames of different shards
+// interleave per flushed lane rather than per event. Calls for one shard
+// must not overlap — the lane's one writer is the shard's master — while
+// calls for different shards may. Allocation-free.
 func (r *Recorder) Observe(shard int, ev live.Event, job live.JobInfo) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	l := r.lane(shard)
+	if l == nil {
+		r.AppendEvent(shard, ev)
+		if ev.Kind == live.EvCompleted {
+			r.AppendSpan(shard, job.Record())
+		}
 		return
 	}
-	r.putEvent(shard, ev)
-	if ev.Kind == live.EvCompleted {
-		r.putSpan(shard, job.Record())
+	if r.closed.Load() {
+		return
 	}
+	pub := l.pub.Load()
+	need := frameHeaderLen + eventPayloadLen
+	if ev.Kind == live.EvCompleted {
+		need += frameHeaderLen + spanPayloadLen
+	}
+	if int(uint32(pub))+need > len(l.buf) {
+		r.lock()
+		if !r.closed.Load() {
+			r.flush(l, pub)
+		}
+		pub, l.flushed = 0, 0
+		l.pub.Store(0)
+		r.mu.Unlock()
+	}
+	b := append(l.buf[:uint32(pub)], FrameEvent)
+	b = eventPayload(putU32(b, eventPayloadLen), shard, ev)
+	frames := pub>>32 + 1
+	if ev.Kind == live.EvCompleted {
+		b = append(b, FrameSpan)
+		b = spanPayload(putU32(b, spanPayloadLen), shard, job.Record())
+		frames++
+	}
+	l.pub.Store(frames<<32 | uint64(len(b)))
 }
 
-// AppendEvent journals one runtime lifecycle event. Allocation-free.
+// AppendEvent journals one runtime lifecycle event straight into the
+// shared stream. Allocation-free.
 func (r *Recorder) AppendEvent(shard int, ev live.Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
+	r.lock()
 	defer r.mu.Unlock()
-	if !r.closed {
-		r.putEvent(shard, ev)
+	if !r.closed.Load() {
+		r.finish(eventPayload(r.begin(FrameEvent, eventPayloadLen), shard, ev))
 	}
 }
 
 // AppendSpan journals one completed job's schedule record (its span in
-// timestamp form). Allocation-free.
+// timestamp form) straight into the shared stream. Allocation-free.
 func (r *Recorder) AppendSpan(shard int, rec core.Record) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
+	r.lock()
 	defer r.mu.Unlock()
-	if !r.closed {
-		r.putSpan(shard, rec)
+	if !r.closed.Load() {
+		r.finish(spanPayload(r.begin(FrameSpan, spanPayloadLen), shard, rec))
 	}
 }
 
-// putEvent encodes one event frame. Caller holds r.mu.
-func (r *Recorder) putEvent(shard int, ev live.Event) {
-	b := r.begin(FrameEvent, eventPayloadLen)
+// eventPayload appends one event frame's payload to b.
+func eventPayload(b []byte, shard int, ev live.Event) []byte {
 	b = putU32(b, uint32(int32(shard)))
 	b = append(b, byte(ev.Kind))
 	b = putU32(b, uint32(int32(ev.Task)))
 	b = putU32(b, uint32(int32(ev.Slave)))
-	b = putU64(b, math.Float64bits(ev.T))
-	r.finish(b)
+	return putU64(b, math.Float64bits(ev.T))
 }
 
-// putSpan encodes one span frame. Caller holds r.mu.
-func (r *Recorder) putSpan(shard int, rec core.Record) {
-	b := r.begin(FrameSpan, spanPayloadLen)
+// spanPayload appends one span frame's payload to b.
+func spanPayload(b []byte, shard int, rec core.Record) []byte {
 	b = putU32(b, uint32(int32(shard)))
 	b = putU32(b, uint32(int32(rec.Task)))
 	b = putU32(b, uint32(int32(rec.Slave)))
@@ -312,8 +521,7 @@ func (r *Recorder) putSpan(shard int, rec core.Record) {
 	b = putU64(b, math.Float64bits(rec.SendStart))
 	b = putU64(b, math.Float64bits(rec.Arrive))
 	b = putU64(b, math.Float64bits(rec.Start))
-	b = putU64(b, math.Float64bits(rec.Complete))
-	r.finish(b)
+	return putU64(b, math.Float64bits(rec.Complete))
 }
 
 // AppendDecision journals one decision-audit entry. The policy name is
@@ -323,9 +531,9 @@ func (r *Recorder) AppendDecision(d obs.Decision) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
+	r.lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return
 	}
 	policy := d.Policy
@@ -363,9 +571,9 @@ func (r *Recorder) appendBlob(typ byte, blob []byte) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
+	r.lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return
 	}
 	b := r.begin(typ, len(blob))
@@ -374,13 +582,14 @@ func (r *Recorder) appendBlob(typ byte, blob []byte) {
 }
 
 // Snapshot returns the full retained recording — sealed segments oldest
-// first, then the active segment — as one parseable byte stream. This is
-// what GET /v1/flight serves and what the conformance suite compares.
+// first, then the active segment — as one parseable byte stream, every
+// lane flushed first. This is what GET /v1/flight serves and what the
+// conformance suite compares.
 func (r *Recorder) Snapshot() []byte {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
+	r.lockFlushed()
 	defer r.mu.Unlock()
 	n := len(r.active)
 	for _, s := range r.ring {
@@ -405,23 +614,28 @@ type Stats struct {
 	// has discarded.
 	Segments        int    `json:"segments"`
 	SegmentsDropped uint64 `json:"segments_dropped"`
+	// SegmentsUnwritten counts sealed segments whose file was never
+	// written because the disk writer's queue was full (0 without Dir).
+	SegmentsUnwritten uint64 `json:"segments_unwritten"`
 	// DiskError is the most recent persistence failure ("" when none):
 	// the recorder keeps journaling in memory through disk errors.
 	DiskError string `json:"disk_error,omitempty"`
 }
 
-// Stats returns the current accounting.
+// Stats returns the current accounting, every lane flushed first so the
+// counts are exact.
 func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return Stats{}
 	}
-	r.mu.Lock()
+	r.lockFlushed()
 	defer r.mu.Unlock()
 	st := Stats{
-		Frames:          r.frames,
-		Bytes:           r.bytes,
-		Segments:        len(r.ring) + 1,
-		SegmentsDropped: r.segsDropped,
+		Frames:            r.frames,
+		Bytes:             r.bytes,
+		Segments:          len(r.ring) + 1,
+		SegmentsDropped:   r.segsDropped,
+		SegmentsUnwritten: r.segsUnwritten,
 	}
 	if r.diskErr != nil {
 		st.DiskError = r.diskErr.Error()
@@ -429,19 +643,29 @@ func (r *Recorder) Stats() Stats {
 	return st
 }
 
-// Close flushes the active segment (to disk when persisting) and stops
-// accepting appends. Snapshot remains valid. Returns the last disk
-// error, if any.
+// Close stops accepting appends, flushes the lanes, waits for the disk
+// writer to drain its queue and then writes the active segment (when
+// persisting). Snapshot remains valid. Returns the last disk error, if
+// any.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	// The last flush: a frame Observe publishes after it stays in its
+	// lane, as an append after Close is dropped.
+	r.lockFlushed()
+	if r.closed.Load() {
+		defer r.mu.Unlock()
 		return r.diskErr
 	}
-	r.closed = true
+	r.closed.Store(true)
+	if r.writes != nil {
+		close(r.writes)
+		r.mu.Unlock()
+		<-r.writerDone
+		r.lock()
+	}
+	defer r.mu.Unlock()
 	if r.dir != "" {
 		if err := os.WriteFile(r.segPath(r.seq), r.active, 0o644); err != nil {
 			r.diskErr = err

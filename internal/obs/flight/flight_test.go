@@ -2,12 +2,17 @@ package flight
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -325,7 +330,9 @@ func FuzzParse(f *testing.F) {
 
 // TestAppendAllocationFree pins the hot-path discipline: event, span
 // and decision appends allocate nothing, segment rotation included — so
-// the measured region must seal segments, not just fill one.
+// the measured region must seal segments, not just fill one. Observe is
+// held to the same floor through its lane, with lane flushes that seal
+// and rotate segments inside the measured calls.
 func TestAppendAllocationFree(t *testing.T) {
 	r := mustNew(t, Config{SegmentBytes: 4096, MaxSegments: 2})
 	// Warm the buffer pool: after MaxSegments+1 segments exist, sealing
@@ -346,6 +353,241 @@ func TestAppendAllocationFree(t *testing.T) {
 	}
 	if rotated := sealed() - before; rotated < 2 {
 		t.Fatalf("%d segment rotations inside the measured appends, want at least 2", rotated)
+	}
+
+	// The lane path: the first Observe on a shard builds its lane, so
+	// warm it first.
+	job := live.JobInfo{ID: 1, State: live.StateDone, Slave: 0, Submitted: 1, SendStart: 2, Arrive: 3, Start: 3, Complete: 4}
+	r.Observe(1, live.Event{T: 1, Kind: live.EvSent, Task: 1, Slave: 0}, job)
+	before, flushes := sealed(), r.sharedLocks()
+	if n := testing.AllocsPerRun(200, func() {
+		r.Observe(1, live.Event{T: 1, Kind: live.EvSent, Task: 1, Slave: 0}, job)
+		r.Observe(1, live.Event{T: 2, Kind: live.EvCompleted, Task: 1, Slave: 0}, job)
+	}); n != 0 {
+		t.Fatalf("Observe allocates %v times per op, want 0", n)
+	}
+	if flushes = r.sharedLocks() - flushes; flushes < 2 {
+		t.Fatalf("%d lane flushes inside the measured Observe calls, want at least 2", flushes)
+	}
+	if rotated := sealed() - before; rotated < 2 {
+		t.Fatalf("%d segment rotations inside the measured Observe calls, want at least 2", rotated)
+	}
+}
+
+// sharedLocks reads the shared-lock acquisition count without adding
+// to it.
+func (r *Recorder) sharedLocks() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.locks
+}
+
+// TestObserveSharesLockPerChunk counts what the lanes buy: four masters
+// journaling concurrently, with a reader snapshotting beside them, take
+// the shared lock once per flushed lane rather than once per event. The
+// recording still holds each shard's frames in its own append order, and
+// the frame count is exact.
+func TestObserveSharesLockPerChunk(t *testing.T) {
+	const shards, perShard, readers = 4, 250_000, 50
+	// Segments enough to retain the whole run (about 37 MB), so the
+	// final snapshot holds every frame.
+	r := mustNew(t, Config{MaxSegments: 64})
+	kind := func(task int) live.EventKind {
+		if task%5 == 4 {
+			return live.EvCompleted
+		}
+		return live.EvSent
+	}
+	// checkOrder walks a snapshot's frames: each shard's events must be
+	// its appends from the first, in order, each completion directly
+	// followed by its span. It returns how many events of each shard it
+	// saw.
+	checkOrder := func(snap []byte) ([shards]int, error) {
+		var next [shards]int
+		span := -1 // the task whose span must come next, if any
+		for off := 0; off < len(snap); {
+			typ, n := snap[off], int(binary.LittleEndian.Uint32(snap[off+1:]))
+			p := snap[off+frameHeaderLen : off+frameHeaderLen+n]
+			off += frameHeaderLen + n
+			shard := int(binary.LittleEndian.Uint32(p))
+			task := int(int32(binary.LittleEndian.Uint32(p[4:])))
+			switch {
+			case typ == FrameSegment: // a seal may fall between the two
+			case span >= 0:
+				if typ != FrameSpan || task != span {
+					return next, fmt.Errorf("completion of task %d not followed by its span", span)
+				}
+				span = -1
+			case typ == FrameEvent:
+				task = int(int32(binary.LittleEndian.Uint32(p[5:])))
+				if shard >= shards || task != next[shard] || live.EventKind(p[4]) != kind(task) {
+					return next, fmt.Errorf("shard %d: event for task %d (kind %d), want task %d", shard, task, p[4], next[shard])
+				}
+				next[shard]++
+				if kind(task) == live.EvCompleted {
+					span = task
+				}
+			}
+		}
+		return next, nil
+	}
+	var readerDone sync.WaitGroup
+	stop := make(chan struct{})
+	var readErr error
+	readerDone.Add(1)
+	go func() {
+		defer readerDone.Done()
+		for i := 0; i < readers; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := checkOrder(r.Snapshot()); err != nil {
+				readErr = err
+				return
+			}
+			r.Stats()
+		}
+	}()
+	var masters sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		masters.Add(1)
+		go func(shard int) {
+			defer masters.Done()
+			for i := 0; i < perShard; i++ {
+				job := live.JobInfo{ID: i, State: live.StateDone, Slave: 1, Complete: float64(i)}
+				r.Observe(shard, live.Event{T: float64(i), Kind: kind(i), Task: i, Slave: 1}, job)
+			}
+		}(s)
+	}
+	masters.Wait()
+	close(stop)
+	readerDone.Wait()
+	if readErr != nil {
+		t.Fatalf("concurrent snapshot: %v", readErr)
+	}
+
+	const events = shards * perShard
+	if locks := r.sharedLocks(); locks > events/128 {
+		t.Fatalf("%d shared-lock acquisitions for %d events, want at most %d", locks, events, events/128)
+	}
+	seen, err := checkOrder(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, n := range seen {
+		if n != perShard {
+			t.Fatalf("shard %d: %d events in the recording, want %d", s, n, perShard)
+		}
+	}
+	if st := r.Stats(); st.Frames != events+events/5 || st.SegmentsDropped != 0 {
+		t.Fatalf("stats %+v, want %d frames (events and spans) and no drops", st, events+events/5)
+	}
+}
+
+// TestObserveWithoutLane: a shard index with no lane journals straight
+// into the shared stream, the same bytes as AppendEvent + AppendSpan.
+func TestObserveWithoutLane(t *testing.T) {
+	fused, paired := mustNew(t, Config{}), mustNew(t, Config{})
+	job := live.JobInfo{ID: 3, State: live.StateDone, Slave: 1, Submitted: 1, SendStart: 1, Arrive: 2, Start: 2, Complete: 4}
+	for _, shard := range []int{-1, maxLanes} {
+		ev := live.Event{T: 4, Kind: live.EvCompleted, Task: 3, Slave: 1}
+		fused.Observe(shard, ev, job)
+		paired.AppendEvent(shard, ev)
+		paired.AppendSpan(shard, job.Record())
+	}
+	if !bytes.Equal(fused.Snapshot(), paired.Snapshot()) {
+		t.Fatal("Observe outside the lanes journals different bytes than AppendEvent + AppendSpan")
+	}
+	if fused.lane(-1) != nil || fused.lane(maxLanes) != nil {
+		t.Fatal("a lane was built for a shard index outside the lanes")
+	}
+}
+
+// segmentFiles splits a recording into its segments' bytes by sequence
+// number.
+func segmentFiles(t *testing.T, snap []byte) map[uint64][]byte {
+	t.Helper()
+	segs := map[uint64][]byte{}
+	var seq uint64
+	start := -1
+	for off := 0; off < len(snap); {
+		n := frameHeaderLen + int(binary.LittleEndian.Uint32(snap[off+1:]))
+		if snap[off] == FrameSegment {
+			if start >= 0 {
+				segs[seq] = snap[start:off]
+			}
+			seq, start = binary.LittleEndian.Uint64(snap[off+frameHeaderLen:]), off
+		}
+		off += n
+	}
+	if start >= 0 {
+		segs[seq] = snap[start:]
+	}
+	return segs
+}
+
+// TestParkedDiskStopsNoMaster parks the disk writer and keeps journaling
+// across far more seals than its queue holds: Observe keeps returning,
+// the segments with no room in the queue are counted as unwritten, and
+// once the writer is released and Close returns, the directory holds
+// exactly the segments that were queued (past the retention bound) and
+// the active one, each byte-identical to the same segment of an
+// unpersisted recording of the same calls. The ring drops segments the
+// parked writer still holds, so their buffers must not be recycled
+// before they are written.
+func TestParkedDiskStopsNoMaster(t *testing.T) {
+	const maxSegs = 2
+	park := make(chan struct{})
+	parkWriter = park
+	dir := t.TempDir()
+	disk := mustNew(t, Config{Dir: dir, SegmentBytes: 1024, MaxSegments: maxSegs})
+	parkWriter = nil
+	mem := mustNew(t, Config{SegmentBytes: 1024, MaxSegments: 1 << 10})
+	job := live.JobInfo{ID: 0, State: live.StateDone, Slave: 1, Complete: 1}
+	for i := 0; i < 5000; i++ {
+		ev := live.Event{T: float64(i), Kind: live.EvSent, Task: i, Slave: 1}
+		disk.Observe(i&3, ev, job)
+		mem.Observe(i&3, ev, job)
+	}
+	st := disk.Stats()
+	mem.Stats() // the same lane flush on both recorders
+	sealed := uint64(st.Segments-1) + st.SegmentsDropped
+	if sealed < 10*writeQueue {
+		t.Fatalf("only %d seals; resize the test", sealed)
+	}
+	// The parked writer took nothing: exactly the queue's worth is
+	// waiting, and every later seal found the queue full.
+	if want := sealed - writeQueue; st.SegmentsUnwritten != want {
+		t.Fatalf("SegmentsUnwritten = %d, want %d of %d seals", st.SegmentsUnwritten, want, sealed)
+	}
+	close(park)
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Queued were 0..writeQueue-1; the writer keeps the last maxSegs of
+	// them, and Close writes the active segment.
+	want := []uint64{writeQueue - 2, writeQueue - 1, sealed}
+	if got := rec.Segments(); !slices.Equal(got, want) {
+		t.Fatalf("segments on disk = %v, want %v", got, want)
+	}
+	whole := segmentFiles(t, mem.Snapshot())
+	for _, seq := range want {
+		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seg-%08d.flight", seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, whole[seq]) {
+			t.Fatalf("segment %d on disk differs from the recording's", seq)
+		}
 	}
 }
 
@@ -381,6 +623,30 @@ func BenchmarkAppend(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r.AppendDecision(obs.Decision{Kind: obs.DecisionPlace, Policy: "least-loaded",
 				Seq: uint64(i), Job: i, From: -1, To: i & 3, Scores: scores})
+		}
+	})
+}
+
+// BenchmarkObserveParallel measures the per-event sink the way the
+// serving stack drives it: one goroutine per shard, each journaling into
+// its own lane, every fifth event a completion with its span.
+func BenchmarkObserveParallel(b *testing.B) {
+	r, err := New(Config{SegmentBytes: 64 << 10, MaxSegments: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int32
+	job := live.JobInfo{ID: 1, State: live.StateDone, Slave: 1, Complete: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		shard := int(next.Add(1)-1) & 3
+		for i := 0; pb.Next(); i++ {
+			kind := live.EvSent
+			if i%5 == 4 {
+				kind = live.EvCompleted
+			}
+			r.Observe(shard, live.Event{T: float64(i), Kind: kind, Task: i, Slave: 1}, job)
 		}
 	})
 }

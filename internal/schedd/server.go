@@ -414,6 +414,8 @@ func (s *Server) registerMetrics() {
 			"", func() float64 { return float64(rec.Stats().Frames) })
 		r.CounterFunc("schedd_flight_segments_dropped_total", "Sealed flight segments discarded by the bounded ring.",
 			"", func() float64 { return float64(rec.Stats().SegmentsDropped) })
+		r.CounterFunc("schedd_flight_segments_unwritten_total", "Sealed flight segments whose file was dropped because the disk writer's queue was full.",
+			"", func() float64 { return float64(rec.Stats().SegmentsUnwritten) })
 	}
 	r.CounterFunc("schedd_watch_events_dropped_total", "Watch-stream events dropped on slow subscribers.",
 		"", func() float64 { return float64(s.watch.dropped.Load()) })

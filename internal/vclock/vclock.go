@@ -13,7 +13,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -96,7 +95,7 @@ func (p *Proc) Post(dst int, msg Message, delay float64) {
 		p.c.procs[dst].deliver(msg)
 		return
 	}
-	heap.Push(&p.c.mail, msg2dst{msg: msg, dst: dst})
+	p.c.mail.push(msg2dst{msg: msg, dst: dst})
 }
 
 // deliver puts msg in p's mailbox and makes p runnable if it waits for
@@ -171,23 +170,58 @@ type msg2dst struct {
 	dst int
 }
 
+// mailHeap is a binary min-heap of pending deliveries ordered by
+// (deliverAt, seq). seq is unique, so the order is strict and the pop
+// sequence is fully determined. It is hand-rolled on the concrete element
+// type: container/heap would box every message into an interface on
+// push and again on pop.
 type mailHeap []msg2dst
 
-func (h mailHeap) Len() int { return len(h) }
-func (h mailHeap) Less(i, j int) bool {
+func (h mailHeap) less(i, j int) bool {
 	if h[i].msg.deliverAt != h[j].msg.deliverAt {
 		return h[i].msg.deliverAt < h[j].msg.deliverAt
 	}
 	return h[i].msg.seq < h[j].msg.seq
 }
-func (h mailHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mailHeap) Push(x any)   { *h = append(*h, x.(msg2dst)) }
-func (h *mailHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+
+func (h *mailHeap) push(m msg2dst) {
+	*h = append(*h, m)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest delivery. The heap must not be
+// empty.
+func (h *mailHeap) pop() msg2dst {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = msg2dst{} // drop the payload reference
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Cluster is a set of logical processes sharing one virtual clock. Its
@@ -319,7 +353,7 @@ func (c *Cluster) next() *Proc {
 
 		// Deliver all mail due now; wake receivers.
 		for len(c.mail) > 0 && c.mail[0].msg.deliverAt <= c.now {
-			d := heap.Pop(&c.mail).(msg2dst)
+			d := c.mail.pop()
 			c.procs[d.dst].deliver(d.msg)
 		}
 		// Wake expired sleepers and receive deadlines.

@@ -558,3 +558,30 @@ func TestStandingMailboxStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDelayedPostAllocationFree pins the delivery heap to its concrete
+// element type: once the heap and the mailbox have grown, a delayed Post,
+// its delivery at the clock advance and the Recv that takes it allocate
+// nothing (the payload is boxed once, by the caller, before the loop).
+func TestDelayedPostAllocationFree(t *testing.T) {
+	c := New()
+	var allocs float64
+	c.Spawn("self", func(p *Proc) {
+		msg := Message{Payload: any(7)}
+		allocs = testing.AllocsPerRun(200, func() {
+			p.Post(p.ID(), msg, 1)
+			if got := p.Recv(); got.Payload != msg.Payload {
+				t.Errorf("received %v, want %v", got.Payload, msg.Payload)
+			}
+		})
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("delayed Post + delivery + Recv allocates %v times, want 0", allocs)
+	}
+	if c.Now() != 201 {
+		t.Fatalf("clock at %v, want 201 (one unit per delayed message)", c.Now())
+	}
+}
