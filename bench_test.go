@@ -78,8 +78,11 @@ func BenchmarkFigure1c(b *testing.B) { benchFigure1(b, core.CompHomogeneous) }
 // BenchmarkFigure1d regenerates Figure 1(d): fully heterogeneous.
 func BenchmarkFigure1d(b *testing.B) { benchFigure1(b, core.Heterogeneous) }
 
-// benchFigure1Workers runs the heterogeneous panel — the most expensive
-// of the four — at a paper-shaped scale on a fixed-size worker pool.
+// benchFigure1Workers runs the heterogeneous panel at a paper-shaped scale
+// on a fixed-size worker pool. At this scale the four panels cost about
+// the same (15–18 ms each on one worker of a 2-vCPU Xeon); this one never
+// reaches the uniform-p SLJFWC planner, which internal/sched's
+// BenchmarkPlanOnePortUniform measures.
 func benchFigure1Workers(b *testing.B, workers int) {
 	cfg := experiment.Config{Platforms: 8, Tasks: 500, M: 5, Seed: 1, Workers: workers}
 	var r experiment.Figure1Result

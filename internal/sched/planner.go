@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sync/atomic"
 )
 
 // This file implements the backward ("last job first") planners behind
@@ -9,6 +10,11 @@ import (
 // assignment of the first n send positions to processors, by placing task
 // n first and every earlier task as late as possible; a binary search
 // finds the smallest makespan for which the backward placement fits.
+// Each of its probes costs O(n·m): planSlots and planOnePort's
+// heterogeneous path scan the m processors per task, and the exact
+// uniform-p planner (planOnePortUniform) checks a placement at the two
+// ends of its level range, replaying the per-level sums only within
+// rounding of a budget.
 //
 // The companion report defining the original algorithms is not available
 // offline; DESIGN.md §3 records this reconstruction, and property tests
@@ -99,9 +105,9 @@ func planSlots(n int, c float64, p []float64) []int {
 // total port time of all sends whose arrival deadline is at most M − i·p,
 // namely Σ_{l≥i} Σ_{j: k_j≥l} c_j, fits before that deadline. Constraint
 // (b) is the earliest-deadline-first schedulability test with deadlines
-// aligned on levels; the cheapest-first nested level greedy below
-// maximizes the task count for a given M, and a binary search finds the
-// smallest feasible M.
+// aligned on levels; the cheapest-first nested level greedy of
+// planOnePortUniform maximizes the task count for a given M in O(n·m), and
+// a binary search finds the smallest feasible M.
 //
 // On fully heterogeneous platforms the deadlines are not aligned and the
 // exact structure is lost; a backward latest-send-first placement with a
@@ -232,107 +238,203 @@ func uniform(v []float64) bool {
 // planOnePort. It reports ok=false only if the construction cannot place n
 // tasks even at the greedy upper bound, which cannot happen for positive
 // costs but is guarded anyway.
+//
+// A probe (uniformProber.counts) adds the n tasks one at a time to the
+// cheapest link whose increment respects the first-arrival cap
+// c_j ≤ M − k_j·p and every level budget t(i) + c_j ≤ M − i·p for
+// i = 1..lvl, where lvl = k_j + 1 and t(i) = Σ_d c_d·(k_d − i + 1)⁺ is the
+// port time of the sends whose deadline is at most M − i·p. Three facts make a probe O(n·m) while its
+// every decision stays the float decision of the direct form
+// (planOnePortUniformQuadratic, which TestPlanOnePortUniformDifferential
+// compares it with bit for bit):
+//
+//   - A link that fails stays failed: its lvl does not change and t only
+//     grows (adding a non-negative cost never lowers a float). So the
+//     links are tried in cost order by one cursor that never moves back:
+//     the links before it hold their final counts, the links after it none.
+//   - t is convex in i, so the real slack s(i) = M − i·p + tol − t(i) − c_j
+//     is concave and its minimum over [1, lvl] lies at i = 1 or i = lvl.
+//     t(1) is the exact running sum of every placed cost (the same float
+//     additions in the same order as the direct form's t[1]); t(lvl) is
+//     summed in O(m) from the counts.
+//   - Near the threshold the ends are not enough, because the direct form
+//     compares rounded sums level by level. With u = 2⁻⁵³ and
+//     S = |M| + lvl·p + tol + t(1) + c_j bounding every magnitude involved:
+//     the direct form's t[i] is a running sum of at most n costs, within
+//     n·u·t(i) of t(i), and its check adds four more roundings, so its
+//     verdict at i is the sign of s(i) whenever |s(i)| > (n+4)·u·S. The two
+//     end estimates here are within (n+m+6)·u·S of s (t(lvl) sums at most
+//     m products). So with δ = 2·(n+m+8)·u·S, an end estimate below −δ
+//     means the direct form fails at that end, and both above δ mean it
+//     passes at every level. In between, the placements are replayed into
+//     the per-level sums t[1..n] — the direct form's additions in its
+//     order, caught up lazily — and the direct form's level loop decides.
 func planOnePortUniform(n int, c []float64, p float64) ([]int, bool) {
 	m := len(c)
-	order := sortByKey(m, func(j int) float64 { return c[j] }) // cheapest link first
-
-	// counts returns per-machine task counts reaching n for makespan M, or
-	// nil if fewer than n tasks fit. Tasks are added one at a time to the
-	// cheapest link whose increment respects every level budget
-	// T_i ≤ M − i·p and the first-arrival cap c_j ≤ M − k_j·p.
-	// Both scratch vectors are shared across the binary-search probes.
-	kBuf := make([]int, m)
-	tBuf := make([]float64, n+2) // t[i] = port time of sends with deadline ≤ M − i·p
-	counts := func(M float64) []int {
-		tol := 1e-9 * (1 + math.Abs(M))
-		k := kBuf
-		for j := range k {
-			k[j] = 0
-		}
-		t := tBuf
-		for i := range t {
-			t[i] = 0
-		}
-		for placed := 0; placed < n; placed++ {
-			found := false
-			for _, j := range order {
-				lvl := k[j] + 1
-				if lvl > n {
-					break
-				}
-				// First-arrival cap: the deepest slot's deadline must leave
-				// room for the very first send on this link.
-				if c[j] > M-float64(lvl)*p+tol {
-					continue
-				}
-				ok := true
-				for i := 1; i <= lvl; i++ {
-					if t[i]+c[j] > M-float64(i)*p+tol {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				for i := 1; i <= lvl; i++ {
-					t[i] += c[j]
-				}
-				k[j] = lvl
-				found = true
-				break
-			}
-			if !found {
-				return nil
-			}
-		}
-		return k
-	}
-
+	u := newUniformProber(n, c, p)
 	lo, hi := 0.0, forwardGreedyMakespan(n, c, uniformComps(m, p))
 	for iter := 0; iter < 64 && hi-lo > 1e-11*(1+hi); iter++ {
 		mid := (lo + hi) / 2
-		if counts(mid) != nil {
+		if u.counts(mid) != nil {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	k := counts(hi)
+	k := u.counts(hi)
+	planProbes.Add(u.probes)
+	if u.replays > 0 {
+		planReplays.Add(u.replays)
+	}
 	if k == nil {
 		return nil, false
 	}
 	// Forward order = earliest deadline first: the i-th-from-last task of
 	// machine j has arrival deadline M − i·p, so forward position order is
 	// by descending remaining level. Among equal levels, ship the costlier
-	// link first (its send has the least room to slide right).
-	type slot struct {
-		j     int
-		level int // remaining tasks on j including this one
+	// link first (its send has the least room to slide right), ties by
+	// index. The order is total, so emitting level by level is the sort.
+	costliest := sortByKey(m, func(j int) float64 { return -c[j] })
+	top := 0
+	for _, x := range k {
+		top = max(top, x)
 	}
-	slots := make([]slot, 0, n)
-	for j := 0; j < m; j++ {
-		for i := k[j]; i >= 1; i-- {
-			slots = append(slots, slot{j: j, level: i})
-		}
-	}
-	// Sort by level descending, then cost descending, then index.
-	for a := 1; a < len(slots); a++ {
-		for b := a; b > 0; b-- {
-			x, y := slots[b], slots[b-1]
-			if x.level > y.level || (x.level == y.level && (c[x.j] > c[y.j] || (c[x.j] == c[y.j] && x.j < y.j))) {
-				slots[b], slots[b-1] = slots[b-1], slots[b]
-			} else {
-				break
+	assign := make([]int, 0, n)
+	for level := top; level >= 1; level-- {
+		for _, j := range costliest {
+			if k[j] >= level {
+				assign = append(assign, j)
 			}
 		}
 	}
-	assign := make([]int, n)
-	for i, s := range slots {
-		assign[i] = s.j
-	}
 	return assign, true
 }
+
+// uniformProber is planOnePortUniform's feasibility probe. Its scratch is
+// shared across the binary search's probes, and it counts the probes and
+// those that took the exact replay.
+type uniformProber struct {
+	n     int
+	c     []float64
+	p     float64
+	order []int     // links, cheapest first
+	k     []int     // tasks per link
+	t     []float64 // t[i], i = 1..n, as the direct form sums it (replay only)
+
+	// Per probe: the target, its tolerance, the exact running t(1), and
+	// how far t[] has caught up with the placements (see replay).
+	M, tol, t1   float64
+	syncQ, syncK int
+	dirty        bool
+
+	probes, replays int64
+}
+
+func newUniformProber(n int, c []float64, p float64) *uniformProber {
+	return &uniformProber{
+		n: n, c: c, p: p,
+		order: sortByKey(len(c), func(j int) float64 { return c[j] }),
+		k:     make([]int, len(c)),
+		t:     make([]float64, n+1),
+	}
+}
+
+// counts returns per-machine task counts reaching n for makespan M, or nil
+// if fewer than n tasks fit. The slice is the prober's scratch.
+func (u *uniformProber) counts(M float64) []int {
+	u.probes++
+	u.M, u.tol, u.t1 = M, 1e-9*(1+math.Abs(M)), 0
+	u.syncQ, u.syncK, u.dirty = 0, 0, false
+	clear(u.k)
+	q, m := 0, len(u.c)
+	for placed := 0; placed < u.n; placed++ {
+		for q < m && !u.fits(q) {
+			q++
+		}
+		if q == m {
+			return nil
+		}
+		j := u.order[q]
+		u.k[j]++
+		u.t1 += u.c[j]
+	}
+	return u.k
+}
+
+// fits reports whether one more task fits on the link at cursor position
+// q, with the direct form's verdict (see planOnePortUniform).
+func (u *uniformProber) fits(q int) bool {
+	M, p, tol, c := u.M, u.p, u.tol, u.c
+	j := u.order[q]
+	lvl := u.k[j] + 1
+	// First-arrival cap: the deepest slot's deadline must leave room for
+	// the very first send on this link.
+	if c[j] > M-float64(lvl)*p+tol {
+		return false
+	}
+	if u.t1+c[j] > M-p+tol { // level 1, exact
+		return false
+	}
+	if lvl == 1 {
+		return true
+	}
+	// t(lvl): the links after the cursor have no tasks, and the cursor's
+	// own link none at level lvl.
+	tl := 0.0
+	for _, d := range u.order[:q] {
+		if u.k[d] >= lvl {
+			tl += c[d] * float64(u.k[d]-lvl+1)
+		}
+	}
+	delta := float64(2*(u.n+len(c)+8)) * 0x1p-53 * (math.Abs(M) + float64(lvl)*p + tol + u.t1 + c[j])
+	sLast := M - float64(lvl)*p + tol - (tl + c[j])
+	if sLast < -delta {
+		return false
+	}
+	if sFirst := M - p + tol - (u.t1 + c[j]); sFirst > delta && sLast > delta {
+		return true
+	}
+	u.replay(q)
+	t := u.t
+	for i := 1; i <= lvl; i++ {
+		if t[i]+c[j] > M-float64(i)*p+tol {
+			return false
+		}
+	}
+	return true
+}
+
+// replay brings t[] up to date with every placement so far. The
+// placements are order[0] k times, order[1] k times, …, order[q] k times,
+// in that order; t[] holds them up to (syncQ, syncK) and takes the rest
+// with the direct form's additions, so every t[i] is its float sum.
+func (u *uniformProber) replay(q int) {
+	if !u.dirty {
+		clear(u.t)
+		u.dirty = true
+		u.replays++
+	}
+	for {
+		j := u.order[u.syncQ]
+		for lvl := u.syncK + 1; lvl <= u.k[j]; lvl++ {
+			for i := 1; i <= lvl; i++ {
+				u.t[i] += u.c[j]
+			}
+		}
+		u.syncK = u.k[j]
+		if u.syncQ == q {
+			return
+		}
+		u.syncQ, u.syncK = u.syncQ+1, 0
+	}
+}
+
+// planProbes and planReplays count planOnePortUniform's feasibility probes
+// and those among them in which a level check fell within δ of the
+// threshold and took the exact replay. Each plan adds its totals once, so
+// the counters cost nothing per probe; tests read them to hold the replay
+// rate down.
+var planProbes, planReplays atomic.Int64
 
 func uniformComps(m int, p float64) []float64 {
 	out := make([]float64, m)

@@ -3,7 +3,6 @@ package sched
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/optimal"
@@ -44,19 +43,4 @@ func TestStressSLJFWCOptimality(t *testing.T) {
 			t.Fatalf("trial %d: SLJFWC %v vs opt %v on %v n=%d", trial, got, opt, pl, n)
 		}
 	}
-}
-
-func TestPlanTiming(t *testing.T) {
-	rng := rand.New(rand.NewSource(779))
-	plc := core.Random(rng, core.CompHomogeneous, core.GenConfig{})
-	start := time.Now()
-	NewSLJFWC(1000).Reset(plc)
-	t.Logf("SLJFWC Reset(1000) comp-homog: %v", time.Since(start))
-	plh := core.Random(rng, core.Heterogeneous, core.GenConfig{})
-	start = time.Now()
-	NewSLJFWC(1000).Reset(plh)
-	t.Logf("SLJFWC Reset(1000) heterogeneous: %v", time.Since(start))
-	start = time.Now()
-	NewSLJF(1000).Reset(plh)
-	t.Logf("SLJF Reset(1000): %v", time.Since(start))
 }
