@@ -60,7 +60,7 @@ func (s *SpeedOblivious) Decide(v sim.View) sim.Action {
 		if obs, ok := v.ObservedComp(j); ok {
 			p = obs
 		}
-		score := c + float64(v.Outstanding(j)+1)*p
+		score := c + float64(float64(v.Outstanding(j)+1)*p)
 		if best < 0 || score < bestScore {
 			best, bestScore = j, score
 		}

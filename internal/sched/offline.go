@@ -18,8 +18,11 @@ import (
 // documented heuristic on fully heterogeneous platforms.
 
 // OfflinePlan returns the assignment sequence (slave of the k-th send)
-// for n identical tasks released at 0 on the platform.
+// for n identical tasks released at 0 on the platform. Like the other two
+// entry points below, it panics with core.Platform.Validate's message on
+// a platform no schedule exists for.
 func OfflinePlan(pl core.Platform, n int) []int {
+	mustValid(pl)
 	if n <= 0 {
 		return nil
 	}
@@ -45,6 +48,7 @@ func OfflineMakespan(pl core.Platform, n int) float64 {
 //     even fractionally the slaves cannot absorb n tasks, i.e.
 //     Σ_j max(0, (T − c_j)) / p_j < n.
 func OfflineLowerBound(pl core.Platform, n int) float64 {
+	mustValid(pl)
 	if n <= 0 {
 		return 0
 	}
@@ -53,7 +57,7 @@ func OfflineLowerBound(pl core.Platform, n int) float64 {
 		minC = math.Min(minC, pl.C[j])
 		minP = math.Min(minP, pl.P[j])
 	}
-	pathLB := float64(n)*minC + minP
+	pathLB := float64(float64(n)*minC) + minP
 
 	// Binary search the fractional-capacity bound.
 	capacityAt := func(t float64) float64 {
@@ -65,17 +69,19 @@ func OfflineLowerBound(pl core.Platform, n int) float64 {
 		}
 		return total
 	}
-	lo, hi := 0.0, pathLB
+	hi := pathLB
 	for capacityAt(hi) < float64(n) {
 		hi *= 2
 	}
-	for iter := 0; iter < 64 && hi-lo > 1e-12*(1+hi); iter++ {
-		mid := (lo + hi) / 2
-		if capacityAt(mid) >= float64(n) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
+	hi = bisect(hi, 64, 1e-12, func(t float64) bool { return capacityAt(t) >= float64(n) })
 	return math.Max(pathLB, hi)
+}
+
+// mustValid panics with Validate's message on a platform with no slaves
+// or a non-positive or non-finite cost, where the planners would index
+// out of range and the lower bound's search would never end.
+func mustValid(pl core.Platform) {
+	if err := pl.Validate(); err != nil {
+		panic("sched: " + err.Error())
+	}
 }

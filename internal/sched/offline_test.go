@@ -3,7 +3,9 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/optimal"
@@ -107,5 +109,38 @@ func TestOfflineEdgeCases(t *testing.T) {
 	opt := optimal.Solve(core.NewInstance(wide, core.Bag(2)), core.Makespan).Value
 	if got := OfflineMakespan(wide, 2); math.Abs(got-opt) > 1e-9 {
 		t.Fatalf("n<m makespan %v, want %v", got, opt)
+	}
+}
+
+// TestOfflineRejectsInvalidPlatform holds the three off-line entry points
+// to an immediate panic with Validate's message on a platform no schedule
+// exists for. Each call runs under a deadline: on such a platform the
+// lower bound's capacity search used to double its bracket forever.
+func TestOfflineRejectsInvalidPlatform(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(core.Platform)
+	}{
+		{"OfflinePlan", func(pl core.Platform) { OfflinePlan(pl, 3) }},
+		{"OfflineMakespan", func(pl core.Platform) { OfflineMakespan(pl, 3) }},
+		{"OfflineLowerBound", func(pl core.Platform) { OfflineLowerBound(pl, 3) }},
+	}
+	for _, pl := range []core.Platform{{}, {C: []float64{math.NaN()}, P: []float64{1}}} {
+		want := pl.Validate().Error()
+		for _, c := range calls {
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				c.call(pl)
+			}()
+			select {
+			case got := <-done:
+				if msg, ok := got.(string); !ok || !strings.Contains(msg, want) {
+					t.Errorf("%s(%v): panic %v, want one naming %q", c.name, pl, got, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s(%v) did not return within 5 s", c.name, pl)
+			}
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // SLJF and SLJFWC. Both compute, before anything is dispatched, an
 // assignment of the first n send positions to processors, by placing task
 // n first and every earlier task as late as possible; a binary search
-// finds the smallest makespan for which the backward placement fits.
-// Each of its probes costs O(n·m): planSlots and planOnePort's
+// (bisect) finds the smallest makespan for which the backward placement
+// fits. Each of its probes costs O(n·m): planSlots and planOnePort's
 // heterogeneous path scan the m processors per task, and the exact
 // uniform-p planner (planOnePortUniform) checks a placement at the two
 // ends of its level range, replaying the per-level sums only within
@@ -39,14 +39,13 @@ func planSlots(n int, c float64, p []float64) []int {
 	m := len(p)
 	assign := make([]int, n)
 	// One scratch vector of e[j]−p[j] values (the latest completion a
-	// task placed on j may have), reused across every probe of the binary
-	// search below (it runs up to 100 of them). Maintaining the
-	// subtraction incrementally — avail[j] starts at M−p[j] and placing
-	// on j subtracts another p[j] — produces bit-identical floats to
-	// recomputing e[j]−p[j] each pass, with one fewer subtraction in the
-	// O(n·m) inner loop.
+	// task placed on j may have), reused by every probe. It starts at
+	// M−p[j] and placing on j subtracts another p[j]: the floats of
+	// recomputing e[j]−p[j], with one fewer subtraction per scan. Each
+	// probe writes its placements into assign; the last one, at the
+	// bisection's result, is the plan.
 	avail := make([]float64, m)
-	feasible := func(M float64, out []int) bool {
+	feasible := func(M float64) bool {
 		// Slack tolerance: the backward recursion subtracts the same
 		// quantities the forward evaluation adds, but in a different
 		// order, so the exact optimum can show a few-ulp negative slack.
@@ -57,7 +56,7 @@ func planSlots(n int, c float64, p []float64) []int {
 			avail[j] = M - p[j]
 		}
 		for s := n; s >= 1; s-- {
-			arrival := float64(s) * c
+			arrival := float64(float64(s) * c)
 			best := -1
 			bestSlack := math.Inf(1)
 			for j := 0; j < m; j++ {
@@ -70,27 +69,17 @@ func planSlots(n int, c float64, p []float64) []int {
 				return false
 			}
 			avail[best] -= p[best]
-			if out != nil {
-				out[s-1] = best
-			}
+			assign[s-1] = best
 		}
 		return true
 	}
 
-	hi0 := forwardGreedyMakespan(n, uniformComms(m, c), p)
-	lo, hi := 0.0, hi0
-	for iter := 0; iter < 100 && hi-lo > 1e-12*(1+hi); iter++ {
-		mid := (lo + hi) / 2
-		if feasible(mid, nil) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	if !feasible(hi, assign) {
+	comms := filled(m, c)
+	greedy := forwardGreedyAssignment(n, comms, p)
+	if !feasible(bisect(planMakespan(greedy, comms, p), 100, 1e-12, feasible)) {
 		// Defence in depth: fall back to the forward greedy assignment,
 		// which is always well-defined.
-		return forwardGreedyAssignment(n, uniformComms(m, c), p)
+		return greedy
 	}
 	return assign
 }
@@ -125,11 +114,9 @@ func planOnePort(n int, c, p []float64) []int {
 	}
 	m := len(c)
 	assign := make([]int, n)
-	// Scratch vector of e[j]−p[j] values shared by all binary-search
-	// probes; maintained incrementally (see planSlots for why the floats
-	// stay bit-identical).
+	// Scratch and placements as in planSlots.
 	avail := make([]float64, m)
-	feasible := func(M float64, out []int) bool {
+	feasible := func(M float64) bool {
 		tol := 1e-9 * (1 + math.Abs(M))
 		for j := range avail {
 			avail[j] = M - p[j]
@@ -156,27 +143,15 @@ func planOnePort(n int, c, p []float64) []int {
 			}
 			avail[best] -= p[best]
 			b = bestX - c[best]
-			if out != nil {
-				out[t-1] = best
-			}
+			assign[t-1] = best
 		}
 		return true
 	}
 
-	lo, hi := 0.0, forwardGreedyMakespan(n, c, p)
-	for iter := 0; iter < 100 && hi-lo > 1e-12*(1+hi); iter++ {
-		mid := (lo + hi) / 2
-		if feasible(mid, nil) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	if !feasible(hi, assign) {
-		assign = forwardGreedyAssignment(n, c, p)
-	}
-	if better := forwardGreedyAssignment(n, c, p); planMakespan(better, c, p) < planMakespan(assign, c, p) {
-		assign = better
+	greedy := forwardGreedyAssignment(n, c, p)
+	greedyMakespan := planMakespan(greedy, c, p)
+	if !feasible(bisect(greedyMakespan, 100, 1e-12, feasible)) || greedyMakespan < planMakespan(assign, c, p) {
+		assign = greedy
 	}
 	return localSearch(assign, c, p)
 }
@@ -223,11 +198,7 @@ func localSearch(assign []int, c, p []float64) []int {
 // uniform reports whether every value matches the first within tolerance.
 func uniform(v []float64) bool {
 	for _, x := range v[1:] {
-		d := x - v[0]
-		if d < 0 {
-			d = -d
-		}
-		if d > 1e-9*(1+v[0]) {
+		if math.Abs(x-v[0]) > 1e-9*(1+v[0]) {
 			return false
 		}
 	}
@@ -272,15 +243,7 @@ func uniform(v []float64) bool {
 func planOnePortUniform(n int, c []float64, p float64) ([]int, bool) {
 	m := len(c)
 	u := newUniformProber(n, c, p)
-	lo, hi := 0.0, forwardGreedyMakespan(n, c, uniformComps(m, p))
-	for iter := 0; iter < 64 && hi-lo > 1e-11*(1+hi); iter++ {
-		mid := (lo + hi) / 2
-		if u.counts(mid) != nil {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
+	hi := bisect(forwardGreedyMakespan(n, c, filled(m, p)), 64, 1e-11, func(M float64) bool { return u.counts(M) != nil })
 	k := u.counts(hi)
 	planProbes.Add(u.probes)
 	if u.replays > 0 {
@@ -369,7 +332,7 @@ func (u *uniformProber) fits(q int) bool {
 	lvl := u.k[j] + 1
 	// First-arrival cap: the deepest slot's deadline must leave room for
 	// the very first send on this link.
-	if c[j] > M-float64(lvl)*p+tol {
+	if c[j] > M-float64(float64(lvl)*p)+tol {
 		return false
 	}
 	if u.t1+c[j] > M-p+tol { // level 1, exact
@@ -383,11 +346,12 @@ func (u *uniformProber) fits(q int) bool {
 	tl := 0.0
 	for _, d := range u.order[:q] {
 		if u.k[d] >= lvl {
-			tl += c[d] * float64(u.k[d]-lvl+1)
+			tl += float64(c[d] * float64(u.k[d]-lvl+1))
 		}
 	}
-	delta := float64(2*(u.n+len(c)+8)) * 0x1p-53 * (math.Abs(M) + float64(lvl)*p + tol + u.t1 + c[j])
-	sLast := M - float64(lvl)*p + tol - (tl + c[j])
+	lvlP := float64(float64(lvl) * p)
+	delta := float64(2*(u.n+len(c)+8)) * 0x1p-53 * (math.Abs(M) + lvlP + tol + u.t1 + c[j])
+	sLast := M - lvlP + tol - (tl + c[j])
 	if sLast < -delta {
 		return false
 	}
@@ -397,7 +361,7 @@ func (u *uniformProber) fits(q int) bool {
 	u.replay(q)
 	t := u.t
 	for i := 1; i <= lvl; i++ {
-		if t[i]+c[j] > M-float64(i)*p+tol {
+		if t[i]+c[j] > M-float64(float64(i)*p)+tol {
 			return false
 		}
 	}
@@ -436,20 +400,31 @@ func (u *uniformProber) replay(q int) {
 // rate down.
 var planProbes, planReplays atomic.Int64
 
-func uniformComps(m int, p float64) []float64 {
+// filled returns m copies of x: the cost vector of a uniform link or
+// processor set.
+func filled(m int, x float64) []float64 {
 	out := make([]float64, m)
 	for j := range out {
-		out[j] = p
+		out[j] = x
 	}
 	return out
 }
 
-func uniformComms(m int, c float64) []float64 {
-	out := make([]float64, m)
-	for j := range out {
-		out[j] = c
+// bisect searches (0, hi] for the smallest value ok accepts, ok being
+// monotone and accepting hi: it halves the bracket at most iters times,
+// stopping once it is within rel·(1+hi), and returns its accepted end.
+// The midpoint is converted explicitly so that no architecture fuses its
+// product into a probe's first subtraction.
+func bisect(hi float64, iters int, rel float64, ok func(float64) bool) float64 {
+	lo := 0.0
+	for iter := 0; iter < iters && hi-lo > rel*(1+hi); iter++ {
+		if mid := float64((lo + hi) / 2); ok(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
 	}
-	return out
+	return hi
 }
 
 // forwardGreedyMakespan simulates a forward earliest-finish list schedule
@@ -496,9 +471,7 @@ func planMakespan(assign []int, c, p []float64) float64 {
 // vector (cleared here), for the hill-climbing loop that evaluates
 // thousands of candidate plans.
 func planMakespanInto(assign []int, c, p []float64, ready []float64) float64 {
-	for j := range ready {
-		ready[j] = 0
-	}
+	clear(ready)
 	port := 0.0
 	makespan := 0.0
 	for _, j := range assign {

@@ -16,7 +16,7 @@ import (
 // insertion-sorted.
 func planOnePortUniformQuadratic(n int, c []float64, p float64) ([]int, bool) {
 	m := len(c)
-	lo, hi := 0.0, forwardGreedyMakespan(n, c, uniformComps(m, p))
+	lo, hi := 0.0, forwardGreedyMakespan(n, c, filled(m, p))
 	for iter := 0; iter < 64 && hi-lo > 1e-11*(1+hi); iter++ {
 		mid := (lo + hi) / 2
 		if quadraticCounts(n, c, p, mid) != nil {
@@ -63,7 +63,7 @@ func planOnePortUniformQuadratic(n int, c []float64, p float64) ([]int, bool) {
 // level budget T_i ≤ M − i·p and the first-arrival cap c_j ≤ M − k_j·p.
 func quadraticCounts(n int, c []float64, p, M float64) []int {
 	order := sortByKey(len(c), func(j int) float64 { return c[j] })
-	tol := 1e-9 * (1 + math.Abs(M))
+	tol := float64(1e-9 * (1 + math.Abs(M)))
 	k := make([]int, len(c))
 	t := make([]float64, n+2) // t[i] = port time of sends with deadline ≤ M − i·p
 	for placed := 0; placed < n; placed++ {
@@ -73,12 +73,12 @@ func quadraticCounts(n int, c []float64, p, M float64) []int {
 			if lvl > n {
 				break
 			}
-			if c[j] > M-float64(lvl)*p+tol {
+			if c[j] > M-float64(float64(lvl)*p)+tol {
 				continue
 			}
 			ok := true
 			for i := 1; i <= lvl; i++ {
-				if t[i]+c[j] > M-float64(i)*p+tol {
+				if t[i]+c[j] > M-float64(float64(i)*p)+tol {
 					ok = false
 					break
 				}
@@ -173,7 +173,7 @@ func TestPlanOnePortUniformNearThreshold(t *testing.T) {
 		// Bisect on the float64 bit patterns (ordered like the values for
 		// non-negative floats) for adjacent lo < hi with the direct form
 		// infeasible at lo and feasible at hi.
-		lo, hi := math.Float64bits(0), math.Float64bits(forwardGreedyMakespan(n, c, uniformComps(len(c), p)))
+		lo, hi := math.Float64bits(0), math.Float64bits(forwardGreedyMakespan(n, c, filled(len(c), p)))
 		if quadraticCounts(n, c, p, math.Float64frombits(hi)) == nil {
 			t.Fatalf("case %d (n=%d c=%v p=%v): greedy makespan infeasible", i, n, c, p)
 		}

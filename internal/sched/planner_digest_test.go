@@ -62,9 +62,9 @@ func TestPlannerDigest(t *testing.T) {
 			dyadicCosts(rng, m, class == core.Homogeneous || class == core.CommHomogeneous),
 			dyadicCosts(rng, m, class == core.Homogeneous || class == core.CompHomogeneous))
 		n := 1 + rng.Intn(300)
-		for _, s := range []sim.Scheduler{NewSLJF(n), NewSLJFWC(n)} {
+		for _, s := range []*Planned{NewSLJF(n), NewSLJFWC(n)} {
 			s.Reset(pl)
-			ints(planOf(s))
+			ints(s.plan)
 		}
 		ints(OfflinePlan(pl, n))
 		writeDigestInt(h, int(math.Float64bits(OfflineLowerBound(pl, n))))
@@ -91,14 +91,4 @@ func writeDigestInt(h hash.Hash, x int) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(x))
 	h.Write(b[:])
-}
-
-func planOf(s sim.Scheduler) []int {
-	switch s := s.(type) {
-	case *SLJF:
-		return s.plan
-	case *SLJFWC:
-		return s.plan
-	}
-	panic("not a planned scheduler")
 }

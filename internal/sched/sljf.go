@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -12,45 +10,66 @@ import (
 // tasks ("the greater this number, the better the final assignment").
 const DefaultPlanHorizon = 1000
 
-// SLJF ("Scheduling the Last Job First") pre-computes the assignment of
-// its first Horizon tasks by the backward placement of planSlots, under
-// the communication-homogeneous assumption its designers target: all links
-// are modeled by the mean link cost, so communication heterogeneity is
-// deliberately ignored (which is why it degrades on
-// computation-homogeneous platforms, Figure 1c). Tasks beyond the plan are
-// list-scheduled, per the paper's on-line adaptation.
-type SLJF struct {
+// Planned is the "last job first" family, SLJF and SLJFWC: Reset
+// pre-computes the assignment of the first Horizon tasks with the
+// variant's backward planner, Decide sends the tasks in plan order, and
+// tasks beyond the plan are list-scheduled, per the paper's on-line
+// adaptation.
+type Planned struct {
 	Horizon    int
+	name       string
+	planner    func(n int, pl core.Platform) []int
 	plan       []int
 	dispatched int
 	ls         LS
 }
 
-// NewSLJF returns SLJF with the given plan horizon (≤ 0 selects the
-// default).
-func NewSLJF(horizon int) *SLJF {
+func newPlanned(name string, horizon int, planner func(int, core.Platform) []int) *Planned {
 	if horizon <= 0 {
 		horizon = DefaultPlanHorizon
 	}
-	return &SLJF{Horizon: horizon}
+	return &Planned{Horizon: horizon, name: name, planner: planner}
+}
+
+// NewSLJF returns SLJF ("Scheduling the Last Job First") with the given
+// plan horizon (≤ 0 selects the default). It plans by the backward
+// placement of planSlots under the communication-homogeneous assumption
+// its designers target: all links are modeled by the mean link cost, so
+// communication heterogeneity is deliberately ignored (which is why it
+// degrades on computation-homogeneous platforms, Figure 1c).
+func NewSLJF(horizon int) *Planned {
+	return newPlanned("SLJF", horizon, func(n int, pl core.Platform) []int {
+		mean := 0.0
+		for _, c := range pl.C {
+			mean += c
+		}
+		mean /= float64(pl.M())
+		return planSlots(n, mean, pl.P)
+	})
+}
+
+// NewSLJFWC returns SLJFWC ("Scheduling the Last Job First With
+// Communication") with the given plan horizon (≤ 0 selects the default):
+// the variant designed for processor-homogeneous platforms, whose planner
+// (planOnePort) schedules the master's one-port backwards with the true
+// per-link costs.
+func NewSLJFWC(horizon int) *Planned {
+	return newPlanned("SLJFWC", horizon, func(n int, pl core.Platform) []int {
+		return planOnePort(n, pl.C, pl.P)
+	})
 }
 
 // Name implements sim.Scheduler.
-func (s *SLJF) Name() string { return "SLJF" }
+func (s *Planned) Name() string { return s.name }
 
 // Reset implements sim.Scheduler.
-func (s *SLJF) Reset(pl core.Platform) {
-	mean := 0.0
-	for _, c := range pl.C {
-		mean += c
-	}
-	mean /= float64(pl.M())
-	s.plan = planSlots(s.Horizon, mean, pl.P)
+func (s *Planned) Reset(pl core.Platform) {
+	s.plan = s.planner(s.Horizon, pl)
 	s.dispatched = 0
 }
 
 // Decide implements sim.Scheduler.
-func (s *SLJF) Decide(v sim.View) sim.Action {
+func (s *Planned) Decide(v sim.View) sim.Action {
 	task, ok := v.FirstPending()
 	if !ok {
 		return sim.Idle()
@@ -61,57 +80,4 @@ func (s *SLJF) Decide(v sim.View) sim.Action {
 		return sim.Send(task, j)
 	}
 	return s.ls.Decide(v)
-}
-
-// SLJFWC ("Scheduling the Last Job First With Communication") is the
-// variant designed for processor-homogeneous platforms: the same backward
-// principle, but the master's one-port is scheduled backwards with the
-// true per-link costs (planOnePort), so heterogeneous links are fully
-// taken into account. Overflow beyond the plan is list-scheduled.
-type SLJFWC struct {
-	Horizon    int
-	plan       []int
-	dispatched int
-	ls         LS
-}
-
-// NewSLJFWC returns SLJFWC with the given plan horizon (≤ 0 selects the
-// default).
-func NewSLJFWC(horizon int) *SLJFWC {
-	if horizon <= 0 {
-		horizon = DefaultPlanHorizon
-	}
-	return &SLJFWC{Horizon: horizon}
-}
-
-// Name implements sim.Scheduler.
-func (s *SLJFWC) Name() string { return "SLJFWC" }
-
-// Reset implements sim.Scheduler.
-func (s *SLJFWC) Reset(pl core.Platform) {
-	s.plan = planOnePort(s.Horizon, pl.C, pl.P)
-	s.dispatched = 0
-}
-
-// Decide implements sim.Scheduler.
-func (s *SLJFWC) Decide(v sim.View) sim.Action {
-	task, ok := v.FirstPending()
-	if !ok {
-		return sim.Idle()
-	}
-	if s.dispatched < len(s.plan) {
-		j := s.plan[s.dispatched]
-		s.dispatched++
-		return sim.Send(task, j)
-	}
-	return s.ls.Decide(v)
-}
-
-// String renders the first few plan entries, for debugging.
-func (s *SLJF) String() string {
-	n := len(s.plan)
-	if n > 16 {
-		n = 16
-	}
-	return fmt.Sprintf("SLJF(plan[:%d]=%v…)", n, s.plan[:n])
 }

@@ -159,7 +159,9 @@ func VerifyProofs() error {
 // OfflinePlan returns a full assignment sequence for n identical tasks
 // released at time 0 — the off-line companion problem. The plan is
 // makespan-optimal on communication-homogeneous and computation-
-// homogeneous platforms and a strong heuristic otherwise.
+// homogeneous platforms and a strong heuristic otherwise. The three
+// Offline functions panic with Platform.Validate's message on an invalid
+// platform.
 func OfflinePlan(pl Platform, n int) []int { return sched.OfflinePlan(pl, n) }
 
 // OfflineMakespan evaluates OfflinePlan's makespan.
