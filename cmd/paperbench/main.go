@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -270,15 +269,11 @@ func parseClasses(s string) (map[core.Class]bool, error) {
 		return set, nil
 	}
 	for _, name := range splitList(s) {
-		i := slices.IndexFunc(core.Classes, func(c core.Class) bool { return c.String() == name })
-		if i < 0 {
-			valid := make([]string, len(core.Classes))
-			for j, c := range core.Classes {
-				valid[j] = c.String()
-			}
-			return nil, fmt.Errorf("unknown class %q; valid: %s", name, strings.Join(valid, ", "))
+		c, err := core.ParseClass(name)
+		if err != nil {
+			return nil, err
 		}
-		set[core.Classes[i]] = true
+		set[c] = true
 	}
 	return set, nil
 }

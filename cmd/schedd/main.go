@@ -413,10 +413,9 @@ func buildPlatform(slaves, class string, m int, seed int64) (core.Platform, erro
 	if slaves != "" {
 		return parseSlaves(slaves)
 	}
-	for _, cl := range core.Classes {
-		if cl.String() == class {
-			return core.Random(rand.New(rand.NewSource(seed)), cl, core.GenConfig{M: m}), nil
-		}
+	cl, err := core.ParseClass(class)
+	if err != nil {
+		return core.Platform{}, err
 	}
-	return core.Platform{}, fmt.Errorf("unknown class %q", class)
+	return core.Random(rand.New(rand.NewSource(seed)), cl, core.GenConfig{M: m}), nil
 }

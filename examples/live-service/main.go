@@ -51,9 +51,12 @@ func main() {
 	}
 
 	snap := rt.Tracker().Stats()
-	counts, lat := snap.Counts, snap.Latencies
+	lat := make([]float64, len(snap.Records))
+	for i, rec := range snap.Records {
+		lat[i] = rec.Flow()
+	}
 	fmt.Printf("live run (wall clock ×2000): %d jobs submitted by %d goroutines, %d completed\n",
-		counts.Submitted, producers, counts.Completed)
+		snap.Counts.Submitted, producers, snap.Counts.Completed)
 	fmt.Printf("latency (model s): p50 %.3f  p95 %.3f  p99 %.3f\n",
 		stats.Percentile(lat, 0.50), stats.Percentile(lat, 0.95), stats.Percentile(lat, 0.99))
 	fmt.Println()

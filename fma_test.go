@@ -15,8 +15,11 @@ import (
 // gc does so on arm64, ppc64le, s390x and riscv64 (never on amd64); an
 // explicit float64(…) conversion around the product prevents it. The
 // planners' differential tests and digests compare floats bit for bit,
-// and the uniform-p planner's rounding bound assumes separate roundings.
-var fmaFreePackages = []string{"./internal/sched"}
+// and the uniform-p planner's rounding bound assumes separate roundings;
+// the engine's event instants, the platform and workload generators and
+// the percentiles every figure cell passes through are what those
+// digests and the figures are made of.
+var fmaFreePackages = []string{"./internal/sched", "./internal/sim", "./internal/core", "./internal/workload", "./internal/stats"}
 
 // fusedInstr matches a multiply-add in `go build -gcflags=-S` output,
 // capturing the source position and the mnemonic (FMADDD, FNMSUBD on

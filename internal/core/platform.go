@@ -47,6 +47,19 @@ func (c Class) String() string {
 // Classes lists all four families in presentation order (Figure 1 a–d).
 var Classes = []Class{Homogeneous, CommHomogeneous, CompHomogeneous, Heterogeneous}
 
+// ParseClass returns the class whose String is name; the error lists the
+// valid names.
+func ParseClass(name string) (Class, error) {
+	valid := make([]string, len(Classes))
+	for i, c := range Classes {
+		if c.String() == name {
+			return c, nil
+		}
+		valid[i] = c.String()
+	}
+	return 0, fmt.Errorf("core: unknown class %q (valid: %s)", name, strings.Join(valid, ", "))
+}
+
 // Platform is a master-slave platform under the one-port model: the master
 // needs C[j] time units of exclusive port use to ship one task to slave j,
 // which then needs P[j] time units to execute it.
@@ -151,7 +164,7 @@ func (g GenConfig) withDefaults() GenConfig {
 }
 
 func uniform(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 // Random draws a platform of the requested class. Homogeneous dimensions

@@ -158,3 +158,20 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal("Clone shares memory")
 	}
 }
+
+func TestParseClass(t *testing.T) {
+	for _, c := range Classes {
+		if got, err := ParseClass(c.String()); err != nil || got != c {
+			t.Fatalf("ParseClass(%q) = %v, %v", c.String(), got, err)
+		}
+	}
+	_, err := ParseClass("heterogenous")
+	if err == nil {
+		t.Fatal("misspelt class accepted")
+	}
+	for _, c := range Classes {
+		if !strings.Contains(err.Error(), c.String()) {
+			t.Fatalf("error %q does not list %q", err, c.String())
+		}
+	}
+}

@@ -61,14 +61,14 @@ func validate(s Schedule, onePort bool) error {
 		if r.SendStart < task.Release-Eps {
 			return fmt.Errorf("core: task %d sent at %v before release %v", r.Task, r.SendStart, task.Release)
 		}
-		wantComm := pl.C[r.Slave] * task.EffComm()
+		wantComm := float64(pl.C[r.Slave] * task.EffComm())
 		if diff := r.Arrive - r.SendStart - wantComm; diff < -Eps || diff > Eps {
 			return fmt.Errorf("core: task %d communication lasted %v, want %v", r.Task, r.Arrive-r.SendStart, wantComm)
 		}
 		if r.Start < r.Arrive-Eps {
 			return fmt.Errorf("core: task %d started %v before arrival %v", r.Task, r.Start, r.Arrive)
 		}
-		wantComp := pl.P[r.Slave] * task.EffComp()
+		wantComp := float64(pl.P[r.Slave] * task.EffComp())
 		if diff := r.Complete - r.Start - wantComp; diff < -Eps || diff > Eps {
 			return fmt.Errorf("core: task %d computation lasted %v, want %v", r.Task, r.Complete-r.Start, wantComp)
 		}

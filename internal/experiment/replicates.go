@@ -168,12 +168,11 @@ func BuildPlatform(cFlag, pFlag, class string, m int, rng *rand.Rand) (core.Plat
 		}
 		return pl, nil
 	}
-	for _, cl := range core.Classes {
-		if cl.String() == class {
-			return core.Random(rng, cl, core.GenConfig{M: m}), nil
-		}
+	cl, err := core.ParseClass(class)
+	if err != nil {
+		return core.Platform{}, err
 	}
-	return core.Platform{}, fmt.Errorf("unknown class %q", class)
+	return core.Random(rng, cl, core.GenConfig{M: m}), nil
 }
 
 // BuildTasks resolves the CLI-style workload spec: explicit release

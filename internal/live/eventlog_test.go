@@ -177,11 +177,8 @@ func TestObserveReturnsJob(t *testing.T) {
 		t.Fatalf("Record() = %+v, want %+v", rec, want)
 	}
 	snap := tr.Stats()
-	if len(snap.Latencies) != 1 || snap.Latencies[0] != 6 {
-		t.Fatalf("latencies = %v, want [6] (done jobs only)", snap.Latencies)
-	}
-	if len(snap.Records) != 1 || snap.Records[0] != want {
-		t.Fatalf("records = %+v, want [%+v]", snap.Records, want)
+	if len(snap.Records) != 1 || snap.Records[0] != want || snap.Records[0].Flow() != 6 {
+		t.Fatalf("records = %+v, want [%+v] with flow 6 (done jobs only)", snap.Records, want)
 	}
 }
 
@@ -234,11 +231,11 @@ func TestTrackerAcrossPages(t *testing.T) {
 	sorted := slices.Clone(ids)
 	slices.Sort(sorted)
 	for k, rec := range snap.Records {
-		if int(rec.Task) != sorted[k] || rec.Slave != sorted[k]%2 || snap.Latencies[k] != 4 {
-			t.Fatalf("Stats record %d: %+v with latency %v, want job %d (ID order)", k, rec, snap.Latencies[k], sorted[k])
+		if int(rec.Task) != sorted[k] || rec.Slave != sorted[k]%2 || rec.Flow() != 4 {
+			t.Fatalf("Stats record %d: %+v with flow %v, want job %d (ID order)", k, rec, rec.Flow(), sorted[k])
 		}
 	}
-	if len(snap.Records) != len(ids) || len(snap.Latencies) != len(ids) {
-		t.Fatalf("%d records, %d latencies, want %d", len(snap.Records), len(snap.Latencies), len(ids))
+	if len(snap.Records) != len(ids) {
+		t.Fatalf("%d records, want %d", len(snap.Records), len(ids))
 	}
 }

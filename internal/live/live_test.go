@@ -117,12 +117,12 @@ func TestRealRuntimeConcurrentProducers(t *testing.T) {
 	if counts.Submitted != producers*perProducer || counts.Completed != producers*perProducer {
 		t.Fatalf("tracker counts %+v", counts)
 	}
-	if lat := tracker.Stats().Latencies; len(lat) != producers*perProducer {
-		t.Fatalf("%d latencies", len(lat))
+	if recs := tracker.Stats().Records; len(recs) != producers*perProducer {
+		t.Fatalf("%d completed records", len(recs))
 	} else {
-		for _, l := range lat {
-			if l <= 0 {
-				t.Fatalf("non-positive latency %v", l)
+		for _, rec := range recs {
+			if rec.Flow() <= 0 {
+				t.Fatalf("non-positive latency %v", rec.Flow())
 			}
 		}
 	}

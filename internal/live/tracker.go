@@ -224,11 +224,11 @@ func (tr *Tracker) schedule(pl core.Platform) core.Schedule {
 }
 
 // Snapshot is one internally consistent view of the tracked population:
-// counts, latencies, the completion window and the completed records all
-// describe the same instant.
+// counts, the completion window and the completed records all describe
+// the same instant. A completed job's response time is its record's
+// Flow.
 type Snapshot struct {
-	Counts    Counts
-	Latencies []float64 // completed-job response times, job-ID order
+	Counts Counts
 	// First and Last bound the model-time window from first submission to
 	// last completion; meaningful when Counts.Completed > 0.
 	First, Last float64
@@ -243,17 +243,14 @@ func (tr *Tracker) Stats() Snapshot {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	snap := Snapshot{
-		Counts:    tr.counts,
-		Latencies: make([]float64, 0, tr.counts.Completed),
-		First:     tr.firstSubmit,
-		Last:      tr.lastComplete,
-		Records:   make([]core.Record, 0, tr.counts.Completed),
+		Counts:  tr.counts,
+		First:   tr.firstSubmit,
+		Last:    tr.lastComplete,
+		Records: make([]core.Record, 0, tr.counts.Completed),
 	}
 	for id := 0; id < len(tr.pages)*trackerPage; id++ {
 		if e := tr.entry(id); e.state == jobDone {
-			j := e.info(id)
-			snap.Latencies = append(snap.Latencies, j.Latency())
-			snap.Records = append(snap.Records, j.Record())
+			snap.Records = append(snap.Records, e.info(id).Record())
 		}
 	}
 	return snap

@@ -104,11 +104,15 @@ type StageSummary struct {
 	Max  float64 `json:"max"`
 }
 
-// Breakdown computes the per-stage decomposition of completed records.
-// Zero records yield the zero breakdown.
-func Breakdown(recs []core.Record) StageBreakdown {
-	b := StageBreakdown{Jobs: len(recs)}
-	if len(recs) == 0 {
+// Breakdown computes the per-stage decomposition of completed records,
+// taken as one sample over every part in order (schedd passes one part
+// per shard for the cluster view). Zero records yield the zero breakdown.
+func Breakdown(parts ...[]core.Record) StageBreakdown {
+	var b StageBreakdown
+	for _, recs := range parts {
+		b.Jobs += len(recs)
+	}
+	if b.Jobs == 0 {
 		return b
 	}
 	acc := func(s *StageSummary, d float64) {
@@ -117,45 +121,20 @@ func Breakdown(recs []core.Record) StageBreakdown {
 			s.Max = d
 		}
 	}
-	for _, rec := range recs {
-		acc(&b.Queue, rec.SendStart-rec.Release)
-		acc(&b.Transfer, rec.Arrive-rec.SendStart)
-		acc(&b.SlaveWait, rec.Start-rec.Arrive)
-		acc(&b.Service, rec.Complete-rec.Start)
+	for _, recs := range parts {
+		for _, rec := range recs {
+			acc(&b.Queue, rec.SendStart-rec.Release)
+			acc(&b.Transfer, rec.Arrive-rec.SendStart)
+			acc(&b.SlaveWait, rec.Start-rec.Arrive)
+			acc(&b.Service, rec.Complete-rec.Start)
+		}
 	}
-	n := float64(len(recs))
+	n := float64(b.Jobs)
 	b.Queue.Mean /= n
 	b.Transfer.Mean /= n
 	b.SlaveWait.Mean /= n
 	b.Service.Mean /= n
 	return b
-}
-
-// MergeBreakdowns combines per-shard breakdowns into the cluster view:
-// means weight by job count (exact), maxima take the max.
-func MergeBreakdowns(parts ...StageBreakdown) StageBreakdown {
-	var out StageBreakdown
-	for _, p := range parts {
-		out.Jobs += p.Jobs
-	}
-	if out.Jobs == 0 {
-		return out
-	}
-	merge := func(get func(*StageBreakdown) *StageSummary) {
-		dst := get(&out)
-		for i := range parts {
-			p := get(&parts[i])
-			dst.Mean += p.Mean * float64(parts[i].Jobs) / float64(out.Jobs)
-			if p.Max > dst.Max {
-				dst.Max = p.Max
-			}
-		}
-	}
-	merge(func(b *StageBreakdown) *StageSummary { return &b.Queue })
-	merge(func(b *StageBreakdown) *StageSummary { return &b.Transfer })
-	merge(func(b *StageBreakdown) *StageSummary { return &b.SlaveWait })
-	merge(func(b *StageBreakdown) *StageSummary { return &b.Service })
-	return out
 }
 
 // Scale returns the breakdown with every duration divided by scale —

@@ -65,10 +65,15 @@ func TestBreakdown(t *testing.T) {
 	if b.Jobs != 0 || b.Queue.Mean != 0 {
 		t.Fatalf("empty breakdown = %+v", b)
 	}
-	b = Breakdown([]core.Record{
+	recs := []core.Record{
 		rec(0, 0, 0, 2, 3, 3, 7), // queue 2, transfer 1, wait 0, service 4
 		rec(1, 1, 0, 4, 6, 7, 9), // queue 4, transfer 2, wait 1, service 2
-	})
+	}
+	b = Breakdown(recs)
+	// Parts are one sample: splitting it changes nothing.
+	if split := Breakdown(recs[:1], nil, recs[1:]); split != b {
+		t.Fatalf("split breakdown %+v, whole %+v", split, b)
+	}
 	if b.Jobs != 2 {
 		t.Fatalf("jobs = %d", b.Jobs)
 	}

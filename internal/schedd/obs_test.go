@@ -339,8 +339,8 @@ func TestStatsStageBreakdown(t *testing.T) {
 	if b.Service.Max <= 0 || b.Transfer.Max <= 0 {
 		t.Fatalf("service/transfer stages empty: %+v", b)
 	}
-	// Per-shard sections carry their own breakdowns that merge to the
-	// cluster view.
+	// Per-shard sections carry their own breakdowns, which together
+	// cover every job the cluster view covers.
 	jobs := 0
 	for _, sec := range stats.PerShard {
 		if sec.StageSeconds != nil {

@@ -6,11 +6,11 @@
 // POST /v1/jobs (or streamed over POST /v1/jobs:stream) are placed on a
 // shard by the configured placement policy, tracked via GET /v1/jobs/{id}
 // under cluster-global IDs, and GET /v1/stats reports one section per
-// shard plus a merged cluster view (stats.Merge for latency summaries,
-// trace.MergeReports for the schedule analysis). With Shards = 1 the
-// service is exactly the PR-3 single-runtime daemon. The daemon command
-// (cmd/schedd) and the repository benchmark (bench/) both sit on this
-// package.
+// shard plus a cluster view (latency and stage summaries over every
+// shard's completed jobs, trace.MergeReports for the schedule analysis).
+// With Shards = 1 the service is exactly the PR-3 single-runtime daemon.
+// The daemon command (cmd/schedd) and the repository benchmark (bench/)
+// both sit on this package.
 package schedd
 
 import (
@@ -776,12 +776,12 @@ type StealStats struct {
 // StatsResponse is the GET /v1/stats body: the merged cluster view at the
 // top level (wire-compatible with the single-runtime service: jobs,
 // throughput, latency and trace keep their PR-3 names and meaning) plus
-// one section per shard. Merged latency percentiles come from
-// stats.Merge and are approximate across heterogeneous shards (see that
-// function's contract); counts, means and the trace merge are exact.
-// Merged job counters subtract each shard's stolen jobs so a migrated
-// job counts once (see Server.Counts); per-shard sections keep the raw
-// counters, stolen included.
+// one section per shard. The cluster's latency and stage summaries are
+// taken over every shard's completed jobs as one sample, so its
+// percentiles are exact however different the shards are. Merged job
+// counters subtract each shard's stolen jobs so a migrated job counts
+// once (see Server.Counts); per-shard sections keep the raw counters,
+// stolen included.
 type StatsResponse struct {
 	Policy        string  `json:"policy"`
 	Slaves        int     `json:"slaves"`
@@ -846,27 +846,40 @@ type FirehoseStatsResponse struct {
 }
 
 // Stats assembles the current service statistics — one consistent
-// tracker snapshot per shard, then the merged cluster view (also used by
-// the benchmark without going through HTTP decoding).
+// tracker snapshot per shard, then the cluster view over all of them
+// (also used by the benchmark without going through HTTP decoding).
 func (s *Server) Stats() StatsResponse {
+	shards := s.router.Shards()
 	resp := StatsResponse{
 		Policy:        s.cfg.Policy,
 		Slaves:        s.cfg.Platform.M(),
-		Shards:        len(s.router.Shards()),
+		Shards:        len(shards),
 		Placement:     s.cfg.Placement,
 		Partition:     string(s.cfg.Partition),
 		ClockScale:    s.cfg.ClockScale,
 		UptimeSeconds: s.uptime(),
 		Draining:      s.router.Draining(),
 	}
-	var latParts []stats.Summary
+	snaps := make([]live.Snapshot, len(shards))
+	completed := 0
+	for i, sh := range shards {
+		snaps[i] = sh.Tracker().Stats()
+		completed += len(snaps[i].Records)
+	}
+	// One sample: every completed job's wall latency, shard by shard in
+	// job-ID order. Each shard's section summarizes its own stretch, which
+	// sorts it; the cluster view sums the sample in that order and reads
+	// its percentiles off the merged sorted stretches.
+	lat := make([]float64, 0, completed)
+	total := 0.0
+	var runs [][]float64
+	var recParts [][]core.Record
 	var traceParts []trace.Report
-	var stageParts []obs.StageBreakdown
 	first, last := 0.0, 0.0
 	windowSet := false
 	fs := s.router.FirehoseStats()
-	for i, sh := range s.router.Shards() {
-		snap := sh.Tracker().Stats()
+	for i, sh := range shards {
+		snap := snaps[i]
 		sec := ShardStats{
 			Shard:        sh.Index(),
 			Slaves:       sh.Slaves(),
@@ -874,28 +887,23 @@ func (s *Server) Stats() StatsResponse {
 			QueueDepth:   queueDepth(sh.Load(), fs.ShardQueued[i]),
 			IntakeQueued: fs.ShardQueued[i],
 		}
-		if len(snap.Records) > 0 {
-			// Stage durations are differences of the span timestamps, so
-			// they are unaffected by the rebasing the trace section does
-			// below.
-			b := obs.Breakdown(snap.Records).Scale(s.cfg.ClockScale)
-			sec.StageSeconds = &b
-			stageParts = append(stageParts, b)
-		}
 		resp.Jobs.Submitted += snap.Counts.Submitted - snap.Counts.Stolen
 		resp.Jobs.Dispatched += snap.Counts.Dispatched
 		resp.Jobs.Completed += snap.Counts.Completed
 		resp.Jobs.Stolen += snap.Counts.Stolen
-		if len(snap.Latencies) > 0 {
-			// The snapshot's latency slice is this call's private copy, so
-			// it can be rescaled and sorted in place.
-			wall := snap.Latencies
-			for i, l := range wall {
-				wall[i] = l / s.cfg.ClockScale
+		if len(snap.Records) > 0 {
+			b := obs.Breakdown(snap.Records).Scale(s.cfg.ClockScale)
+			sec.StageSeconds = &b
+			recParts = append(recParts, snap.Records)
+			lo := len(lat)
+			for _, rec := range snap.Records {
+				l := rec.Flow() / s.cfg.ClockScale
+				lat = append(lat, l)
+				total += l
 			}
-			sum := stats.SummarizeInPlace(wall)
-			latParts = append(latParts, sum)
+			sum := stats.SummarizeInPlace(lat[lo:])
 			sec.LatencySeconds = &LatencyStats{Mean: sum.Mean, P50: sum.P50, P95: sum.P95, P99: sum.P99}
+			runs = append(runs, lat[lo:])
 		}
 		if snap.Counts.Completed > 0 {
 			if snap.Last > snap.First {
@@ -909,46 +917,55 @@ func (s *Server) Stats() StatsResponse {
 			}
 			windowSet = true
 		}
-		if recs := snap.Records; len(recs) > 0 {
-			// Rebase model time to the shard's first submission: a daemon
-			// may idle before its first job, and an un-rebased makespan
-			// (hence every utilization figure) would be dominated by that
-			// offset rather than by the served work.
-			if snap.First > 0 {
-				for i := range recs {
-					recs[i].Release -= snap.First
-					recs[i].SendStart -= snap.First
-					recs[i].Arrive -= snap.First
-					recs[i].Start -= snap.First
-					recs[i].Complete -= snap.First
-				}
-			}
-			report := trace.Analyze(core.Schedule{
-				Instance: core.Instance{Platform: sh.Platform().Clone()},
-				Records:  recs,
-			})
-			// Relabel shard-local slave indices to platform-global ones so
-			// the per-shard section and the merged view both speak global
-			// indices.
-			for i := range report.Slaves {
-				report.Slaves[i].Slave = sh.GlobalSlave(report.Slaves[i].Slave)
-			}
-			sec.Trace = &report
-			traceParts = append(traceParts, report)
-		}
 		resp.PerShard = append(resp.PerShard, sec)
 	}
-	if len(latParts) > 0 {
-		sum := stats.Merge(latParts...)
-		resp.LatencySeconds = &LatencyStats{Mean: sum.Mean, P50: sum.P50, P95: sum.P95, P99: sum.P99}
+	if len(lat) > 0 {
+		// Stage durations are differences of the span timestamps, so they
+		// are taken before the trace sections rebase those timestamps.
+		b := obs.Breakdown(recParts...).Scale(s.cfg.ClockScale)
+		resp.StageSeconds = &b
+		all := mergeSorted(runs)
+		resp.LatencySeconds = &LatencyStats{
+			Mean: total / float64(len(all)),
+			P50:  stats.Percentile(all, 0.50),
+			P95:  stats.Percentile(all, 0.95),
+			P99:  stats.Percentile(all, 0.99),
+		}
+	}
+	for i, sh := range shards {
+		recs := snaps[i].Records
+		if len(recs) == 0 {
+			continue
+		}
+		// Rebase model time to the shard's first submission: a daemon
+		// may idle before its first job, and an un-rebased makespan
+		// (hence every utilization figure) would be dominated by that
+		// offset rather than by the served work.
+		if base := snaps[i].First; base > 0 {
+			for j := range recs {
+				recs[j].Release -= base
+				recs[j].SendStart -= base
+				recs[j].Arrive -= base
+				recs[j].Start -= base
+				recs[j].Complete -= base
+			}
+		}
+		report := trace.Analyze(core.Schedule{
+			Instance: core.Instance{Platform: sh.Platform().Clone()},
+			Records:  recs,
+		})
+		// Relabel shard-local slave indices to platform-global ones so
+		// the per-shard section and the merged view both speak global
+		// indices.
+		for j := range report.Slaves {
+			report.Slaves[j].Slave = sh.GlobalSlave(report.Slaves[j].Slave)
+		}
+		resp.PerShard[i].Trace = &report
+		traceParts = append(traceParts, report)
 	}
 	if len(traceParts) > 0 {
 		merged := trace.MergeReports(traceParts...)
 		resp.Trace = &merged
-	}
-	if len(stageParts) > 0 {
-		merged := obs.MergeBreakdowns(stageParts...)
-		resp.StageSeconds = &merged
 	}
 	if resp.Jobs.Completed > 0 && last > first {
 		resp.ThroughputJobsPerSec = float64(resp.Jobs.Completed) / ((last - first) / s.cfg.ClockScale)
@@ -977,6 +994,24 @@ func (s *Server) Stats() StatsResponse {
 		SlabDrops:   fs.SlabDrops,
 	}
 	return resp
+}
+
+// mergeSorted merges sorted runs into one sorted slice, two runs at a
+// time.
+func mergeSorted(runs [][]float64) []float64 {
+	for len(runs) > 1 {
+		a, b := runs[0], runs[1]
+		out := make([]float64, 0, len(a)+len(b))
+		for len(a) > 0 && len(b) > 0 {
+			if b[0] < a[0] {
+				out, b = append(out, b[0]), b[1:]
+			} else {
+				out, a = append(out, a[0]), a[1:]
+			}
+		}
+		runs = append(runs[2:], append(append(out, a...), b...))
+	}
+	return runs[0]
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -243,7 +243,7 @@ func (e *Engine) startCompute(j, task int) {
 	s := &e.slaves[j]
 	s.computing = task
 	s.started = e.now
-	dur := e.actual.P[j] * e.drv.tasks[task].EffComp()
+	dur := float64(e.actual.P[j] * e.drv.tasks[task].EffComp())
 	e.events.Push(event{Time: e.now + dur, Kind: evComputeComplete, Task: int32(task), Dest: int32(j)})
 }
 
@@ -289,7 +289,7 @@ func (e *Engine) startSend(task core.TaskID, j int) {
 		e.halt = &DeadSlaveError{Scheduler: e.sched.Name(), Task: task, Slave: j, Time: e.now, Departed: e.drv.departed[j]}
 		return
 	}
-	dur := e.actual.C[j] * e.drv.tasks[task].EffComm()
+	dur := float64(e.actual.C[j] * e.drv.tasks[task].EffComm())
 	arrive := e.now + dur
 	if !e.unboundedPort {
 		e.portFree = arrive

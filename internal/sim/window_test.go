@@ -47,7 +47,9 @@ func driveProtocol(t *testing.T, f protocolFixture, now *float64, ds ...*Driver)
 		task := queues[j][0]
 		queues[j] = queues[j][1:]
 		start := *now
-		*now += pl.P[j] * (1 + rng.Float64())
+		// The conversions keep protocolDigest architecture-independent:
+		// without them gc fuses each product into the clock's add on arm64.
+		*now += float64(pl.P[j] * (1 + rng.Float64()))
 		for _, d := range ds {
 			d.MarkCompleted(task, j, start, *now)
 		}
@@ -68,7 +70,7 @@ func driveProtocol(t *testing.T, f protocolFixture, now *float64, ds ...*Driver)
 			for _, d := range ds {
 				d.MarkSent("fixture", task, j)
 			}
-			*now += pl.C[j] * ref.Task(task).EffComm()
+			*now += float64(pl.C[j] * ref.Task(task).EffComm())
 			for _, d := range ds {
 				d.MarkArrived(task, j, *now)
 			}

@@ -11,13 +11,12 @@ import (
 
 // Summary describes a sample.
 type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	Median         float64
-	GeometricMean  float64
-	P50, P95, P99  float64
-	geometricValid bool
+	N             int
+	Mean, Std     float64
+	Min, Max      float64
+	Median        float64
+	GeometricMean float64
+	P50, P95, P99 float64
 }
 
 // Summarize computes a Summary. It panics on an empty sample. The input
@@ -43,7 +42,7 @@ func SummarizeInPlace(xs []float64) Summary {
 	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
 	sum := 0.0
 	logSum := 0.0
-	s.geometricValid = true
+	geometricValid := true
 	for _, x := range xs {
 		sum += x
 		if x < s.Min {
@@ -55,17 +54,17 @@ func SummarizeInPlace(xs []float64) Summary {
 		if x > 0 {
 			logSum += math.Log(x)
 		} else {
-			s.geometricValid = false
+			geometricValid = false
 		}
 	}
 	s.Mean = sum / float64(len(xs))
-	if s.geometricValid {
+	if geometricValid {
 		s.GeometricMean = math.Exp(logSum / float64(len(xs)))
 	}
 	varSum := 0.0
 	for _, x := range xs {
 		d := x - s.Mean
-		varSum += d * d
+		varSum += float64(d * d)
 	}
 	if len(xs) > 1 {
 		s.Std = math.Sqrt(varSum / float64(len(xs)-1))
@@ -103,14 +102,14 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	rank := p * float64(len(sorted)-1)
+	rank := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // String renders "mean ± std [min, max]".

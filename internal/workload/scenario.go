@@ -39,9 +39,9 @@ func FailureScenario(rng *rand.Rand, m int, horizon, failsPerSlave, meanDowntime
 	for j := 0; j < m; j++ {
 		t := rng.ExpFloat64() * meanUp
 		for t < horizon {
-			down := rng.ExpFloat64() * meanDowntime
+			down := float64(rng.ExpFloat64() * meanDowntime)
 			evs = append(evs, scenario.FailAt(t, j), scenario.RecoverAt(t+down, j))
-			t += down + rng.ExpFloat64()*meanUp
+			t += down + float64(rng.ExpFloat64()*meanUp)
 		}
 	}
 	return scenario.Scenario{
@@ -84,7 +84,9 @@ func DriftScenario(rng *rand.Rand, pl core.Platform, horizon float64, steps int,
 // direction, symmetric in log space so walks don't trend.
 func driftFactor(rng *rand.Rand, spread float64) float64 {
 	limit := math.Log1p(spread)
-	return math.Exp((rng.Float64()*2 - 1) * limit)
+	// rand's Float64 is itself a product, which gc would fuse into the
+	// doubling (an add) without the conversion.
+	return math.Exp((float64(rng.Float64())*2 - 1) * limit)
 }
 
 func clamp(x, lo, hi float64) float64 {
@@ -110,8 +112,8 @@ func FlashCrowdScenario(rng *rand.Rand, m0, joins int, joinAt, leaveAt float64, 
 	}
 	var evs []scenario.Event
 	for i := 0; i < joins; i++ {
-		c := gen.CMin + rng.Float64()*(gen.CMax-gen.CMin)
-		p := gen.PMin + rng.Float64()*(gen.PMax-gen.PMin)
+		c := gen.CMin + float64(rng.Float64()*(gen.CMax-gen.CMin))
+		p := gen.PMin + float64(rng.Float64()*(gen.PMax-gen.PMin))
 		evs = append(evs, scenario.JoinAt(joinAt, c, p))
 	}
 	for i := 0; i < joins; i++ {

@@ -116,7 +116,7 @@ func Generate(rng *rand.Rand, cfg Config) []core.Task {
 		t := 0.0
 		for i := range releases {
 			if i > 0 && i%size == 0 {
-				t += rng.ExpFloat64() * gap
+				t += float64(rng.ExpFloat64() * gap)
 			}
 			releases[i] = t
 		}
@@ -136,7 +136,9 @@ func Generate(rng *rand.Rand, cfg Config) []core.Task {
 	for i := range tasks {
 		tasks[i] = core.Task{ID: core.TaskID(i), Release: releases[i], CommScale: 1, CompScale: 1}
 		if cfg.Perturb > 0 {
-			s := 1 + (rng.Float64()*2-1)*cfg.Perturb
+			// Both conversions round a product gc would otherwise fuse:
+			// rand's Float64 scaling into the doubling, and the perturbation.
+			s := 1 + float64((float64(rng.Float64())*2-1)*cfg.Perturb)
 			if cfg.LinearPerturb {
 				tasks[i].CommScale, tasks[i].CompScale = s, s
 			} else {
