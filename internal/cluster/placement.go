@@ -257,7 +257,7 @@ func NominalRate(pl core.Platform) float64 {
 	portTimePerTask := 0.0
 	for j := range pl.C {
 		f := (1 / pl.P[j]) / computeRate
-		portTimePerTask += f * pl.C[j]
+		portTimePerTask += float64(f * pl.C[j])
 	}
 	return min(computeRate, 1/portTimePerTask)
 }

@@ -207,7 +207,7 @@ func (stealHetAware) Plan(loads []live.Load, rates []float64) []StealDecision {
 		if rates[hi] <= 0 {
 			n = depth[hi]
 		} else {
-			n = int((rates[lo]*out[hi] - rates[hi]*out[lo]) / (rates[hi] + rates[lo]))
+			n = int((float64(rates[lo]*out[hi]) - float64(rates[hi]*out[lo])) / (rates[hi] + rates[lo]))
 		}
 		if n > depth[hi] {
 			n = depth[hi]

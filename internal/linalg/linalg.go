@@ -37,7 +37,7 @@ func Identity(n int) Matrix {
 func RandomMatrix(rng *rand.Rand, n int) Matrix {
 	m := NewMatrix(n)
 	for i := range m.Data {
-		m.Data[i] = rng.Float64()*2 - 1
+		m.Data[i] = float64(rng.Float64())*2 - 1
 	}
 	return m
 }
@@ -66,7 +66,7 @@ func (m Matrix) Mul(other Matrix) Matrix {
 				continue
 			}
 			for j := 0; j < m.N; j++ {
-				out.Data[i*m.N+j] += a * other.At(k, j)
+				out.Data[i*m.N+j] += float64(a * other.At(k, j))
 			}
 		}
 	}
@@ -105,7 +105,7 @@ func (m Matrix) Det() float64 {
 				continue
 			}
 			for j := col; j < n; j++ {
-				a.Data[row*n+j] -= f * a.Data[col*n+j]
+				a.Data[row*n+j] -= float64(f * a.Data[col*n+j])
 			}
 		}
 	}

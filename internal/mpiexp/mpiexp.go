@@ -82,7 +82,7 @@ func checksumMatrix(seed int64, task, n int) linalg.Matrix {
 	rng := newSplitMix(uint64(seed)*0x9e3779b97f4a7c15 + uint64(task+1))
 	m := linalg.NewMatrix(n)
 	for i := range m.Data {
-		m.Data[i] = rng.float()*2 - 1
+		m.Data[i] = float64(rng.float())*2 - 1
 	}
 	return m
 }

@@ -257,7 +257,7 @@ func (x Quad) Float64() float64 {
 		return af
 	}
 	bf, _ := x.b.Float64()
-	return af + bf*math.Sqrt(float64(x.d))
+	return af + float64(bf*math.Sqrt(float64(x.d)))
 }
 
 // String renders the value as "a + b√d" with rational coefficients.

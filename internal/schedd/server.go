@@ -927,9 +927,9 @@ func (s *Server) Stats() StatsResponse {
 		all := mergeSorted(runs)
 		resp.LatencySeconds = &LatencyStats{
 			Mean: total / float64(len(all)),
-			P50:  stats.Percentile(all, 0.50),
-			P95:  stats.Percentile(all, 0.95),
-			P99:  stats.Percentile(all, 0.99),
+			P50:  stats.PercentileSorted(all, 0.50),
+			P95:  stats.PercentileSorted(all, 0.95),
+			P99:  stats.PercentileSorted(all, 0.99),
 		}
 	}
 	for i, sh := range shards {

@@ -210,7 +210,7 @@ func TestLedgerReadyDifferential(t *testing.T) {
 						ref.addSlave(now)
 						comp = append(comp, 0.5+rng.Float64())
 					} else { // speed drift: the nominal computation time changes
-						comp[j] = 0.5 + 3*rng.Float64()
+						comp[j] = 0.5 + float64(3*rng.Float64())
 					}
 				}
 				checkLedger(t, fmt.Sprintf("trial %d op %d", trial, op), l, ref, comp)

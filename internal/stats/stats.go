@@ -73,10 +73,10 @@ func SummarizeInPlace(xs []float64) Summary {
 	sorted := xs
 	// The interpolated 0.5-quantile is exactly the classic odd/even
 	// median, so Median and P50 share one definition.
-	s.Median = percentileSorted(sorted, 0.50)
+	s.Median = PercentileSorted(sorted, 0.50)
 	s.P50 = s.Median
-	s.P95 = percentileSorted(sorted, 0.95)
-	s.P99 = percentileSorted(sorted, 0.99)
+	s.P95 = PercentileSorted(sorted, 0.95)
+	s.P99 = PercentileSorted(sorted, 0.99)
 	return s
 }
 
@@ -86,19 +86,20 @@ func SummarizeInPlace(xs []float64) Summary {
 // empty sample or a p outside [0, 1]. Percentile(xs, 0.5) equals the
 // interpolated median; p 0 and 1 are the minimum and maximum.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile on a sample already in ascending order,
+// which it neither copies nor checks.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		panic("stats: empty sample")
 	}
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("stats: percentile %v outside [0, 1]", p))
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// percentileSorted is Percentile on an already-sorted sample.
-func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}

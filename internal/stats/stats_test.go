@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -134,5 +136,30 @@ func TestSummaryPercentileFields(t *testing.T) {
 	single := Summarize([]float64{3})
 	if single.P50 != 3 || single.P95 != 3 || single.P99 != 3 {
 		t.Fatalf("single-element percentiles %+v", single)
+	}
+}
+
+// TestPercentileSortedMatchesPercentile: on a sorted copy of any sample,
+// PercentileSorted returns Percentile's value bit for bit, samples of
+// length 1 and samples full of ties included.
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		levels := 1 + rng.Intn(len(xs)) // few levels: many ties
+		for i := range xs {
+			xs[i] = float64(rng.Intn(levels))
+			if trial%2 == 1 {
+				xs[i] *= rng.ExpFloat64()
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{0, 0.5, 0.95, 0.99, 1, rng.Float64()} {
+			want, got := Percentile(xs, p), PercentileSorted(sorted, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("sample %v, p %v: PercentileSorted %v, Percentile %v", xs, p, got, want)
+			}
+		}
 	}
 }

@@ -47,10 +47,10 @@ func MergeReports(reports ...Report) Report {
 		}
 		merged.SumFlow += r.SumFlow
 		merged.PortIdleWithPending += r.PortIdleWithPending
-		merged.MeanCommWait += w * r.MeanCommWait
-		merged.MeanQueueWait += w * r.MeanQueueWait
-		merged.MeanService += w * r.MeanService
-		portBusyTime += r.PortBusy * r.Makespan
+		merged.MeanCommWait += float64(w * r.MeanCommWait)
+		merged.MeanQueueWait += float64(w * r.MeanQueueWait)
+		merged.MeanService += float64(w * r.MeanService)
+		portBusyTime += float64(r.PortBusy * r.Makespan)
 		merged.Slaves = append(merged.Slaves, r.Slaves...)
 	}
 	if tasks == 0 {
